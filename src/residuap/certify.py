@@ -199,18 +199,6 @@ class Certificate:
         return acc
 
 
-def certificate_separates(cert: Certificate, ctx: NormalFormContext,
-                          words: Sequence[PathWord]) -> bool:
-    """Sanity check: nontrivial normal form implies either nontrivial image
-    or nothing (certificates are not equality oracles); trivial words must
-    map to the identity."""
-    for w in words:
-        nf = ctx.normal_form(w)
-        if nf == ctx.identity(w.base) and cert.evaluate(w) != 0:
-            return False
-    return True
-
-
 # -- the certification pipeline -----------------------------------------------------
 
 def certify_residually_p(gog: GraphOfGroups, p: int,

@@ -340,12 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(parser):
         parser.add_argument("--json", action="store_true",
                             default=argparse.SUPPRESS, help="machine output")
-        parser.add_argument("--report", action="store_true",
-                            default=argparse.SUPPRESS, help="human text output")
-        parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        parser.add_argument("--cap-order", type=int, default=argparse.SUPPRESS)
         parser.add_argument("--cap-wreath", type=int, default=argparse.SUPPRESS)
-        parser.add_argument("--depth", type=int, default=argparse.SUPPRESS)
 
     ap = argparse.ArgumentParser(prog="residuap",
                                  description="desk-scale residually-p workbench")
@@ -409,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DEFAULTS = {"json": False, "report": False, "seed": 0, "cap_order": 4096,
-             "cap_wreath": 4096, "depth": 6}
+_DEFAULTS = {"json": False, "cap_wreath": 4096}
 
 
 def main(argv=None) -> int:

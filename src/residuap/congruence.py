@@ -5,20 +5,16 @@ p-compatible filtration of finitely generated integer matrix groups.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .groups import CapExceeded, FiniteGroup
+from .groups import CapExceeded, FiniteGroup, require_prime
 from .smith import Presentation, theta_map
 
 DEFAULT_TOWER_CAP = 3 ** 9
-
-
-def _require_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
 
 
 def _mat_mul(a, b, mod):
@@ -116,7 +112,7 @@ class CongruenceTower:
 
 def sl2_congruence_tower(p: int, k: int, cap: int = DEFAULT_TOWER_CAP) -> CongruenceTower:
     """Enumerate SL(2, Z/p^k) and its congruence subgroups G_i (1 <= i <= k)."""
-    _require_prime(p)
+    require_prime(p)
     if k < 1:
         raise ValueError("k must be >= 1")
     if p ** (3 * k) > cap:
@@ -201,7 +197,7 @@ def power_map_injectivity(p: int, k: int) -> dict:
 
     Works on canonical layer representatives; no full tower enumeration.
     """
-    _require_prime(p)
+    require_prime(p)
     if p == 2:
         raise ValueError("the power-map layer lemma requires p odd")
     if k < 3:
@@ -240,7 +236,7 @@ def power_map_injectivity(p: int, k: int) -> dict:
 def unitriangular_order(n: int, p: int, d: int, N: Sequence[Sequence[int]]) -> int:
     """Order of id + N in UT_1(n, Z/p^d); asserts the exponent bound and the
     exactness clause when the first nonzero codiagonal has a unit entry."""
-    _require_prime(p)
+    require_prime(p)
     if p < n:
         raise ValueError("the lemma requires p >= n")
     mod = p ** d
@@ -267,16 +263,10 @@ def unitriangular_order(n: int, p: int, d: int, N: Sequence[Sequence[int]]) -> i
         if any(codiag):
             first_nonzero = codiag
             break
-    if first_nonzero is not None and any(pow_gcd(x, mod) == 1 for x in first_nonzero):
+    if first_nonzero is not None and any(math.gcd(x, mod) == 1 for x in first_nonzero):
         if order != mod:
             raise AssertionError("unit codiagonal should force order p^d")
     return order
-
-
-def pow_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # -- p-compatible filtrations of integer matrix groups --------------------------
@@ -392,7 +382,7 @@ def matrix_p_filtration(spec: MatrixGroupSpec, p: int, k_max: int,
     report states the least l in {0, 1} with G_k ^ T = gamma^p_{k+l}(T),
     or None when neither matches.
     """
-    _require_prime(p)
+    require_prime(p)
     rank, theta_rows = theta_map(spec.presentation)
     report = {"p": p, "rank_H": rank, "levels": [], "subgroups": []}
     for k in range(1, k_max + 1):
@@ -484,9 +474,9 @@ def _t_intersection_lattice(t_mats, t_theta, p: int, k: int):
         else:
             g = 0
             for x in nz:
-                g = pow_gcd(g, x)
-            theta_step = mod // pow_gcd(mod, g)
-        step = o * theta_step // pow_gcd(o, theta_step)
+                g = math.gcd(g, x)
+            theta_step = mod // math.gcd(mod, g)
+        step = o * theta_step // math.gcd(o, theta_step)
         return step
     # small abelian T: enumerate exponent boxes
     r = len(t_mats)

@@ -17,10 +17,10 @@ from .filtration import (Filtration, StretchMap, align_filtrations,
                          chief_series, induced_chain, lower_central_p_series,
                          stretch)
 from .groups import (CapExceeded, FiniteGroup, GroupAction, Homomorphism,
-                     Subgroup, all_subgroups, direct_product, find_isomorphism,
-                     full_subgroup, identity_hom, intersect,
-                     permutation_closure, quotient, semidirect_product,
-                     subgroup_generated, trivial_subgroup)
+                     Subgroup, all_subgroups, automorphisms, direct_product,
+                     find_isomorphism, full_subgroup, identity_hom, intersect,
+                     is_p_power, permutation_closure, quotient,
+                     semidirect_product, subgroup_generated, trivial_subgroup)
 from .results import NO, UNKNOWN, YES, Decision
 
 DEFAULT_HIGMAN_CAP = 4096
@@ -842,24 +842,29 @@ def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
     if witness is None:
         return Decision(NO, reason="no invariant chief filtration with "
                                    "trivial layer action")
+    return _extend_in_stabilizer(G, pas, witness, p, aut_cap, size_cap,
+                                 "no layer-trivial extension of a partial "
+                                 "automorphism in Aut(G)")
+
+
+def _extend_in_stabilizer(G, pas, series, p, aut_cap, size_cap,
+                          missing: str) -> Decision:
+    """Extend each phi by the first automorphism of G (in sorted order) that
+    stabilizes series and acts trivially on its layers, then realize the
+    extensions; unknown with reason ``missing`` when some phi has none."""
     if G.order > aut_cap:
         return Decision(UNKNOWN, reason="automorphism search beyond cap")
-    from .groups import automorphisms
     try:
         auts = automorphisms(G)
     except CapExceeded as exc:
         return Decision(UNKNOWN, reason=str(exc))
-    stab = [a for a in auts if _stabilizes_chain(G, a, witness)]
+    stab = [a for a in auts if _stabilizes_chain(G, a, series)]
     perms = []
     for phi in pas:
-        found = None
-        for a in stab:
-            if all(int(a[x]) == phi(x) for x in phi.A.elems):
-                found = a
-                break
+        found = next((a for a in stab
+                      if all(int(a[x]) == phi(x) for x in phi.A.elems)), None)
         if found is None:
-            return Decision(UNKNOWN, reason="no layer-trivial extension of a "
-                                            "partial automorphism in Aut(G)")
+            return Decision(UNKNOWN, reason=missing)
         perms.append(found)
     return _realize_semidirect(G, pas, perms, p, size_cap)
 
@@ -893,7 +898,7 @@ def _realize_semidirect(G, pas, perms, p, size_cap) -> Decision:
     closure = permutation_closure(G, perms)
     if len(closure) * G.order > size_cap:
         return Decision(UNKNOWN, reason="semidirect product beyond size cap")
-    if not _is_p_power(len(closure), p):
+    if not is_p_power(len(closure), p):
         # other extension choices might still work, so this is not a proof
         return Decision(UNKNOWN, reason="chosen extensions generate a non-p group")
     index = {tuple(int(x) for x in a): i for i, a in enumerate(closure)}
@@ -909,12 +914,6 @@ def _realize_semidirect(G, pas, perms, p, size_cap) -> Decision:
     cert = InnerExtension(Hp, eG, conj)
     cert.verify(G, pas, p)
     return Decision(YES, certificate=cert)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def layerwise_inner_extension(G: FiniteGroup, F: Filtration,
@@ -1001,26 +1000,9 @@ def inner_extension_with_chain(G, pas, chain: Filtration, p: int,
         space = None
     if space is not None:
         return inner_extension(G, pas, aut_cap=aut_cap, size_cap=size_cap)
-    if G.order > aut_cap:
-        return Decision(UNKNOWN, reason="automorphism search beyond cap")
-    from .groups import automorphisms
-    try:
-        auts = automorphisms(G)
-    except CapExceeded as exc:
-        return Decision(UNKNOWN, reason=str(exc))
-    stab = [a for a in auts if _stabilizes_chain(G, a,
-            [Subgroup(G, t.elems, check=False) for t in series])]
-    perms = []
-    for phi in pas:
-        found = None
-        for a in stab:
-            if all(int(a[x]) == phi(x) for x in phi.A.elems):
-                found = a
-                break
-        if found is None:
-            return Decision(UNKNOWN, reason="no chain-unipotent extension found")
-        perms.append(found)
-    return _realize_semidirect(G, pas, perms, p, size_cap)
+    return _extend_in_stabilizer(
+        G, pas, [Subgroup(G, t.elems, check=False) for t in series], p,
+        aut_cap, size_cap, "no chain-unipotent extension found")
 
 
 # -- mapping tori -----------------------------------------------------------------
@@ -1059,7 +1041,7 @@ def mapping_torus_check(G: FiniteGroup, autos: Sequence[np.ndarray]) -> dict:
                 arr[q] = v
             induced.append(arr)
         closure = permutation_closure(Ln, induced)
-        is_p = _is_p_power(len(closure), p)
+        is_p = is_p_power(len(closure), p)
         report["levels"].append({"n": n, "induced_order": len(closure),
                                  "p_group": is_p})
         if n == 1:
@@ -1086,7 +1068,6 @@ class ScanRecord:
 
 def _isomorphisms_between(A: FiniteGroup, B: FiniteGroup, limit_all: bool):
     """Isomorphisms A -> B, all of them for small groups, else the first."""
-    from .groups import automorphisms, find_isomorphism
     base = find_isomorphism(A, B)
     if base is None:
         return []

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from . import kernels
 from .groups import (FiniteGroup, Homomorphism, Subgroup, commutator_subgroup,
                      full_subgroup, intersect, power_subgroup, quotient,
-                     subgroup_generated, trivial_subgroup)
+                     require_prime, subgroup_generated, trivial_subgroup)
 
 
 class Filtration:
@@ -175,7 +175,7 @@ def lower_central_series(G: FiniteGroup) -> Filtration:
 
 def lower_central_p_series(G: FiniteGroup, p: int) -> Filtration:
     """gamma^p_1 = G, gamma^p_{n+1} = [G, gamma^p_n] (gamma^p_n)^p."""
-    _require_prime(p)
+    require_prime(p)
     terms = [full_subgroup(G)]
     while True:
         cur = terms[-1]
@@ -196,7 +196,7 @@ def dimension_series(G: FiniteGroup, p: int) -> Filtration:
     and cross-checked against Lazard's closed formula
     D_n = prod_{i p^j >= n} gamma_i(G)^(p^j); the two must agree.
     """
-    _require_prime(p)
+    require_prime(p)
     D = [full_subgroup(G)]  # D[k] = D_{k+1}
     n = 2
     while not D[-1].is_trivial():
@@ -229,11 +229,6 @@ def _lazard_series(G: FiniteGroup, p: int, upto: int) -> Filtration:
             gens += kernels.powers(G.mult, gamma.term(i).elems, p ** j)
         terms.append(subgroup_generated(G, gens))
     return Filtration(G, terms, check=False)
-
-
-def _require_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
 
 
 # -- chief filtrations ---------------------------------------------------------
@@ -317,17 +312,6 @@ def induced_chain(F: Filtration, emb: Homomorphism) -> list[tuple[int, ...]]:
     for n in range(1, len(F.terms) + 1):
         chain.append(tuple(sorted(image[g] for g in F.term(n).elems if g in image)))
     return chain
-
-
-def reduced_chain(F: Filtration, emb: Homomorphism) -> tuple[tuple[int, ...], ...]:
-    """Distinct terms of the induced chain on U, in descending order."""
-    seen = []
-    for level in induced_chain(F, emb):
-        if not seen or seen[-1] != level:
-            seen.append(level)
-    if seen and len(seen) >= 2 and seen[-1] == seen[-2]:
-        seen.pop()
-    return tuple(seen)
 
 
 def align_filtrations(FG: Filtration, FH: Filtration,
@@ -493,7 +477,7 @@ def power_layer_map(G: FiniteGroup, p: int, n: int, m: int):
     Requires p odd, n > 1, or [G_n, G_n] <= G_{n+2} for the lower central
     p-series; the exceptional failure is reported via LayerMapHypothesisError.
     """
-    _require_prime(p)
+    require_prime(p)
     F = lower_central_p_series(G, p)
     Gn = F.term(n)
     if p == 2:

@@ -8,6 +8,7 @@ used as equality oracles.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -483,12 +484,6 @@ def quotient_gog(gog: GraphOfGroups, subs: Sequence[Subgroup]):
     return qgog, mor
 
 
-def quotient_by_filtration_level(gog: GraphOfGroups, gfilt: "GogFiltration",
-                                 n: int):
-    return quotient_gog(gog, [gfilt.filtrations[v].term(n)
-                              for v in range(gog.graph.nv)])
-
-
 @dataclass
 class GogFiltration:
     """Per-vertex filtrations forming a compatible collection at each level."""
@@ -534,12 +529,8 @@ def common_cover(gog: GraphOfGroups, subs: Sequence[Subgroup]):
         raise ValueError("collection is not compatible")
     # degree: lcm of the vertex indices times enough to glue; use the uniform
     # sheet count d = lcm_v [G_v : H_v] scaled so every edge matches.
-    def lcm(a, b):
-        from math import gcd
-        return a * b // gcd(a, b)
-    d = 1
-    for v in range(Y.nv):
-        d = lcm(d, gog.vgroups[v].order // len(subs[v]))
+    d = math.lcm(*(gog.vgroups[v].order // len(subs[v])
+                   for v in range(Y.nv)))
     # vertex copies: m_v = d / [G_v:H_v]; edge copies: m_e = d / [G_e:H_e]
     He = {}
     for e in range(Y.ne):

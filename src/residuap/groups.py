@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -93,10 +93,7 @@ class FiniteGroup:
         return self._orders
 
     def exponent(self) -> int:
-        e = 1
-        for o in set(self.element_orders()):
-            e = e * o // _gcd(e, o)
-        return e
+        return math.lcm(*set(self.element_orders()))
 
     @property
     def is_abelian(self) -> bool:
@@ -105,10 +102,7 @@ class FiniteGroup:
         return self._abelian
 
     def is_p_group(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return is_p_power(self.order, p)
 
     def prime(self) -> Optional[int]:
         """The prime p when the order is a nontrivial p-power, else None."""
@@ -122,10 +116,16 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def is_p_power(n: int, p: int) -> bool:
+    """Whether n is a power of p (p^0 = 1 included)."""
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def require_prime(p: int) -> None:
+    if p < 2 or _least_prime_factor(p) != p:
+        raise ValueError(f"{p} is not prime")
 
 
 def _least_prime_factor(n: int) -> int:
@@ -274,10 +274,6 @@ def identity_hom(G: FiniteGroup) -> Homomorphism:
     return Homomorphism(G, G, np.arange(G.order), check=False)
 
 
-def trivial_hom(G: FiniteGroup, H: FiniteGroup) -> Homomorphism:
-    return Homomorphism(G, H, np.zeros(G.order, dtype=np.int64), check=False)
-
-
 # -- subgroup constructions -------------------------------------------------
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -306,11 +302,6 @@ def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
     if a.parent is not b.parent:
         raise ValueError("subgroups of different parents")
     return Subgroup(a.parent, sorted(a._set & b._set), check=False)
-
-
-def product_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
-    """The subgroup generated by a and b (equals AB when one is normal)."""
-    return subgroup_generated(a.parent, list(a.elems) + list(b.elems))
 
 
 def commutator_subgroup(G: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -410,11 +401,6 @@ class GroupAction:
         return int(self.perms[a, x])
 
 
-def trivial_action(actor: FiniteGroup, target: FiniteGroup) -> GroupAction:
-    perms = np.tile(np.arange(target.order), (actor.order, 1))
-    return GroupAction(actor, target, perms, check=False)
-
-
 def semidirect_product(B: FiniteGroup, H: FiniteGroup, action: GroupAction,
                        name: Optional[str] = None,
                        ) -> tuple[FiniteGroup, Homomorphism, Homomorphism]:
@@ -456,60 +442,86 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def _extend_map(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
-                images: Sequence[int]) -> Optional[np.ndarray]:
-    """Try to extend gens -> images to a homomorphism on <gens>; None if inconsistent.
+def _homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
+                   cands: Sequence[Sequence[int]], injective: bool = False,
+                   fixed: frozenset[int] = frozenset()):
+    """Yield every homomorphism G -> H, as an index array, that sends gens[i]
+    into cands[i], in itertools.product order of the generator images.
 
-    The returned array maps every element of <gens> (entries outside stay -1).
+    Backtrack search (Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 2005): gens[i] gets its image only after gens[:i] have theirs,
+    and the partial map on <gens[:i]> is then extended to <gens[:i+1]> by
+    closing it under products.  A branch is pruned as soon as a product is
+    sent to two different images, or, with ``injective``, two elements share
+    an image, or an element of ``fixed`` is sent anywhere but to itself.  No
+    pruned branch holds a map the caller accepts, so the output equals that
+    of testing every tuple of images in turn.  gens must generate G.  Both
+    tables are read as Python lists, which keeps the work per node small.
     """
-    m = np.full(G.order, -1, dtype=np.int64)
-    m[0] = 0
-    frontier = [0]
-    for g, im in zip(gens, images):
-        if m[g] == -1:
-            m[g] = im
-            frontier.append(g)
-        elif m[g] != im:
-            return None
-    known = [x for x in range(G.order) if m[x] != -1]
-    while frontier:
-        new = []
-        for x in known:
-            for y in frontier:
-                for a, b in ((x, y), (y, x)):
-                    z = int(G.mult[a, b])
-                    w = int(H.mult[m[a], m[b]])
-                    if m[z] == -1:
-                        m[z] = w
-                        new.append(z)
-                    elif m[z] != w:
-                        return None
-        known.extend(new)
-        frontier = new
-    return m
+    gm = G.mult.tolist()
+    hm = H.mult.tolist()
+    m = [-1] * G.order           # the partial map; -1 marks unmapped
+    used = [False] * H.order     # images taken, kept only when injective
+    m[0], used[0] = 0, injective
+    known = [0]                  # the mapped elements, in the order mapped
+
+    def assign(z: int, w: int) -> bool:
+        mz = m[z]
+        if mz >= 0:
+            return mz == w
+        if used[w] or (z != w and z in fixed):
+            return False
+        m[z], used[w] = w, injective
+        known.append(z)
+        return True
+
+    def extend(g: int, c: int) -> bool:
+        """Send g to c, then close under products; False on a conflict."""
+        i = len(known)
+        if not assign(g, c):
+            return False
+        while i < len(known):
+            y = known[i]
+            i += 1
+            gy, my = gm[y], m[y]
+            hy = hm[my]
+            for x in known[:i]:
+                mx = m[x]
+                if not (assign(gm[x][y], hm[mx][my]) and assign(gy[x], hy[mx])):
+                    return False
+        return True
+
+    def undo(start: int) -> None:
+        for z in known[start:]:
+            used[m[z]] = False
+            m[z] = -1
+        del known[start:]
+
+    def descend(level: int):
+        if level == len(gens):
+            arr = np.array(m, dtype=np.int64)
+            if kernels.is_homomorphism(G.mult, H.mult, arr):
+                yield arr
+            return
+        start = len(known)
+        for c in cands[level]:
+            if extend(gens[level], c):
+                yield from descend(level + 1)
+            undo(start)
+
+    yield from descend(0)
 
 
-def iter_homomorphisms(G: FiniteGroup, H: FiniteGroup, image_filter=None):
-    """Yield all homomorphisms G -> H by backtracking over generator images.
-
-    image_filter(gen, candidate) may prune candidate images.
-    """
+def iter_homomorphisms(G: FiniteGroup, H: FiniteGroup):
+    """Yield all homomorphisms G -> H, in lexicographic order of the images
+    of generating_sequence(G), each image ranging over H by index."""
     gens = generating_sequence(G)
     orders_G = G.element_orders()
     orders_H = H.element_orders()
-    cands = []
-    for g in gens:
-        og = orders_G[g]
-        c = [h for h in range(H.order) if og % orders_H[h] == 0]
-        if image_filter is not None:
-            c = [h for h in c if image_filter(g, h)]
-        cands.append(c)
-    for images in itertools.product(*cands):
-        m = _extend_map(G, H, gens, images)
-        if m is None or (m == -1).any():
-            continue
-        if kernels.is_homomorphism(G.mult, H.mult, m):
-            yield Homomorphism(G, H, m, check=False)
+    cands = [[h for h in range(H.order) if orders_G[g] % orders_H[h] == 0]
+             for g in gens]
+    for m in _homomorphisms(G, H, gens, cands):
+        yield Homomorphism(G, H, m, check=False)
 
 
 def is_retract(G: FiniteGroup, H: Subgroup) -> Optional[Homomorphism]:
@@ -519,17 +531,8 @@ def is_retract(G: FiniteGroup, H: Subgroup) -> Optional[Homomorphism]:
     gens = generating_sequence(G)
     orders = G.element_orders()
     cands = [[h for h in H.elems if orders[g] % orders[h] == 0] for g in gens]
-    hset = H._set
-    for images in itertools.product(*cands):
-        m = _extend_map(G, G, gens, images)
-        if m is None or (m == -1).any():
-            continue
-        if not all(int(x) in hset for x in m):
-            continue
-        if not all(m[h] == h for h in H.elems):
-            continue
-        if kernels.is_homomorphism(G.mult, G.mult, m):
-            return Homomorphism(G, G, m, check=False)
+    for m in _homomorphisms(G, G, gens, cands, fixed=H._set):
+        return Homomorphism(G, G, m, check=False)
     return None
 
 
@@ -550,16 +553,11 @@ def automorphisms(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP,
     if volume > search_cap:
         raise CapExceeded(f"automorphism search space {volume} beyond cap")
     out = []
-    for images in itertools.product(*[by_order[orders[g]] for g in gens]):
-        m = _extend_map(G, G, gens, images)
-        if m is None or (m == -1).any():
-            continue
-        if len(set(int(x) for x in m)) != G.order:
-            continue
-        if kernels.is_homomorphism(G.mult, G.mult, m):
-            out.append(m.copy())
-            if len(out) > size_cap:
-                raise CapExceeded("automorphism group larger than size cap")
+    for m in _homomorphisms(G, G, gens, [by_order[orders[g]] for g in gens],
+                            injective=True):
+        out.append(m)
+        if len(out) > size_cap:
+            raise CapExceeded("automorphism group larger than size cap")
     out.sort(key=lambda a: tuple(int(x) for x in a))
     return out
 
@@ -620,7 +618,8 @@ def permutation_closure(G: FiniteGroup, perms: Sequence[np.ndarray],
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
-    """An isomorphism G -> H, or None; backtracking with invariant pruning."""
+    """An isomorphism G -> H, or None: the first in lexicographic order of the
+    images of generating_sequence(G), after invariant checks."""
     if G.order != H.order:
         return None
     if sorted(G.element_orders()) != sorted(H.element_orders()):
@@ -633,14 +632,9 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
     by_order: dict[int, list[int]] = {}
     for x in range(H.order):
         by_order.setdefault(orders_H[x], []).append(x)
-    for images in itertools.product(*[by_order[orders_G[g]] for g in gens]):
-        m = _extend_map(G, H, gens, images)
-        if m is None or (m == -1).any():
-            continue
-        if len(set(int(x) for x in m)) != G.order:
-            continue
-        if kernels.is_homomorphism(G.mult, H.mult, m):
-            return Homomorphism(G, H, m, check=False)
+    for m in _homomorphisms(G, H, gens, [by_order[orders_G[g]] for g in gens],
+                            injective=True):
+        return Homomorphism(G, H, m, check=False)
     return None
 
 
@@ -701,7 +695,7 @@ def abelian_invariants(G: FiniteGroup) -> list[int]:
         while True:
             c = sum(1 for o in orders if p ** k % o == 0)
             counts.append(c)
-            if c == sum(1 for o in orders if _is_ppower(o, p)):
+            if c == sum(1 for o in orders if is_p_power(o, p)):
                 break
             k += 1
         # counts[k-1] = p ** sum_i min(k, e_i); recover the exponent multiset
@@ -725,12 +719,6 @@ def abelian_invariants(G: FiniteGroup) -> list[int]:
                 f *= p ** exps[j]
         factors.append(f)
     return factors
-
-
-def _is_ppower(o: int, p: int) -> bool:
-    while o % p == 0:
-        o //= p
-    return o == 1
 
 
 def _ilog(c: int, p: int) -> int:

@@ -129,11 +129,20 @@ def certificate_to_obj(cert: Certificate) -> dict:
 def certificate_from_obj(obj: dict) -> Certificate:
     gog = gog_from_obj(obj["gog"])
     target = group_from_obj(obj["target"])
+    Y = gog.graph
+    if len(obj["vertex_maps"]) != Y.nv:
+        raise ValueError(f"certificate has {len(obj['vertex_maps'])} vertex "
+                         f"maps for {Y.nv} vertices")
+    if len(obj["edge_images"]) != Y.ne:
+        raise ValueError(f"certificate has {len(obj['edge_images'])} edge "
+                         f"images for {Y.ne} edges")
+    if not all(isinstance(h, int) and 0 <= h < target.order
+               for h in obj["edge_images"]):
+        raise ValueError("certificate edge images must be target elements")
     vmaps = tuple(Homomorphism(gog.vgroups[v], target, obj["vertex_maps"][v])
-                  for v in range(gog.graph.nv))
-    cert = Certificate(gog, frozenset(obj["tree"]), target, vmaps,
+                  for v in range(Y.nv))
+    return Certificate(gog, frozenset(obj["tree"]), target, vmaps,
                        tuple(obj["edge_images"]), obj["p"])
-    return cert
 
 
 def dumps(obj: Any) -> str:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from residuap import catalog, embed, graphs
+import itertools
+from typing import Optional, Sequence
+
+import numpy as np
+
+from residuap import catalog, embed, graphs, kernels
 from residuap.filtration import Filtration
-from residuap.groups import (FiniteGroup, Homomorphism, Subgroup,
-                             full_subgroup, subgroup_generated,
-                             trivial_subgroup)
+from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
+                             full_subgroup, generating_sequence,
+                             subgroup_generated, trivial_subgroup)
 
 
 def fresh(G: FiniteGroup, name: str) -> FiniteGroup:
@@ -120,3 +125,120 @@ def nf_test_graphs():
             axis_swap_loop(),
             theta_graph(),
             d8_center_hnn()]
+
+
+# -- reference homomorphism search --------------------------------------------
+#
+# The exhaustive search that groups.py used before its backtracking search:
+# every tuple of generator images in itertools.product order, each extended
+# to a map on the whole group and then filtered.  The differential tests
+# require the backtracking search to give exactly these results.
+
+def _extend_map(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
+                images: Sequence[int]) -> Optional[np.ndarray]:
+    """Try to extend gens -> images to a homomorphism on <gens>; None if inconsistent.
+
+    The returned array maps every element of <gens> (entries outside stay -1).
+    """
+    m = np.full(G.order, -1, dtype=np.int64)
+    m[0] = 0
+    frontier = [0]
+    for g, im in zip(gens, images):
+        if m[g] == -1:
+            m[g] = im
+            frontier.append(g)
+        elif m[g] != im:
+            return None
+    known = [x for x in range(G.order) if m[x] != -1]
+    while frontier:
+        new = []
+        for x in known:
+            for y in frontier:
+                for a, b in ((x, y), (y, x)):
+                    z = int(G.mult[a, b])
+                    w = int(H.mult[m[a], m[b]])
+                    if m[z] == -1:
+                        m[z] = w
+                        new.append(z)
+                    elif m[z] != w:
+                        return None
+        known.extend(new)
+        frontier = new
+    return m
+
+
+def _reference_search(G: FiniteGroup, H: FiniteGroup, cands, accept):
+    gens = generating_sequence(G)
+    for images in itertools.product(*cands(gens)):
+        m = _extend_map(G, H, gens, images)
+        if m is None or (m == -1).any() or not accept(m):
+            continue
+        if kernels.is_homomorphism(G.mult, H.mult, m):
+            yield m
+
+
+def _bijective(m: np.ndarray) -> bool:
+    return len(set(int(x) for x in m)) == len(m)
+
+
+def reference_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[np.ndarray]:
+    oG, oH = G.element_orders(), H.element_orders()
+    return list(_reference_search(
+        G, H, lambda gens: [[h for h in range(H.order) if oG[g] % oH[h] == 0]
+                            for g in gens],
+        lambda m: True))
+
+
+def reference_retract(G: FiniteGroup, H: Subgroup) -> Optional[np.ndarray]:
+    o = G.element_orders()
+    found = _reference_search(
+        G, G, lambda gens: [[h for h in H.elems if o[g] % o[h] == 0]
+                            for g in gens],
+        lambda m: (all(int(x) in H for x in m)
+                   and all(m[h] == h for h in H.elems)))
+    return next(found, None)
+
+
+def _by_order(G: FiniteGroup) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for x, o in enumerate(G.element_orders()):
+        out.setdefault(o, []).append(x)
+    return out
+
+
+def reference_automorphisms(G: FiniteGroup,
+                            size_cap: int = 200_000,
+                            search_cap: int = 2_000_000) -> list[np.ndarray]:
+    o, by_order = G.element_orders(), _by_order(G)
+    volume = 1
+    for g in generating_sequence(G):
+        volume *= len(by_order[o[g]])
+    if volume > search_cap:
+        raise CapExceeded(f"automorphism search space {volume} beyond cap")
+    out = []
+    for m in _reference_search(G, G, lambda gens: [by_order[o[g]] for g in gens],
+                               _bijective):
+        out.append(m)
+        if len(out) > size_cap:
+            raise CapExceeded("automorphism group larger than size cap")
+    out.sort(key=lambda a: tuple(int(x) for x in a))
+    return out
+
+
+def reference_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[np.ndarray]:
+    if (G.order != H.order
+            or sorted(G.element_orders()) != sorted(H.element_orders())
+            or G.is_abelian != H.is_abelian):
+        return None
+    o, by_order = G.element_orders(), _by_order(H)
+    found = _reference_search(G, H, lambda gens: [by_order[o[g]] for g in gens],
+                              _bijective)
+    return next(found, None)
+
+
+def relabel(G: FiniteGroup, seed: int) -> FiniteGroup:
+    """G with its non-identity elements renumbered by a seeded permutation."""
+    rng = np.random.default_rng(seed)
+    pi = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    inv = np.argsort(pi)
+    return FiniteGroup(pi[G.mult[np.ix_(inv, inv)]], name=f"{G.name}~{seed}")

@@ -128,6 +128,27 @@ def test_malformed_input_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("field,change", [
+    ("edge_images", lambda xs: xs[:-1]),
+    ("edge_images", lambda xs: xs + [0]),
+    ("edge_images", lambda xs: xs[:-1] + [10 ** 6]),
+    ("vertex_maps", lambda xs: xs[:-1]),
+], ids=["edges-short", "edges-long", "edge-out-of-range", "vertices-short"])
+def test_verify_rejects_malformed_certificate(capsys, tmp_path, field, change):
+    src = tmp_path / "shift.json"
+    src.write_text(serialize.dumps({"gog": serialize.gog_to_obj(shift_loop())}))
+    cert_file = tmp_path / "cert.json"
+    assert main(["gog", "certify", "--file", str(src), "--p", "3",
+                 "--out", str(cert_file)]) == 0
+    cert = json.loads(cert_file.read_text())
+    cert[field] = change(cert[field])
+    cert_file.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", "--file", str(cert_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_rejects_unknown_kind(capsys, tmp_path):
     f = tmp_path / "x.json"
     f.write_text(json.dumps({"kind": "other"}))

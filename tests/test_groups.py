@@ -3,13 +3,17 @@ import pytest
 from residuap import catalog
 from residuap.groups import (CapExceeded, FiniteGroup, GroupAction,
                              Homomorphism, Subgroup, abelian_invariants,
-                             all_subgroups, automorphism_group, center,
-                             direct_product, find_isomorphism, full_subgroup,
-                             is_isomorphic, is_retract, normal_closure,
+                             all_subgroups, automorphism_group, automorphisms,
+                             center, direct_product, find_isomorphism,
+                             full_subgroup, generating_sequence, is_isomorphic,
+                             is_retract, iter_homomorphisms, normal_closure,
                              quotient, semidirect_product, subgroup_generated,
                              trivial_subgroup)
 
 import numpy as np
+
+from helpers import (reference_automorphisms, reference_homomorphisms,
+                     reference_isomorphism, reference_retract, relabel)
 
 
 CATALOG_NAMES = ["C4", "C8", "C2^3", "D8", "Q8", "D16", "SD16", "Heis27",
@@ -117,6 +121,58 @@ def test_isomorphism_search():
     assert not is_isomorphic(catalog.cyclic(8), catalog.abelian(4, 2))
     iso = find_isomorphism(catalog.cyclic(6), catalog.abelian(2, 3))
     assert iso is not None and iso.is_injective()
+
+
+SEARCH_GROUPS = ([catalog.cyclic(n) for n in range(1, 9)]
+                 + [catalog.klein4(), catalog.dihedral(3), catalog.abelian(4, 2),
+                    catalog.elementary_abelian(2, 3), catalog.dihedral(4),
+                    catalog.quaternion8()]
+                 + [G for G in catalog.two_group_scan_list(16)
+                    if G.order == 16 and G.name != "C2^4"])
+
+
+def _same(found, expected) -> bool:
+    if found is None or expected is None:
+        return found is None and expected is None
+    return np.array_equal(found.map, expected)
+
+
+@pytest.mark.parametrize("G", SEARCH_GROUPS, ids=lambda G: f"{G.name}")
+def test_search_matches_exhaustive_reference(G):
+    """The backtracking search gives exactly the seed's exhaustive results:
+    the same homomorphism sequence, retraction, automorphism list and
+    isomorphism, on catalog groups and seeded relabelings of them."""
+    R = relabel(G, seed=G.order)
+    assert [a.tolist() for a in automorphisms(R)] == \
+        [a.tolist() for a in reference_automorphisms(R)]
+    if G.order > 8:
+        return
+    small = [H for H in SEARCH_GROUPS if H.order <= 8]
+    for H in [R] + [relabel(H, seed=7) for H in small if H.order == G.order]:
+        assert _same(find_isomorphism(G, H), reference_isomorphism(G, H))
+        assert _same(find_isomorphism(H, G), reference_isomorphism(H, G))
+    for H in [R] + small:
+        assert [h.map.tolist() for h in iter_homomorphisms(G, H)] == \
+            [m.tolist() for m in reference_homomorphisms(G, H)]
+    for S in all_subgroups(R):
+        assert _same(is_retract(R, S), reference_retract(R, S))
+
+
+def test_automorphism_caps_still_raise():
+    G = relabel(catalog.dihedral(4), seed=3)
+    n_aut = len(automorphisms(G))
+    assert n_aut == 8
+    volume = 1
+    for g in generating_sequence(G):
+        volume *= G.element_orders().count(G.element_order(g))
+    assert len(automorphisms(G, search_cap=volume)) == n_aut
+    with pytest.raises(CapExceeded):
+        automorphisms(G, search_cap=volume - 1)
+    assert len(automorphisms(G, size_cap=n_aut)) == n_aut
+    with pytest.raises(CapExceeded):
+        automorphisms(G, size_cap=n_aut - 1)
+    with pytest.raises(CapExceeded):
+        automorphisms(G, cap=7)
 
 
 def test_abelian_invariants():
