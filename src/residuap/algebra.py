@@ -14,7 +14,7 @@ from . import kernels
 from .filtration import Filtration, dimension_series, lower_central_p_series, \
     lower_central_series
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     trivial_subgroup)
+                     right_coset_reps, trivial_subgroup)
 
 DEFAULT_WREATH_CAP = 4096
 
@@ -381,15 +381,7 @@ def _countermap(A: FiniteGroup, theta: Homomorphism) -> list[int]:
     H = theta.cod
     image = sorted(set(int(x) for x in theta.map))
     img_set = set(image)
-    # minimal-index right coset representatives of theta(A) in H
-    rep_of = {}
-    for h in range(H.order):
-        if h in rep_of:
-            continue
-        coset = sorted(int(H.mult[x, h]) for x in image)
-        s = coset[0]
-        for c in coset:
-            rep_of[c] = s
+    rep_of = right_coset_reps(H, image)
     minimal_preimage = {}
     for a in range(A.order):
         v = int(theta.map[a])

@@ -20,8 +20,8 @@ from .filtration import AlignmentError, lower_central_p_series
 from .graphs import (GogFiltration, Graph, GraphOfGroups, NormalFormContext,
                      PathWord, maximal_subtree, unfold_gog)
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     direct_product, permutation_closure, quotient,
-                     subgroup_generated)
+                     direct_product, permutation_closure, permutation_group,
+                     quotient, subgroup_generated)
 from .results import NO, UNKNOWN, YES, Decision
 from .smith import Presentation, smith_abelianization
 
@@ -130,23 +130,31 @@ def partial_abelianization(gog: GraphOfGroups,
                            tree: frozenset[int]) -> PartialAbelianization:
     """Sigma(G|T) together with phi_e = f_bar(e) o f_e^{-1} for non-tree edges,
     realized as partial automorphisms of Sigma."""
-    Y = gog.graph
     col = colimit_sigma(gog, edges=tuple(sorted(tree)))
+    oriented = orientation(gog.graph, tree)
+    pas = _edge_partial_automorphisms(gog, oriented, col.sigma, col.injections)
+    return PartialAbelianization(gog, tree, oriented, col, pas)
+
+
+def _edge_partial_automorphisms(gog: GraphOfGroups, oriented: Sequence[int],
+                                target: FiniteGroup,
+                                vmaps: Sequence[Homomorphism]):
+    """phi_e = vmaps[term(bar e)] o f_bar(e) o (vmaps[term(e)] o f_e)^{-1}
+    for each oriented edge e, as partial automorphisms of target."""
+    Y = gog.graph
     pas = []
-    for e in orientation(Y, tree):
+    for e in oriented:
         fe, fb = gog.emaps[e], gog.emaps[Y.bar[e]]
-        iv_t = col.injections[Y.term[e]]
-        iv_o = col.injections[Y.term[Y.bar[e]]]
-        A = sorted({iv_t(fe(x)) for x in range(gog.egroups[e].order)})
-        B = sorted({iv_o(fb(x)) for x in range(gog.egroups[e].order)})
-        mapping = {iv_t(fe(x)): iv_o(fb(x)) for x in range(gog.egroups[e].order)}
+        vt, vo = vmaps[Y.term[e]], vmaps[Y.term[Y.bar[e]]]
+        A = sorted({vt(fe(x)) for x in range(gog.egroups[e].order)})
+        B = sorted({vo(fb(x)) for x in range(gog.egroups[e].order)})
+        mapping = {vt(fe(x)): vo(fb(x)) for x in range(gog.egroups[e].order)}
         if len(mapping) != len(A):
-            raise AssertionError("edge group does not embed into the colimit")
-        pas.append(PartialAutomorphism(col.sigma,
-                                       Subgroup(col.sigma, A, check=False),
-                                       Subgroup(col.sigma, B, check=False),
+            raise AssertionError("edge group does not embed into the target")
+        pas.append(PartialAutomorphism(target, Subgroup(target, A, check=False),
+                                       Subgroup(target, B, check=False),
                                        mapping))
-    return PartialAbelianization(gog, tree, orientation(Y, tree), col, tuple(pas))
+    return tuple(pas)
 
 
 # -- certificates ------------------------------------------------------------------
@@ -374,22 +382,10 @@ def reduction_certify(gog: GraphOfGroups, gfilt: GogFiltration,
         cert.verify()
         return Decision(YES, certificate=cert)
     # non-tree edges become partial automorphisms of P
-    pas = []
-    for e in oriented:
-        fe, fb = gog.emaps[e], gog.emaps[Y.bar[e]]
-        pt, po = psis[Y.term[e]], psis[Y.term[Y.bar[e]]]
-        A = sorted({pt(fe(x)) for x in range(gog.egroups[e].order)})
-        B = sorted({po(fb(x)) for x in range(gog.egroups[e].order)})
-        mapping = {pt(fe(x)): po(fb(x)) for x in range(gog.egroups[e].order)}
-        pas.append(PartialAutomorphism(P, Subgroup(P, A, check=False),
-                                       Subgroup(P, B, check=False), mapping))
-    for phi in pas:
-        for n in range(1, len(FP.terms) + 1):
-            au = sorted(a for a in phi.A.elems if a in FP.term(n))
-            bu = sorted(b for b in phi.B.elems if b in FP.term(n))
-            if sorted(phi(a) for a in au) != bu:
-                return Decision(UNKNOWN, reason="tower filtration is not "
-                                                "invariant under an edge map")
+    pas = _edge_partial_automorphisms(gog, oriented, P, psis)
+    if not all(phi.preserves(term) for term in FP.terms for phi in pas):
+        return Decision(UNKNOWN, reason="tower filtration is not "
+                                        "invariant under an edge map")
     ext = layerwise_inner_extension(P, FP, pas, size_cap=cap)
     if not ext.is_yes:
         return ext
@@ -465,13 +461,7 @@ def sigma_witness(gog: GraphOfGroups, tree: Optional[frozenset[int]] = None,
     for phi in pab.pas:
         perms.append(_complete_partial_linear(space, phi))
     A_perms = permutation_closure(sigma, perms, size_cap=aut_cap)
-    index = {tuple(int(x) for x in a): i for i, a in enumerate(A_perms)}
-    nA = len(A_perms)
-    table = np.empty((nA, nA), dtype=np.int64)
-    for i, a in enumerate(A_perms):
-        for j, b in enumerate(A_perms):
-            table[i, j] = index[tuple(int(x) for x in a[b])]
-    A = FiniteGroup(table, name="A", validate=False)
+    A, _, index = permutation_group(sigma, A_perms)
     psi = [0] * Y.ne
     for e, q in zip(pab.oriented, perms):
         psi[e] = index[tuple(int(x) for x in q)]

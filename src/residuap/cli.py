@@ -323,6 +323,8 @@ def _parse_pk(text: str) -> tuple[int, int]:
 def cmd_verify(args) -> int:
     with open(args.file) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a certificate must be a JSON object")
     kind = data.get("kind")
     if kind == "residually-p-certificate":
         cert = serialize.certificate_from_obj(data)

@@ -16,11 +16,12 @@ from .algebra import WreathProduct, wreath
 from .filtration import (Filtration, StretchMap, align_filtrations,
                          chief_series, induced_chain, lower_central_p_series,
                          stretch)
-from .groups import (CapExceeded, FiniteGroup, GroupAction, Homomorphism,
+from .groups import (CapExceeded, FiniteGroup, Homomorphism,
                      Subgroup, all_subgroups, automorphisms, direct_product,
                      find_isomorphism, full_subgroup, identity_hom, intersect,
-                     is_p_power, permutation_closure, quotient,
-                     semidirect_product, subgroup_generated, trivial_subgroup)
+                     is_p_power, permutation_closure, permutation_group,
+                     quotient, right_coset_reps, semidirect_product,
+                     subgroup_generated, trivial_subgroup)
 from .results import NO, UNKNOWN, YES, Decision
 
 DEFAULT_HIGMAN_CAP = 4096
@@ -302,20 +303,6 @@ def _induced_embedding(projU, projV, u_emb, Uq, Vq) -> Homomorphism:
     return hom
 
 
-def _right_coset_reps(K: FiniteGroup, subset: Sequence[int]) -> dict[int, int]:
-    """rep[k] = min of the right coset (subset)*k."""
-    rep = {}
-    sub = list(subset)
-    for k in range(K.order):
-        if k in rep:
-            continue
-        coset = sorted(int(K.mult[x, k]) for x in sub)
-        r = coset[0]
-        for c in coset:
-            rep[c] = r
-    return rep
-
-
 def _tower_embedding(G, U, u_emb, theta, wp: WreathProduct, X: Subgroup,
                      iX: Homomorphism, fromX, K: FiniteGroup, p: int) -> Homomorphism:
     """Standard embedding G -> T wr K from the shared countermap on U.
@@ -325,7 +312,7 @@ def _tower_embedding(G, U, u_emb, theta, wp: WreathProduct, X: Subgroup,
     thetaU_img = sorted({int(theta.map[u_emb(u)]) for u in range(U.order)})
     # countermap for theta|U: minimal U-index preimage per value, minimal
     # right coset representatives; both choices are shared by the two sides
-    repU = _right_coset_reps(K, thetaU_img)
+    repU = right_coset_reps(K, thetaU_img)
     min_pre_u: dict[int, int] = {}
     for u in range(U.order):
         v = int(theta.map[u_emb(u)])
@@ -338,7 +325,7 @@ def _tower_embedding(G, U, u_emb, theta, wp: WreathProduct, X: Subgroup,
         counter_u[k] = u_emb(min_pre_u[v])
     # per right-coset-of-theta(G) correction mu, constant on theta(U)-cosets
     img_g = sorted(set(int(x) for x in theta.map))
-    repG = _right_coset_reps(K, img_g)
+    repG = right_coset_reps(K, img_g)
     min_pre_g: dict[int, int] = {}
     for g in range(G.order):
         v = int(theta.map[g])
@@ -583,6 +570,17 @@ class PartialAutomorphism:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
+    def preserves(self, upper, lower=None) -> bool:
+        """Whether phi maps A & upper onto B & upper and, when lower is
+        given, phi(a) a^-1 lies in lower for every a in A & upper."""
+        au = [a for a in self.A.elems if a in upper]
+        if sorted(self.mapping[a] for a in au) != \
+                [b for b in self.B.elems if b in upper]:
+            return False
+        G = self.group
+        return lower is None or all(
+            G.mul(self.mapping[a], G.inverse(a)) in lower for a in au)
+
 
 @dataclass
 class FlagCertificate:
@@ -668,19 +666,6 @@ def unipotent_flag_extend(V: FiniteGroup, pas: Sequence[PartialAutomorphism],
             raise ValueError("partial automorphisms must live on V")
     by_dim = _all_subspaces(space)
 
-    def level_ok(upper: tuple, lower: tuple) -> bool:
-        upper_set = set(upper)
-        lower_set = set(lower)
-        for phi in pas:
-            au = [a for a in phi.A.elems if a in upper_set]
-            bu = [b for b in phi.B.elems if b in upper_set]
-            if sorted(phi(a) for a in au) != sorted(bu):
-                return False
-            for a in au:
-                if V.mul(phi(a), V.inverse(a)) not in lower_set:
-                    return False
-        return True
-
     full = tuple(range(V.order))
     found = None
 
@@ -697,12 +682,14 @@ def unipotent_flag_extend(V: FiniteGroup, pas: Sequence[PartialAutomorphism],
         while n > 1:
             n //= p
             dim_cur += 1
+        cur_set = set(cur)
         for nxt in by_dim.get(dim_cur - 1, []):
             if found is not None:
                 return
-            if not set(nxt) <= set(cur):
+            nxt_set = set(nxt)
+            if not nxt_set <= cur_set:
                 continue
-            if not level_ok(cur, nxt):
+            if not all(phi.preserves(cur_set, nxt_set) for phi in pas):
                 continue
             descend(chain + [nxt])
 
@@ -836,7 +823,8 @@ def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
     # general p-group: chief filtrations satisfying the invariance criterion
     witness = None
     for ser in chief_series(G):
-        if _criterion3_holds(G, ser, pas):
+        if all(phi.preserves(upper, lower)
+               for upper, lower in zip(ser, ser[1:]) for phi in pas):
             witness = ser
             break
     if witness is None:
@@ -869,19 +857,6 @@ def _extend_in_stabilizer(G, pas, series, p, aut_cap, size_cap,
     return _realize_semidirect(G, pas, perms, p, size_cap)
 
 
-def _criterion3_holds(G, series, pas) -> bool:
-    for upper, lower in zip(series, series[1:]):
-        for phi in pas:
-            au = [a for a in phi.A.elems if a in upper]
-            bu = [b for b in phi.B.elems if b in upper]
-            if sorted(phi(a) for a in au) != sorted(bu):
-                return False
-            for a in au:
-                if G.mul(phi(a), G.inverse(a)) not in lower:
-                    return False
-    return True
-
-
 def _stabilizes_chain(G, perm, series) -> bool:
     for upper, lower in zip(series, series[1:]):
         for x in upper.elems:
@@ -901,14 +876,7 @@ def _realize_semidirect(G, pas, perms, p, size_cap) -> Decision:
     if not is_p_power(len(closure), p):
         # other extension choices might still work, so this is not a proof
         return Decision(UNKNOWN, reason="chosen extensions generate a non-p group")
-    index = {tuple(int(x) for x in a): i for i, a in enumerate(closure)}
-    n = len(closure)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(closure):
-        for j, b in enumerate(closure):
-            table[i, j] = index[tuple(int(x) for x in a[b])]
-    A = FiniteGroup(table, name="A", validate=False)
-    action = GroupAction(A, G, np.stack(closure), check=False)
+    A, action, index = permutation_group(G, closure)
     Hp, eG, eA = semidirect_product(G, A, action)
     conj = tuple(int(eA.map[index[tuple(int(x) for x in q)]]) for q in perms)
     cert = InnerExtension(Hp, eG, conj)
@@ -934,12 +902,8 @@ def layerwise_inner_extension(G: FiniteGroup, F: Filtration,
         p = 2
     if F.length() is None:
         raise ValueError("the filtration must have finite length")
-    for phi in pas:
-        for n in range(1, len(F.terms) + 1):
-            au = sorted(a for a in phi.A.elems if a in F.term(n))
-            if sorted(phi(a) for a in au) != sorted(
-                    b for b in phi.B.elems if b in F.term(n)):
-                raise ValueError("filtration is not phi-invariant")
+    if not all(phi.preserves(term) for term in F.terms for phi in pas):
+        raise ValueError("filtration is not phi-invariant")
     # build the refinement of F through per-layer flags
     chain: list[Subgroup] = [F.term(1)]
     nlevels = F.length()
@@ -991,7 +955,8 @@ def inner_extension_with_chain(G, pas, chain: Filtration, p: int,
                                aut_cap: int, size_cap: int) -> Decision:
     """Realize conjugators for a given invariant chain with trivial action."""
     series = list(chain.terms)
-    if not _criterion3_holds(G, series, pas):
+    if not all(phi.preserves(upper, lower)
+               for upper, lower in zip(series, series[1:]) for phi in pas):
         return Decision(UNKNOWN, reason="assembled chain fails the trivial-"
                                         "action criterion")
     try:

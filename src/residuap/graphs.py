@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .groups import (FiniteGroup, Homomorphism, Subgroup, quotient,
-                     subgroup_generated)
+                     right_coset_reps, subgroup_generated)
 
 
 class Graph:
@@ -233,18 +233,8 @@ def _transversal(gog: GraphOfGroups, e: int):
     Gv = gog.vgroups[gog.graph.term[e]]
     img = gog.emaps[e].image().elems
     img_of = {int(gog.emaps[e].map[h]): h for h in range(gog.egroups[e].order)}
-    rep = [0] * Gv.order
-    factor = [0] * Gv.order
-    seen = set()
-    for g in range(Gv.order):
-        if g in seen:
-            continue
-        coset = sorted(Gv.mul(x, g) for x in img)
-        s = coset[0]
-        for c in coset:
-            rep[c] = s
-            factor[c] = img_of[Gv.mul(c, Gv.inverse(s))]
-            seen.add(c)
+    rep = right_coset_reps(Gv, img)
+    factor = [img_of[Gv.mul(g, Gv.inverse(rep[g]))] for g in range(Gv.order)]
     return rep, factor
 
 

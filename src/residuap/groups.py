@@ -347,6 +347,12 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     return Q, proj
 
 
+def right_coset_reps(G: FiniteGroup, elems: Sequence[int]) -> list[int]:
+    """Minimal right-coset representatives of the subgroup S with the given
+    elements: rep[g] = min(S g) for every g in G."""
+    return G.mult[np.asarray(elems, dtype=np.int64)].min(axis=0).tolist()
+
+
 # -- products ----------------------------------------------------------------
 
 def direct_product(G: FiniteGroup, H: FiniteGroup,
@@ -564,26 +570,29 @@ def automorphisms(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP,
 
 def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP):
     """Aut(G) as a FiniteGroup of permutations plus the tautological action."""
-    perms = automorphisms(G, cap=cap)
-    index = {tuple(int(x) for x in p): i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(int(x) for x in p[q])]
-    # identity must sit at index 0: the identity permutation is lexicographically
-    # minimal among permutations fixing 0 only when no automorphism sorts below
-    # it, so reorder explicitly.
-    ident = index[tuple(range(G.order))]
-    if ident != 0:
-        order = [ident] + [i for i in range(n) if i != ident]
-        pos = {old: new for new, old in enumerate(order)}
-        table = np.array([[pos[int(table[a, b])] for b in order] for a in order],
-                         dtype=np.int64)
-        perms = [perms[i] for i in order]
-    A = FiniteGroup(table, name=f"Aut({G.name})", validate=False)
-    action = GroupAction(A, G, np.stack(perms), check=False)
+    A, action, _ = permutation_group(G, automorphisms(G, cap=cap),
+                                     name=f"Aut({G.name})")
     return A, action
+
+
+def permutation_group(G: FiniteGroup, perms: Sequence[np.ndarray],
+                      name: str = "A"):
+    """The group formed by a lexicographically sorted list of permutations of
+    G that is closed under composition, as (A, action on G, index).
+
+    Element i of A is perms[i], A.mult[i, j] is the index of perms[i][perms[j]],
+    and index maps each permutation, as a tuple, to its element of A. The
+    identity permutation is the lexicographic minimum of all permutations, so
+    a sorted list starts with it and element 0 of A is the identity.
+    """
+    stacked = np.stack(perms).astype(np.int64, copy=False)
+    if not np.array_equal(stacked[0], np.arange(G.order)):
+        raise AssertionError("the first permutation must be the identity")
+    index = {tuple(row): i for i, row in enumerate(stacked.tolist())}
+    table = np.array([[index[tuple(row)] for row in p[stacked].tolist()]
+                      for p in stacked], dtype=np.int64)
+    A = FiniteGroup(table, name=name, validate=False)
+    return A, GroupAction(A, G, stacked, check=False), index
 
 
 def permutation_closure(G: FiniteGroup, perms: Sequence[np.ndarray],

@@ -9,7 +9,7 @@ from typing import Any
 from .certify import Certificate
 from .filtration import Filtration
 from .graphs import Graph, GraphOfGroups, PathWord, path_word
-from .groups import FiniteGroup, Homomorphism, Subgroup
+from .groups import FiniteGroup, Homomorphism, Subgroup, require_prime
 
 
 def group_to_obj(G: FiniteGroup) -> dict:
@@ -127,22 +127,54 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> Certificate:
-    gog = gog_from_obj(obj["gog"])
-    target = group_from_obj(obj["target"])
+    p = _field(obj, "p", int)
+    require_prime(p)
+    gog = gog_from_obj(_field(obj, "gog", dict))
+    target = group_from_obj(_field(obj, "target", dict))
     Y = gog.graph
-    if len(obj["vertex_maps"]) != Y.nv:
-        raise ValueError(f"certificate has {len(obj['vertex_maps'])} vertex "
+    vertex_maps = _field(obj, "vertex_maps", list)
+    edge_images = _field(obj, "edge_images", list)
+    if len(vertex_maps) != Y.nv:
+        raise ValueError(f"certificate has {len(vertex_maps)} vertex "
                          f"maps for {Y.nv} vertices")
-    if len(obj["edge_images"]) != Y.ne:
-        raise ValueError(f"certificate has {len(obj['edge_images'])} edge "
+    if len(edge_images) != Y.ne:
+        raise ValueError(f"certificate has {len(edge_images)} edge "
                          f"images for {Y.ne} edges")
-    if not all(isinstance(h, int) and 0 <= h < target.order
-               for h in obj["edge_images"]):
+    if not _all_indices(edge_images, target.order):
         raise ValueError("certificate edge images must be target elements")
-    vmaps = tuple(Homomorphism(gog.vgroups[v], target, obj["vertex_maps"][v])
+    tree = _spanning_tree(Y, _field(obj, "tree", list))
+    vmaps = tuple(Homomorphism(gog.vgroups[v], target, vertex_maps[v])
                   for v in range(Y.nv))
-    return Certificate(gog, frozenset(obj["tree"]), target, vmaps,
-                       tuple(obj["edge_images"]), obj["p"])
+    return Certificate(gog, tree, target, vmaps, tuple(edge_images), p)
+
+
+def _field(obj: dict, key: str, kind: type):
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"certificate field {key!r} must be of type "
+                         f"{kind.__name__}")
+    return value
+
+
+def _all_indices(xs: list, n: int) -> bool:
+    return all(isinstance(x, int) and 0 <= x < n for x in xs)
+
+
+def _spanning_tree(Y: Graph, edges: list) -> frozenset[int]:
+    """The edge set of a certificate tree, checked to be a spanning tree of
+    Y: distinct edge indices, closed under bar, 2(nv - 1) of them, reaching
+    every vertex from vertex 0."""
+    if not _all_indices(edges, Y.ne) or len(set(edges)) != len(edges):
+        raise ValueError("certificate tree must list distinct edge indices")
+    tree = frozenset(edges)
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = {Y.term[e] for e in tree if Y.orig[e] in frontier} - reached
+        reached |= frontier
+    if len(tree) != 2 * (Y.nv - 1) or len(reached) != Y.nv \
+            or any(Y.bar[e] not in tree for e in tree):
+        raise ValueError("certificate tree is not a spanning tree of the graph")
+    return tree
 
 
 def dumps(obj: Any) -> str:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import c4_star_c4, shift_loop, swap_loop
+from helpers import c4_star_c4, shift_loop, swap_loop, theta_graph
 
 from residuap import catalog, serialize
 from residuap.cli import main
@@ -128,20 +128,43 @@ def test_malformed_input_exits_1(capsys, tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("field,change", [
-    ("edge_images", lambda xs: xs[:-1]),
-    ("edge_images", lambda xs: xs + [0]),
-    ("edge_images", lambda xs: xs[:-1] + [10 ** 6]),
-    ("vertex_maps", lambda xs: xs[:-1]),
-], ids=["edges-short", "edges-long", "edge-out-of-range", "vertices-short"])
-def test_verify_rejects_malformed_certificate(capsys, tmp_path, field, change):
-    src = tmp_path / "shift.json"
-    src.write_text(serialize.dumps({"gog": serialize.gog_to_obj(shift_loop())}))
+CERTIFIABLE = {"shift": (shift_loop, "3"), "c4": (c4_star_c4, "2"),
+               "theta": (theta_graph, "2")}
+
+
+@pytest.mark.parametrize("source,field,change", [
+    ("shift", "edge_images", lambda xs: xs[:-1]),
+    ("shift", "edge_images", lambda xs: xs + [0]),
+    ("shift", "edge_images", lambda xs: xs[:-1] + [10 ** 6]),
+    ("shift", "vertex_maps", lambda xs: xs[:-1]),
+    ("c4", "tree", lambda xs: []),
+    ("c4", "tree", lambda xs: [99]),
+    ("c4", "tree", lambda xs: [0, 0]),
+    ("theta", "tree", lambda xs: [0, 2]),
+    ("shift", "tree", lambda xs: "ab"),
+    ("shift", "tree", lambda xs: None),
+    ("shift", "vertex_maps", lambda xs: 5),
+    ("shift", "p", lambda xs: "x"),
+    ("shift", "gog", lambda xs: 5),
+    ("shift", "target", lambda xs: []),
+    ("shift", None, lambda cert: [cert]),
+], ids=["edges-short", "edges-long", "edge-out-of-range", "vertices-short",
+        "tree-empty", "tree-out-of-range", "tree-repeated", "tree-not-bar-closed",
+        "tree-string", "tree-null", "vertex-maps-int", "p-string", "gog-int",
+        "target-list", "top-level-array"])
+def test_verify_rejects_malformed_certificate(capsys, tmp_path, source, field,
+                                              change):
+    build, p = CERTIFIABLE[source]
+    src = tmp_path / "gog.json"
+    src.write_text(serialize.dumps({"gog": serialize.gog_to_obj(build())}))
     cert_file = tmp_path / "cert.json"
-    assert main(["gog", "certify", "--file", str(src), "--p", "3",
+    assert main(["gog", "certify", "--file", str(src), "--p", p,
                  "--out", str(cert_file)]) == 0
     cert = json.loads(cert_file.read_text())
-    cert[field] = change(cert[field])
+    if field is None:
+        cert = change(cert)
+    else:
+        cert[field] = change(cert[field])
     cert_file.write_text(json.dumps(cert))
     capsys.readouterr()
     assert main(["verify", "--file", str(cert_file)]) == 1

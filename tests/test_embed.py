@@ -222,6 +222,36 @@ def test_layerwise_inner_extension():
     assert layerwise_inner_extension(V, F1, [swap]).is_no
 
 
+def test_partial_automorphism_preserves():
+    V = catalog.elementary_abelian(3, 2)
+    sp = ElabSpace(V)
+    axis1 = Subgroup(V, sp.subspace_elems([(1, 0)]))
+    axis2 = Subgroup(V, sp.subspace_elems([(0, 1)]))
+    swap = PartialAutomorphism(V, axis1, axis2, {
+        a: sp.elem((0, sp.vec(a)[0])) for a in axis1.elems})
+    # A & axis1 = axis1 goes to axis2, but B & axis1 is trivial
+    assert not swap.preserves(axis1)
+    assert swap.preserves(full_subgroup(V))
+    # x -> 2x keeps every subspace but acts nontrivially on V / 0
+    neg = total_pa(V, sp, [[2, 0], [0, 2]])
+    assert neg.preserves(full_subgroup(V)) and neg.preserves(axis1)
+    assert not neg.preserves(full_subgroup(V), trivial_subgroup(V))
+    shear = total_pa(V, sp, [[1, 1], [0, 1]])
+    assert shear.preserves(full_subgroup(V), axis1)
+    assert not shear.preserves(full_subgroup(V), axis2)
+
+
+def test_layerwise_inner_extension_rejects_non_invariant_filtration():
+    V = catalog.elementary_abelian(3, 2)
+    sp = ElabSpace(V)
+    shear = total_pa(V, sp, [[1, 1], [0, 1]])
+    F = chain(V, sp.subspace_elems([(0, 1)]))
+    with pytest.raises(ValueError, match="not phi-invariant"):
+        layerwise_inner_extension(V, F, [shear])
+    assert layerwise_inner_extension(V, chain(V, sp.subspace_elems([(1, 0)])),
+                                     [shear]).is_yes
+
+
 def test_certificate_transport_functoriality():
     # injective intertwiners carry flag certificates to the target
     rng = random.Random(19)

@@ -7,8 +7,9 @@ from residuap.groups import (CapExceeded, FiniteGroup, GroupAction,
                              center, direct_product, find_isomorphism,
                              full_subgroup, generating_sequence, is_isomorphic,
                              is_retract, iter_homomorphisms, normal_closure,
-                             quotient, semidirect_product, subgroup_generated,
-                             trivial_subgroup)
+                             permutation_closure, permutation_group, quotient,
+                             right_coset_reps, semidirect_product,
+                             subgroup_generated, trivial_subgroup)
 
 import numpy as np
 
@@ -173,6 +174,40 @@ def test_automorphism_caps_still_raise():
         automorphisms(G, size_cap=n_aut - 1)
     with pytest.raises(CapExceeded):
         automorphisms(G, cap=7)
+
+
+@pytest.mark.parametrize("G", SEARCH_GROUPS + [catalog.elementary_abelian(2, 4)],
+                         ids=lambda G: f"{G.name}")
+def test_right_coset_reps_are_coset_minima(G):
+    R = relabel(G, seed=G.order)
+    for S in all_subgroups(R):
+        rep = right_coset_reps(R, S.elems)
+        assert rep == [min(R.mul(s, g) for s in S.elems) for g in range(R.order)]
+
+
+def _assert_permutation_table(A, perms):
+    FiniteGroup(A.mult, validate=True)
+    assert np.array_equal(perms[0], np.arange(len(perms[0])))
+    for i in range(A.order):
+        for j in range(A.order):
+            assert np.array_equal(perms[int(A.mult[i, j])], perms[i][perms[j]])
+
+
+@pytest.mark.parametrize("G", [G for G in SEARCH_GROUPS if G.order <= 8],
+                         ids=lambda G: f"{G.name}")
+def test_automorphism_group_table(G):
+    A, act = automorphism_group(relabel(G, seed=5))
+    _assert_permutation_table(A, act.perms)
+
+
+def test_permutation_group_of_a_closure():
+    V = catalog.elementary_abelian(2, 3)
+    auts = automorphisms(V)
+    perms = permutation_closure(V, [auts[1], auts[-1]])
+    A, act, index = permutation_group(V, perms)
+    assert A.order == len(perms) and np.array_equal(act.perms, np.stack(perms))
+    assert all(index[tuple(p.tolist())] == i for i, p in enumerate(perms))
+    _assert_permutation_table(A, act.perms)
 
 
 def test_abelian_invariants():
