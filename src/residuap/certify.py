@@ -21,7 +21,7 @@ from .graphs import (GogFiltration, Graph, GraphOfGroups, NormalFormContext,
                      PathWord, maximal_subtree, unfold_gog)
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
                      direct_product, permutation_closure, permutation_group,
-                     quotient, subgroup_generated)
+                     quotient, require_prime, subgroup_generated)
 from .results import NO, UNKNOWN, YES, Decision
 from .smith import Presentation, smith_abelianization
 
@@ -218,6 +218,7 @@ def certify_residually_p(gog: GraphOfGroups, p: int,
     flag method; the general case runs the reduction pipeline along the
     lower central p-filtrations when they form a compatible collection.
     """
+    require_prime(p)
     Y = gog.graph
     for v in range(Y.nv):
         if not gog.vgroups[v].is_p_group(p):

@@ -13,8 +13,9 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .groups import (FiniteGroup, Homomorphism, Subgroup, commutator_subgroup,
-                     full_subgroup, intersect, power_subgroup, quotient,
-                     require_prime, subgroup_generated, trivial_subgroup)
+                     full_subgroup, intersect, normal_closure, power_subgroup,
+                     quotient, require_prime, subgroup_generated,
+                     trivial_subgroup)
 
 
 class Filtration:
@@ -233,24 +234,38 @@ def _lazard_series(G: FiniteGroup, p: int, upto: int) -> Filtration:
 
 # -- chief filtrations ---------------------------------------------------------
 
-def _minimal_normal_over(G: FiniteGroup, floor: Subgroup, ceil: Subgroup) -> list[Subgroup]:
-    """All minimal members of {N normal in G : floor < N <= ceil}, sorted."""
-    from .groups import normal_closure
-    cands: dict[tuple, Subgroup] = {}
-    floor_set = floor._set
-    for x in ceil.elems:
-        if x in floor_set:
-            continue
-        N = subgroup_generated(G, list(floor.elems) + list(normal_closure(G, [x]).elems))
-        if not set(N.elems) <= ceil._set:
-            continue
-        cands[N.elems] = N
-    mins = []
-    for key, N in cands.items():
-        if not any(set(other) < set(key) for other in cands if other != key):
-            mins.append(N)
-    mins.sort(key=lambda s: (len(s), s.elems))
-    return mins
+def _minimal_normal_finder(G: FiniteGroup):
+    """A function (floor, ceil) -> all minimal members of
+    {N normal in G : floor < N <= ceil}, sorted by (order, elements).
+
+    floor must be normal in G.  Each candidate is the product floor.ncl(x)
+    for an x of ceil outside floor; both factors are normal, so their product
+    is the subgroup they generate.  Each ncl(x) and each answer is computed
+    once and kept only as long as the returned function.
+    """
+    ncl: dict[int, tuple[int, ...]] = {}
+    memo: dict[tuple, list[Subgroup]] = {}
+
+    def minimal(floor: Subgroup, ceil: Subgroup) -> list[Subgroup]:
+        key = (floor.elems, ceil.elems)
+        if key in memo:
+            return memo[key]
+        cands: set[frozenset] = set()
+        for x in ceil.elems:
+            if x in floor._set:
+                continue
+            if x not in ncl:
+                ncl[x] = normal_closure(G, [x]).elems
+            N = frozenset(kernels.bulk_mult(G.mult, floor.elems, ncl[x]))
+            if N <= ceil._set:
+                cands.add(N)
+        mins = [Subgroup(G, N, check=False) for N in cands
+                if not any(M < N for M in cands)]
+        mins.sort(key=lambda s: (len(s), s.elems))
+        memo[key] = mins
+        return mins
+
+    return minimal
 
 
 def chief_refinement(F: Filtration) -> Filtration:
@@ -268,6 +283,7 @@ def chief_refinement(F: Filtration) -> Filtration:
     stored = list(F.terms)
     if len(stored[0]) != G.order:
         stored.insert(0, full_subgroup(G))
+    minimal = _minimal_normal_finder(G)
     chain = [stored[0]]
     for upper, lower in zip(stored, stored[1:]):
         if upper.elems == lower.elems:
@@ -275,7 +291,7 @@ def chief_refinement(F: Filtration) -> Filtration:
         # climb from lower towards upper, then emit the segment descending
         seg = [lower]
         while seg[-1].elems != upper.elems:
-            seg.append(_minimal_normal_over(G, seg[-1], upper)[0])
+            seg.append(minimal(seg[-1], upper)[0])
         chain.extend(reversed(seg[:-1]))
     if not chain[-1].is_trivial():
         chain.append(trivial_subgroup(G))
@@ -285,6 +301,7 @@ def chief_refinement(F: Filtration) -> Filtration:
 def chief_series(G: FiniteGroup, cap: int = 100_000) -> list[tuple[Subgroup, ...]]:
     """All chief filtrations of G, each as a descending tuple G > ... > 1."""
     out: list[tuple[Subgroup, ...]] = []
+    minimal = _minimal_normal_finder(G)
 
     def ascend(chain: list[Subgroup]):
         if len(out) > cap:
@@ -292,7 +309,7 @@ def chief_series(G: FiniteGroup, cap: int = 100_000) -> list[tuple[Subgroup, ...
         if chain[-1].elems == tuple(range(G.order)):
             out.append(tuple(reversed(chain)))
             return
-        for N in _minimal_normal_over(G, chain[-1], full_subgroup(G)):
+        for N in minimal(chain[-1], full_subgroup(G)):
             ascend(chain + [N])
 
     ascend([trivial_subgroup(G)])

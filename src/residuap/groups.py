@@ -118,14 +118,47 @@ class FiniteGroup:
 
 def is_p_power(n: int, p: int) -> bool:
     """Whether n is a power of p (p^0 = 1 included)."""
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
     while n % p == 0:
         n //= p
     return n == 1
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly below
+# this bound (Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def require_prime(p: int) -> None:
-    if p < 2 or _least_prime_factor(p) != p:
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError("p too large: primality is decided exactly only "
+                         "below 3.3e24")
+    if p < 2 or not _is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < _MR_EXACT_BELOW."""
+    if n in _MR_BASES:
+        return True
+    if any(n % a == 0 for a in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _least_prime_factor(n: int) -> int:

@@ -4,7 +4,7 @@ homomorphisms, filtrations, graphs of groups, words and certificates."""
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Optional
 
 from .certify import Certificate
 from .filtration import Filtration
@@ -75,7 +75,13 @@ def graph_to_obj(Y: Graph) -> dict:
 
 
 def graph_from_obj(obj: dict) -> Graph:
-    return Graph(obj["nv"], obj["bar"], obj["orig"], obj["term"])
+    nv = _field(obj, "nv", int, "graph")
+    bar, orig, term = (_field(obj, key, list, "graph")
+                       for key in ("bar", "orig", "term"))
+    if not (_all_indices(bar, len(bar)) and _all_indices(orig, nv)
+            and _all_indices(term, nv)):
+        raise ValueError("graph edge arrays must hold edge and vertex indices")
+    return Graph(nv, bar, orig, term)
 
 
 def gog_to_obj(gog: GraphOfGroups) -> dict:
@@ -97,12 +103,24 @@ def gog_to_obj(gog: GraphOfGroups) -> dict:
 
 
 def gog_from_obj(obj: dict) -> GraphOfGroups:
-    Y = graph_from_obj(obj["graph"])
-    vgroups = [group_from_obj(g) for g in obj["vgroups"]]
-    distinct = [group_from_obj(g) for g in obj["egroups"]]
-    egroups = [distinct[i] for i in obj["egroup_of_edge"]]
-    emaps = [Homomorphism(egroups[e], vgroups[Y.term[e]], obj["emaps"][e])
-             for e in range(Y.ne)]
+    if not isinstance(obj, dict):
+        raise ValueError("a graph of groups must be a JSON object")
+    Y = graph_from_obj(_field(obj, "graph", dict, "gog"))
+    vgroups = [group_from_obj(g)
+               for g in _list_field(obj, "vgroups", dict, Y.nv)]
+    distinct = [group_from_obj(g) for g in _list_field(obj, "egroups", dict)]
+    ids = _list_field(obj, "egroup_of_edge", int, Y.ne)
+    if not _all_indices(ids, len(distinct)):
+        raise ValueError("gog field 'egroup_of_edge' must index 'egroups'")
+    egroups = [distinct[i] for i in ids]
+    maps = _list_field(obj, "emaps", list, Y.ne)
+    emaps = []
+    for e in range(Y.ne):
+        cod = vgroups[Y.term[e]]
+        if not _all_indices(maps[e], cod.order):
+            raise ValueError(f"gog edge map {e} must list elements of "
+                             f"vertex group {Y.term[e]}")
+        emaps.append(Homomorphism(egroups[e], cod, maps[e]))
     return GraphOfGroups(Y, vgroups, egroups, emaps)
 
 
@@ -148,12 +166,25 @@ def certificate_from_obj(obj: dict) -> Certificate:
     return Certificate(gog, tree, target, vmaps, tuple(edge_images), p)
 
 
-def _field(obj: dict, key: str, kind: type):
+def _field(obj: dict, key: str, kind: type, owner: str = "certificate"):
     value = obj[key]
     if not isinstance(value, kind):
-        raise ValueError(f"certificate field {key!r} must be of type "
+        raise ValueError(f"{owner} field {key!r} must be of type "
                          f"{kind.__name__}")
     return value
+
+
+def _list_field(obj: dict, key: str, item: type,
+                length: Optional[int] = None) -> list:
+    """A gog field that must be a list of items of one JSON type, of the
+    given length when one is given."""
+    xs = _field(obj, key, list, "gog")
+    if length is not None and len(xs) != length:
+        raise ValueError(f"gog field {key!r} must have {length} entries, "
+                         f"not {len(xs)}")
+    if not all(isinstance(x, item) for x in xs):
+        raise ValueError(f"gog field {key!r} must hold {item.__name__} values")
+    return xs
 
 
 def _all_indices(xs: list, n: int) -> bool:

@@ -11,7 +11,8 @@ from residuap import catalog, embed, graphs, kernels
 from residuap.filtration import Filtration
 from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
                              full_subgroup, generating_sequence,
-                             subgroup_generated, trivial_subgroup)
+                             normal_closure, subgroup_generated,
+                             trivial_subgroup)
 
 
 def fresh(G: FiniteGroup, name: str) -> FiniteGroup:
@@ -242,3 +243,66 @@ def relabel(G: FiniteGroup, seed: int) -> FiniteGroup:
     pi = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
     inv = np.argsort(pi)
     return FiniteGroup(pi[G.mult[np.ix_(inv, inv)]], name=f"{G.name}~{seed}")
+
+
+# -- reference chief series ----------------------------------------------------
+#
+# The enumeration that filtration.py used before its per-call finder: every
+# prefix of every chain recomputes ncl(x) for each x and closes floor u ncl(x)
+# from scratch.  The differential tests require chief_series and
+# chief_refinement to give exactly these chains, in this order.
+
+def _reference_minimal_normal_over(G: FiniteGroup, floor: Subgroup,
+                                   ceil: Subgroup) -> list[Subgroup]:
+    """All minimal members of {N normal in G : floor < N <= ceil}, sorted."""
+    cands: dict[tuple, Subgroup] = {}
+    for x in ceil.elems:
+        if x in floor._set:
+            continue
+        N = subgroup_generated(G, list(floor.elems)
+                               + list(normal_closure(G, [x]).elems))
+        if not set(N.elems) <= ceil._set:
+            continue
+        cands[N.elems] = N
+    mins = []
+    for key, N in cands.items():
+        if not any(set(other) < set(key) for other in cands if other != key):
+            mins.append(N)
+    mins.sort(key=lambda s: (len(s), s.elems))
+    return mins
+
+
+def reference_chief_series(G: FiniteGroup,
+                           cap: int = 100_000) -> list[tuple[Subgroup, ...]]:
+    out: list[tuple[Subgroup, ...]] = []
+
+    def ascend(chain: list[Subgroup]):
+        if len(out) > cap:
+            raise ValueError("chief series enumeration cap exceeded")
+        if chain[-1].elems == tuple(range(G.order)):
+            out.append(tuple(reversed(chain)))
+            return
+        for N in _reference_minimal_normal_over(G, chain[-1], full_subgroup(G)):
+            ascend(chain + [N])
+
+    ascend([trivial_subgroup(G)])
+    return out
+
+
+def reference_chief_refinement(F: Filtration) -> list[tuple[int, ...]]:
+    """The terms of the chief refinement of a normal filtration of finite length."""
+    G = F.group
+    stored = list(F.terms)
+    if len(stored[0]) != G.order:
+        stored.insert(0, full_subgroup(G))
+    chain = [stored[0]]
+    for upper, lower in zip(stored, stored[1:]):
+        if upper.elems == lower.elems:
+            continue
+        seg = [lower]
+        while seg[-1].elems != upper.elems:
+            seg.append(_reference_minimal_normal_over(G, seg[-1], upper)[0])
+        chain.extend(reversed(seg[:-1]))
+    if not chain[-1].is_trivial():
+        chain.append(trivial_subgroup(G))
+    return [t.elems for t in chain]

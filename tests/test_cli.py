@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from helpers import c4_star_c4, shift_loop, swap_loop, theta_graph
 
+import residuap
 from residuap import catalog, serialize
 from residuap.cli import main
 from residuap.embed import ElabSpace
@@ -126,6 +130,37 @@ def test_malformed_input_exits_1(capsys, tmp_path):
     assert code == 1
     code = main(["group", "--group", str(tmp_path / "missing.json")])
     assert code == 1
+    gog = serialize.gog_to_obj(shift_loop())
+    gog["egroup_of_edge"] = [7, 7]
+    f.write_text(serialize.dumps({"gog": gog}))
+    capsys.readouterr()
+    assert main(["gog", "certify", "--file", str(f), "--p", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_process(*argv):
+    """The residuap command in a child process, stopped after 20 s."""
+    src = os.path.dirname(os.path.dirname(residuap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "residuap.cli", *argv],
+                          capture_output=True, text=True, timeout=20, env=env)
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+def test_gog_certify_rejects_non_prime_p(tmp_path, p):
+    f = tmp_path / "c4.json"
+    f.write_text(serialize.dumps({"gog": serialize.gog_to_obj(c4_star_c4())}))
+    proc = run_process("gog", "certify", "--file", str(f), "--p", p)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_large_semiprime_p_is_rejected_quickly():
+    proc = run_process("filtration", "gamma_p", "--group", "catalog:D8",
+                       "--p", str(1000000007 * 1000000009))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: ValueError: 1000000016000000063 is not prime\n"
 
 
 CERTIFIABLE = {"shift": (shift_loop, "3"), "c4": (c4_star_c4, "2"),
@@ -148,10 +183,14 @@ CERTIFIABLE = {"shift": (shift_loop, "3"), "c4": (c4_star_c4, "2"),
     ("shift", "gog", lambda xs: 5),
     ("shift", "target", lambda xs: []),
     ("shift", None, lambda cert: [cert]),
+    ("shift", "gog", lambda gog: {**gog, "graph": 5}),
+    ("shift", "gog", lambda gog: {**gog, "vgroups": 5}),
+    ("shift", "gog", lambda gog: {**gog, "egroup_of_edge": [7, 7]}),
 ], ids=["edges-short", "edges-long", "edge-out-of-range", "vertices-short",
         "tree-empty", "tree-out-of-range", "tree-repeated", "tree-not-bar-closed",
         "tree-string", "tree-null", "vertex-maps-int", "p-string", "gog-int",
-        "target-list", "top-level-array"])
+        "target-list", "top-level-array", "gog-graph-int", "gog-vgroups-int",
+        "gog-egroup-out-of-range"])
 def test_verify_rejects_malformed_certificate(capsys, tmp_path, source, field,
                                               change):
     build, p = CERTIFIABLE[source]

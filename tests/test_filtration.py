@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from helpers import chain
+from helpers import (chain, reference_chief_refinement, reference_chief_series,
+                     relabel)
 
 from residuap import catalog
 from residuap.filtration import (AlignmentError, Filtration, StretchMap,
@@ -83,6 +84,33 @@ def test_chief_series_counts():
     assert len(chief_series(catalog.quaternion8())) == 3
     assert len(chief_series(catalog.elementary_abelian(2, 3))) == 21
     assert len(chief_series(catalog.cyclic(16))) == 1
+
+
+def _chief_groups():
+    base = catalog.two_group_scan_list(16) + [catalog.heisenberg(3),
+                                              catalog.c9_semi_c3()]
+    return base + [relabel(G, seed) for seed, G in enumerate(base)]
+
+
+@pytest.mark.parametrize("G", _chief_groups(), ids=lambda G: G.name)
+def test_chief_series_matches_reference(G):
+    got = [[t.elems for t in ser] for ser in chief_series(G)]
+    want = [[t.elems for t in ser] for ser in reference_chief_series(G)]
+    assert got == want
+
+
+@pytest.mark.parametrize("G", [catalog.dihedral(4), catalog.quaternion8(),
+                               catalog.abelian(4, 4), catalog.heisenberg(3)],
+                         ids=lambda G: G.name)
+def test_chief_refinement_matches_reference(G):
+    F = lower_central_p_series(G, G.prime())
+    assert [t.elems for t in chief_refinement(F).terms] == \
+        reference_chief_refinement(F)
+
+
+def test_chief_series_cap():
+    with pytest.raises(ValueError, match="cap exceeded"):
+        chief_series(catalog.elementary_abelian(2, 4), cap=10)
 
 
 def test_align_filtrations():
