@@ -14,8 +14,8 @@ import numpy as np
 from . import kernels
 from .algebra import WreathProduct, wreath
 from .filtration import (Filtration, StretchMap, align_filtrations,
-                         chief_series, induced_chain, lower_central_p_series,
-                         stretch)
+                         central_p_step, chief_series, induced_chain,
+                         lower_central_p_series, stretch)
 from .groups import (CapExceeded, FiniteGroup, Homomorphism,
                      Subgroup, all_subgroups, automorphisms, direct_product,
                      find_isomorphism, full_subgroup, identity_hom, intersect,
@@ -433,15 +433,33 @@ def verify_higman(am: Amalgam, FG: Filtration, FH: Filtration,
 
 # -- search over chief filtrations ------------------------------------------------
 
-def _chief_trace(series: Sequence[Subgroup], emb: Homomorphism) -> tuple:
-    """Reduced chain on U induced by a descending chief series, as U-index tuples."""
-    image = {int(emb.map[u]): u for u in range(emb.dom.order)}
-    out = []
-    for term in series:
-        level = tuple(sorted(image[g] for g in term.elems if g in image))
-        if not out or out[-1] != level:
-            out.append(level)
-    return tuple(out)
+def _chain_tracer(G: FiniteGroup, chains: Sequence[Sequence[Subgroup]]):
+    """A function emb -> the chain that each of the descending chains of G
+    induces on U through the injective map emb: U -> G.
+
+    Term T gives the bitmask of {u : emb(u) in T}; a chain gives the tuple
+    of its masks with consecutive repeats dropped, so two chains induce the
+    same filtration on U exactly when their traces are equal.  The 0/1
+    membership matrix of the distinct terms is built once, and each call
+    makes one product with it.
+    """
+    rows: dict[tuple[int, ...], int] = {}
+    chain_rows = [[rows.setdefault(t.elems, len(rows)) for t in chain]
+                  for chain in chains]
+    member = np.zeros((len(rows), G.order), dtype=np.int64)
+    for elems, r in rows.items():
+        member[r, list(elems)] = 1
+
+    def trace(emb: Homomorphism) -> list[tuple[int, ...]]:
+        n = emb.dom.order
+        # int64 holds a mask of at most 62 bits; Python ints hold any
+        bits = (1 << np.arange(n, dtype=np.int64) if n < 63
+                else np.array([1 << u for u in range(n)], dtype=object))
+        masks = (member[:, emb.map] @ bits).tolist()
+        return [tuple(m for m, _ in itertools.groupby(masks[r] for r in chain))
+                for chain in chain_rows]
+
+    return trace
 
 
 def amalgam_embeddable(am: Amalgam, series_cap: int = 100_000) -> Decision:
@@ -455,26 +473,31 @@ def amalgam_embeddable(am: Amalgam, series_cap: int = 100_000) -> Decision:
     sG = chief_series(am.G, cap=series_cap)
     sH = chief_series(am.H, cap=series_cap)
     h_by_trace: dict[tuple, tuple] = {}
-    for ser in sH:
-        tr = _chief_trace(ser, am.uH)
+    for tr, ser in zip(_chain_tracer(am.H, sH)(am.uH), sH):
         h_by_trace.setdefault(tr, ser)
-    for ser in sG:
-        tr = _chief_trace(ser, am.uG)
+    for tr, ser in zip(_chain_tracer(am.G, sG)(am.uG), sG):
         if tr in h_by_trace:
             return Decision(YES, certificate=(ser, h_by_trace[tr]))
     return Decision(NO, reason="no chief filtrations induce the same chain on U")
 
 
 def _central_p_subchains(G: FiniteGroup, series: Sequence[Subgroup], p: int):
-    """Central p-filtrations obtained by deleting interior terms of a chief series."""
-    interior = list(series[1:-1])
+    """Central p-filtrations obtained by deleting interior terms of a chief
+    series; Filtration.is_central_p's test, from one central_p_step per term."""
+    if len(series[0]) != G.order:
+        return []
+    step = [central_p_step(G, T, p) for T in series]
+    last = len(series) - 1
+    interior = range(1, last)
     out = []
     for r in range(len(interior) + 1):
-        for keep in itertools.combinations(range(len(interior)), r):
-            chain = [series[0]] + [interior[i] for i in keep] + [series[-1]]
-            F = Filtration(G, chain, check=False)
-            if F.is_central_p(p):
-                out.append(F)
+        for keep in itertools.combinations(interior, r):
+            idx = [0, *keep, last]
+            # is_central_p also tests the last term against itself, which a
+            # normal subgroup always passes
+            if all(step[a] <= series[b]._set for a, b in zip(idx, idx[1:])):
+                out.append(Filtration(G, [series[i] for i in idx],
+                                      check=False))
     return out
 
 
@@ -486,11 +509,13 @@ def feasible_witness(am: Amalgam, witness, p: int, cap: int = DEFAULT_HIGMAN_CAP
     order, or None when every candidate exceeds the cap.
     """
     serG, serH = witness
+    subG = _central_p_subchains(am.G, serG, p)
+    subH = _central_p_subchains(am.H, serH, p)
+    trsG = _chain_tracer(am.G, [F.terms for F in subG])(am.uG)
+    trsH = _chain_tracer(am.H, [F.terms for F in subH])(am.uH)
     best = None
-    for FG in _central_p_subchains(am.G, serG, p):
-        trG = tuple(t for t in _chief_trace(list(FG.terms), am.uG))
-        for FH in _central_p_subchains(am.H, serH, p):
-            trH = tuple(t for t in _chief_trace(list(FH.terms), am.uH))
+    for FG, trG in zip(subG, trsG):
+        for FH, trH in zip(subH, trsH):
             if trG != trH:
                 continue
             pred = predicted_higman_order(am, FG, FH)
@@ -1031,17 +1056,16 @@ class ScanRecord:
     embeddable: bool
 
 
-def _isomorphisms_between(A: FiniteGroup, B: FiniteGroup, limit_all: bool):
-    """Isomorphisms A -> B, all of them for small groups, else the first."""
+def _isomorphisms_between(A: FiniteGroup, B: FiniteGroup,
+                          auts: Optional[list[np.ndarray]]):
+    """Isomorphisms A -> B: with auts = Aut(A) all of them, sorted; with
+    auts None only the first found."""
     base = find_isomorphism(A, B)
     if base is None:
         return []
-    if not limit_all:
+    if auts is None:
         return [base.map]
-    out = []
-    for a in automorphisms(A):
-        out.append(base.map[a])
-    uniq = sorted({tuple(int(x) for x in m) for m in out})
+    uniq = sorted({tuple(int(x) for x in base.map[a]) for a in auts})
     return [np.asarray(m, dtype=np.int64) for m in uniq]
 
 
@@ -1056,58 +1080,53 @@ def amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
 
     Returns the list of ScanRecords in enumeration order.
     """
-    from .groups import all_subgroups
     records: list[ScanRecord] = []
-    trace_cache: dict[tuple[int, tuple], frozenset] = {}
-    series_cache: dict[int, list] = {}
+    # per group (keyed by identity): its chain tracer and, per subgroup S,
+    # (S, S as a group U, the parent index of each element of U, Aut(U) when
+    # all isomorphisms are listed, else None)
+    facts: dict[FiniteGroup, tuple] = {}
+    trace_cache: dict[tuple[FiniteGroup, tuple], frozenset] = {}
 
-    def series_of(G):
-        if id(G) not in series_cache:
-            series_cache[id(G)] = chief_series(G)
-        return series_cache[id(G)]
+    def facts_of(G):
+        if G not in facts:
+            subs = []
+            for S in all_subgroups(G):
+                if 2 <= len(S) <= max_u:
+                    U, toU, _ = S.as_group()
+                    auts = automorphisms(U) if len(S) <= all_iso_upto else None
+                    subs.append((S, U, toU, auts))
+            facts[G] = (_chain_tracer(G, chief_series(G)), subs)
+        return facts[G]
 
     def trace_set(G, u_emb):
-        key = (id(G), tuple(int(x) for x in u_emb.map))
+        key = (G, tuple(int(x) for x in u_emb.map))
         if key not in trace_cache:
-            trace_cache[key] = frozenset(
-                _chief_trace(ser, u_emb) for ser in series_of(G))
+            trace_cache[key] = frozenset(facts_of(G)[0](u_emb))
         return trace_cache[key]
-
-    subs_cache = {}
-
-    def subs_of(G):
-        if id(G) not in subs_cache:
-            subs_cache[id(G)] = [s for s in all_subgroups(G)
-                                 if 2 <= len(s) <= max_u]
-        return subs_cache[id(G)]
 
     for i, G in enumerate(groups):
         for j in range(i, len(groups)):
             H = groups[j]
             if j == i:
                 H = FiniteGroup(G.mult.copy(), name=G.name + "'", validate=False)
-            for SG in subs_of(G):
-                UG, toUG, _ = SG.as_group()
-                for SH in subs_of(H):
+                # the facts read only the table, which H shares with G
+                facts[H] = facts_of(G)
+            for SG, UG, toUG, auts in facts_of(G)[1]:
+                # both embeddings start at the G-side copy of U, so both
+                # trace sets live in the same coordinates
+                tG = trace_set(G, Homomorphism(UG, G, toUG, check=False))
+                for SH, UH, toUH, _ in facts_of(H)[1]:
                     if len(SH) != len(SG):
                         continue
-                    UH, toUH, _ = SH.as_group()
-                    isos = _isomorphisms_between(UG, UH,
-                                                 len(SG) <= all_iso_upto)
-                    for iso in isos:
-                        # both embeddings start at the G-side copy of U, so
-                        # both trace sets live in the same coordinates
-                        uG = Homomorphism(UG, G, toUG, check=False)
+                    for iso in _isomorphisms_between(UG, UH, auts):
                         uH = Homomorphism(UG, H,
                                           [toUH[int(iso[x])]
                                            for x in range(UG.order)],
                                           check=False)
-                        tG = trace_set(G, uG)
-                        tH = trace_set(H, uH)
                         records.append(ScanRecord(
                             G.name, H.name, SG.elems, SH.elems,
                             tuple(int(x) for x in iso),
-                            bool(tG & tH)))
+                            bool(tG & trace_set(H, uH))))
     return records
 
 

@@ -72,15 +72,9 @@ class Filtration:
     def is_central_p(self, p: int) -> bool:
         if not self.complete:
             return False
-        G = self.group
-        for n in range(1, len(self.terms) + 1):
-            nxt = self.term(n + 1)
-            comms = kernels.commutators(G.mult, G.inv, range(G.order),
-                                        self.term(n).elems)
-            pows = kernels.powers(G.mult, self.term(n).elems, p)
-            if not (set(comms) <= nxt._set and set(pows) <= nxt._set):
-                return False
-        return True
+        return all(central_p_step(self.group, self.term(n), p)
+                   <= self.term(n + 1)._set
+                   for n in range(1, len(self.terms) + 1))
 
     def layer(self, n: int):
         """The layer G_n / G_{n+1}.
@@ -113,6 +107,16 @@ class Filtration:
     def __repr__(self) -> str:
         sizes = ">=".join(str(len(t)) for t in self.terms)
         return f"Filtration({self.group.name}: {sizes})"
+
+
+def central_p_step(G: FiniteGroup, T: Subgroup, p: int) -> set[int]:
+    """The commutators [g, t] and the powers t^p for g in G and t in T.
+
+    They generate [G, T] T^p, so a complete filtration is central p exactly
+    when each term holds this set of the term above it.
+    """
+    return (set(kernels.commutators(G.mult, G.inv, range(G.order), T.elems))
+            | set(kernels.powers(G.mult, T.elems, p)))
 
 
 @dataclass(frozen=True)
@@ -299,7 +303,17 @@ def chief_refinement(F: Filtration) -> Filtration:
 
 
 def chief_series(G: FiniteGroup, cap: int = 100_000) -> list[tuple[Subgroup, ...]]:
-    """All chief filtrations of G, each as a descending tuple G > ... > 1."""
+    """All chief filtrations of G, each as a descending tuple G > ... > 1.
+
+    The list is computed once per group and kept with it; each call returns
+    a fresh list.  The enumeration raises once it has found more than cap
+    series and looks for another, so a call raises exactly when there are
+    more than cap + 1 series, whether or not the list is already kept.
+    """
+    if G._chief_series is not None:
+        if len(G._chief_series) > cap + 1:
+            raise ValueError("chief series enumeration cap exceeded")
+        return list(G._chief_series)
     out: list[tuple[Subgroup, ...]] = []
     minimal = _minimal_normal_finder(G)
 
@@ -313,7 +327,8 @@ def chief_series(G: FiniteGroup, cap: int = 100_000) -> list[tuple[Subgroup, ...
             ascend(chain + [N])
 
     ascend([trivial_subgroup(G)])
-    return out
+    G._chief_series = out
+    return list(out)
 
 
 # -- alignment ----------------------------------------------------------------

@@ -28,9 +28,15 @@ class CapExceeded(ValueError):
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table.
 
-    __slots__ = ("order", "mult", "inv", "name", "_abelian", "_orders")
+    The table must not be changed after construction: the element orders,
+    the generating sequence and the chief series are computed once from it
+    and kept with the group.
+    """
+
+    __slots__ = ("order", "mult", "inv", "name", "_abelian", "_orders",
+                 "_gens", "_chief_series")
 
     def __init__(self, mult, name: str = "G", validate: bool = True):
         t = np.ascontiguousarray(np.asarray(mult, dtype=np.int64))
@@ -42,6 +48,8 @@ class FiniteGroup:
         self.name = name
         self._abelian: Optional[bool] = None
         self._orders: Optional[list[int]] = None
+        self._gens: Optional[list[int]] = None
+        self._chief_series: Optional[list] = None
 
     # -- basic element arithmetic ------------------------------------------
 
@@ -471,14 +479,17 @@ def semidirect_product(B: FiniteGroup, H: FiniteGroup, action: GroupAction,
 # -- generating sets, automorphisms, isomorphism -----------------------------
 
 def generating_sequence(G: FiniteGroup) -> list[int]:
-    """A small generating sequence picked greedily by index."""
-    gens: list[int] = []
-    cur = {0}
-    while len(cur) < G.order:
-        nxt = min(x for x in range(G.order) if x not in cur)
-        gens.append(nxt)
-        cur = set(kernels.closure(G.mult, G.inv, gens))
-    return gens
+    """A small generating sequence picked greedily by index, computed once
+    per group; each call returns a fresh list."""
+    if G._gens is None:
+        gens: list[int] = []
+        cur = {0}
+        while len(cur) < G.order:
+            nxt = min(x for x in range(G.order) if x not in cur)
+            gens.append(nxt)
+            cur = set(kernels.closure(G.mult, G.inv, gens))
+        G._gens = gens
+    return list(G._gens)
 
 
 def _homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],

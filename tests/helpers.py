@@ -7,9 +7,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from residuap import catalog, embed, graphs, kernels
+from residuap import algebra, catalog, embed, graphs, kernels
 from residuap.filtration import Filtration
 from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
+                             all_subgroups, automorphisms, find_isomorphism,
                              full_subgroup, generating_sequence,
                              normal_closure, subgroup_generated,
                              trivial_subgroup)
@@ -306,3 +307,106 @@ def reference_chief_refinement(F: Filtration) -> list[tuple[int, ...]]:
     if not chain[-1].is_trivial():
         chain.append(trivial_subgroup(G))
     return [t.elems for t in chain]
+
+
+# -- reference amalgam scan ------------------------------------------------------
+#
+# The scan that embed.py ran before it kept per-group facts: chief series
+# through a per-call cache, Aut(U_G) and U_H rebuilt for every pair, and
+# each trace as a tuple of sorted U-index tuples.  It takes its chief series
+# from reference_chief_series, so it shares no kept state with the groups.
+# The differential test requires amalgam_scan to give exactly these records.
+
+def reference_chief_trace(series: Sequence[Subgroup], emb: Homomorphism) -> tuple:
+    image = {int(emb.map[u]): u for u in range(emb.dom.order)}
+    out = []
+    for term in series:
+        level = tuple(sorted(image[g] for g in term.elems if g in image))
+        if not out or out[-1] != level:
+            out.append(level)
+    return tuple(out)
+
+
+def _reference_isomorphisms_between(A: FiniteGroup, B: FiniteGroup,
+                                    limit_all: bool):
+    base = find_isomorphism(A, B)
+    if base is None:
+        return []
+    if not limit_all:
+        return [base.map]
+    out = []
+    for a in automorphisms(A):
+        out.append(base.map[a])
+    uniq = sorted({tuple(int(x) for x in m) for m in out})
+    return [np.asarray(m, dtype=np.int64) for m in uniq]
+
+
+def reference_amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
+                           all_iso_upto: int = 4) -> list[embed.ScanRecord]:
+    records: list[embed.ScanRecord] = []
+    trace_cache: dict[tuple[int, tuple], frozenset] = {}
+    series_cache: dict[int, list] = {}
+
+    def series_of(G):
+        if id(G) not in series_cache:
+            series_cache[id(G)] = reference_chief_series(G)
+        return series_cache[id(G)]
+
+    def trace_set(G, u_emb):
+        key = (id(G), tuple(int(x) for x in u_emb.map))
+        if key not in trace_cache:
+            trace_cache[key] = frozenset(
+                reference_chief_trace(ser, u_emb) for ser in series_of(G))
+        return trace_cache[key]
+
+    subs_cache = {}
+
+    def subs_of(G):
+        if id(G) not in subs_cache:
+            subs_cache[id(G)] = [s for s in all_subgroups(G)
+                                 if 2 <= len(s) <= max_u]
+        return subs_cache[id(G)]
+
+    for i, G in enumerate(groups):
+        for j in range(i, len(groups)):
+            H = groups[j]
+            if j == i:
+                H = FiniteGroup(G.mult.copy(), name=G.name + "'", validate=False)
+            for SG in subs_of(G):
+                UG, toUG, _ = SG.as_group()
+                for SH in subs_of(H):
+                    if len(SH) != len(SG):
+                        continue
+                    UH, toUH, _ = SH.as_group()
+                    isos = _reference_isomorphisms_between(
+                        UG, UH, len(SG) <= all_iso_upto)
+                    for iso in isos:
+                        uG = Homomorphism(UG, G, toUG, check=False)
+                        uH = Homomorphism(UG, H,
+                                          [toUH[int(iso[x])]
+                                           for x in range(UG.order)],
+                                          check=False)
+                        tG = trace_set(G, uG)
+                        tH = trace_set(H, uH)
+                        records.append(embed.ScanRecord(
+                            G.name, H.name, SG.elems, SH.elems,
+                            tuple(int(x) for x in iso),
+                            bool(tG & tH)))
+    return records
+
+
+# -- wreath tables -----------------------------------------------------------------
+#
+# algebra.wreath builds its table by formula and does not validate it.
+# conftest.py puts checked_wreath in its place for the whole suite, so every
+# wreath table of order <= 256 that a test builds, directly or inside a
+# Higman tower, passes the exhaustive kernels.validate_table.
+
+build_wreath = algebra.wreath
+
+
+def checked_wreath(*args, **kwargs) -> algebra.WreathProduct:
+    wp = build_wreath(*args, **kwargs)
+    if wp.group.order <= 256:
+        kernels.validate_table(wp.group.mult)
+    return wp

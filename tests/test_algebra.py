@@ -1,6 +1,11 @@
+import dataclasses
+
 import pytest
 
-from residuap import catalog
+import helpers
+from helpers import checked_wreath
+
+from residuap import algebra, catalog, embed
 from residuap.algebra import (AlgebraElement, IdealBasis, annihilator_omega,
                               augmentation_ideal, augmentation_ideal_powers,
                               buckley_check, jennings_series,
@@ -8,7 +13,7 @@ from residuap.algebra import (AlgebraElement, IdealBasis, annihilator_omega,
                               wreath_class_formula)
 from residuap.filtration import (dimension_series, lower_central_p_series,
                                  lower_central_series)
-from residuap.groups import (CapExceeded, Homomorphism, Subgroup,
+from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
                              is_isomorphic, subgroup_generated)
 
 
@@ -68,6 +73,20 @@ def test_wreath_c2_c2_is_d8():
 def test_wreath_cap():
     with pytest.raises(CapExceeded):
         wreath(catalog.cyclic(4), catalog.dihedral(4), cap=4096)
+
+
+def test_wreath_tables_of_the_suite_are_validated(monkeypatch):
+    """wreath does not validate its own table; conftest.py puts
+    helpers.checked_wreath in its place, which validates every wreath table
+    of order <= 256 that a test builds, exhaustively."""
+    assert algebra.wreath is embed.wreath is wreath is checked_wreath
+    wp = wreath(catalog.cyclic(2), catalog.klein4())
+    bad = wp.group.mult.copy()
+    bad[3, [5, 9]] = bad[3, [9, 5]]             # columns 5 and 9 repeat a value
+    broken = dataclasses.replace(wp, group=FiniteGroup(bad, validate=False))
+    monkeypatch.setattr(helpers, "build_wreath", lambda *args: broken)
+    with pytest.raises(ValueError, match="latin square"):
+        wreath(catalog.cyclic(2), catalog.klein4())
 
 
 def test_wreath_class_formula():

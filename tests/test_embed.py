@@ -1,22 +1,26 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from helpers import c4_amalgam, chain, fresh
+from helpers import (c4_amalgam, chain, fresh, reference_amalgam_scan,
+                     reference_chief_trace)
 
 from residuap import catalog
 from residuap.embed import (Amalgam, ElabSpace, FlagCertificate,
-                            PartialAutomorphism, amalgam_embeddable,
-                            amalgam_scan, feasible_witness, fiber_sum,
-                            higman_embed, inner_extension,
+                            PartialAutomorphism, _central_p_subchains,
+                            _chain_tracer, amalgam_embeddable, amalgam_scan,
+                            feasible_witness, fiber_sum, higman_embed,
+                            inner_extension,
                             layerwise_inner_extension, mapping_torus_check,
                             predicted_higman_order, scan_amalgam_object,
                             unipotent_flag_extend)
-from residuap.filtration import Filtration, lower_central_p_series
+from residuap.filtration import (Filtration, chief_series,
+                                 lower_central_p_series)
 from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                             abelian_invariants, full_subgroup, identity_hom,
-                             is_isomorphic, subgroup_generated,
+                             abelian_invariants, direct_product, full_subgroup,
+                             identity_hom, is_isomorphic, subgroup_generated,
                              trivial_subgroup)
 from residuap.results import NO, UNKNOWN, YES
 
@@ -300,6 +304,50 @@ def test_scan_small_is_deterministic_and_sound():
     assert (first.g_name, first.h_name) == ("D8", "D8'")
     am = scan_amalgam_object(groups, first)
     assert amalgam_embeddable(am).is_no
+
+
+@pytest.mark.parametrize("G", catalog.two_group_scan_list(16)
+                         + [catalog.heisenberg(3), catalog.c9_semi_c3()],
+                         ids=lambda G: G.name)
+def test_central_p_subchains_match_is_central_p(G):
+    p = G.prime()
+    # chief series, and chains that miss their first term G
+    chains = [c for ser in chief_series(G) for c in (ser, ser[1:])]
+    for ser in chains:
+        interior = ser[1:-1]
+        want = []
+        for r in range(len(interior) + 1):
+            for keep in itertools.combinations(interior, r):
+                F = Filtration(G, [ser[0], *keep, ser[-1]], check=False)
+                if F.is_central_p(p):
+                    want.append([t.elems for t in F.terms])
+        got = [[t.elems for t in F.terms]
+               for F in _central_p_subchains(G, ser, p)]
+        assert got == want
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_chain_tracer_matches_reference_trace(n):
+    # |U| = 64 needs masks wider than int64
+    G, uG, _ = direct_product(catalog.cyclic(n), catalog.cyclic(2))
+    series = chief_series(G)
+    want = [tuple(sum(1 << u for u in level)
+                  for level in reference_chief_trace(ser, uG))
+            for ser in series]
+    assert _chain_tracer(G, series)(uG) == want
+
+
+def test_scan_matches_reference_and_per_record_path():
+    groups = catalog.two_group_scan_list(8)
+    recs = amalgam_scan(groups)
+    want = reference_amalgam_scan(groups)
+    assert len(recs) == len(want)
+    for got, ref in zip(recs, want):
+        assert got == ref
+    # the scan's bitmask traces agree with the per-record decision
+    for rec in recs:
+        am = scan_amalgam_object(groups, rec)
+        assert amalgam_embeddable(am).is_yes == rec.embeddable
 
 
 # -- mapping tori ----------------------------------------------------------------------

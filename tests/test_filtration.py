@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from helpers import (chain, reference_chief_refinement, reference_chief_series,
-                     relabel)
+from helpers import (chain, fresh, reference_chief_refinement,
+                     reference_chief_series, relabel)
 
 from residuap import catalog
 from residuap.filtration import (AlignmentError, Filtration, StretchMap,
@@ -111,6 +111,42 @@ def test_chief_refinement_matches_reference(G):
 def test_chief_series_cap():
     with pytest.raises(ValueError, match="cap exceeded"):
         chief_series(catalog.elementary_abelian(2, 4), cap=10)
+
+
+def test_chief_series_is_kept_with_the_group():
+    G = fresh(catalog.abelian(4, 2), "C4xC2~kept")
+    first = chief_series(G)
+    again = chief_series(G)
+    want = [[t.elems for t in ser] for ser in reference_chief_series(G)]
+    assert [[t.elems for t in ser] for ser in again] == want
+    # every call returns a fresh list, so a caller cannot change the kept one
+    assert again is not first
+    first.clear()
+    again.append(again[0])
+    assert [[t.elems for t in ser] for ser in chief_series(G)] == want
+
+
+@pytest.mark.parametrize("G", [catalog.elementary_abelian(2, 3),
+                               catalog.elementary_abelian(2, 4)],
+                         ids=lambda G: G.name)
+def test_kept_chief_series_raises_at_the_same_caps(G):
+    count = len(reference_chief_series(G))       # 21 and 315
+
+    def raises(H, cap):
+        try:
+            chief_series(H, cap=cap)
+        except ValueError as exc:
+            assert "cap exceeded" in str(exc)
+            return True
+        return False
+
+    kept = fresh(G, G.name + "~kept")
+    chief_series(kept)
+    for cap in range(count - 4, count + 3):
+        uncached = raises(fresh(G, G.name + "~fresh"), cap)
+        assert raises(kept, cap) == uncached
+        # the enumeration refuses exactly when it must look past cap + 1
+        assert uncached == (count > cap + 1)
 
 
 def test_align_filtrations():

@@ -176,6 +176,18 @@ def test_automorphism_caps_still_raise():
         automorphisms(G, cap=7)
 
 
+def test_generating_sequence_is_kept_with_the_group():
+    G = FiniteGroup(catalog.dihedral(8).mult.copy(), name="D16~kept")
+    first = generating_sequence(G)
+    assert subgroup_generated(G, first).elems == tuple(range(G.order))
+    # every call returns a fresh list, so a caller cannot change the kept one
+    first.append(5)
+    again = generating_sequence(G)
+    assert again is not first and again == first[:-1]
+    again.clear()
+    assert generating_sequence(G) == first[:-1]
+
+
 @pytest.mark.parametrize("G", SEARCH_GROUPS + [catalog.elementary_abelian(2, 4)],
                          ids=lambda G: f"{G.name}")
 def test_right_coset_reps_are_coset_minima(G):
