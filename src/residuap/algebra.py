@@ -127,9 +127,6 @@ class IdealBasis:
                 prods.append(out % self.p)
         return IdealBasis(self.group, self.p, prods, check_two_sided=False)
 
-    def row_set(self) -> frozenset:
-        return frozenset(self.rows)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IdealBasis) and self.group is other.group
                 and self.p == other.p and self.rows == other.rows)

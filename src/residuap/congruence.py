@@ -61,16 +61,6 @@ class MatrixGroup:
     def mul(self, i: int, j: int) -> int:
         return self.index[_mat_mul(self.elements[i], self.elements[j], self.mod)]
 
-    def inverse_mat(self, m):
-        # order-based inverse: m^(order-1) works since the group is finite,
-        # but compute by powering to the element order instead
-        acc = m
-        prev = _identity(len(m))
-        while acc != _identity(len(m)):
-            prev = acc
-            acc = _mat_mul(acc, m, self.mod)
-        return prev
-
     def as_finite_group(self, cap: int = 5000) -> tuple[FiniteGroup, list]:
         n = self.order
         if n > cap:
@@ -347,17 +337,6 @@ def _int_inverse(m):
             row.append(int(v))
         out.append(tuple(row))
     return tuple(out)
-
-
-def _eval_word_mod(gens_mod, word, mod):
-    n = len(gens_mod[0])
-    acc = _identity(n)
-    for letter in word:
-        g = gens_mod[abs(letter) - 1]
-        if letter < 0:
-            g = _mat_inverse_mod(g, mod)
-        acc = _mat_mul(acc, g, mod)
-    return acc
 
 
 def _mat_inverse_mod(m, mod):

@@ -660,19 +660,20 @@ class FlagCertificate:
 
 
 def _all_subspaces(space: ElabSpace) -> dict[int, list[tuple[int, ...]]]:
-    """Subspaces of V grouped by dimension, each as a sorted element tuple."""
-    V = space.V
-    subs = {s.elems for s in all_subgroups(V)}
-    by_dim: dict[int, list] = {}
-    for elems in subs:
-        d = 0
-        n = len(elems)
-        while n > 1:
-            n //= space.p
-            d += 1
-        by_dim.setdefault(d, []).append(tuple(elems))
-    for d in by_dim:
-        by_dim[d].sort()
+    """Subspaces of V grouped by dimension, each as a sorted element tuple.
+
+    A k-dimensional subspace is the row space of exactly one reduced echelon
+    k x d matrix; each dimension's list is sorted."""
+    p, d = space.p, space.dim
+    by_dim: dict[int, list] = {k: [] for k in range(d + 1)}
+    for k in range(d + 1):
+        for piv in itertools.combinations(range(d), k):
+            # row of pivot c: free right of c outside the pivot columns
+            entries = [[range(p) if j > c and j not in piv else (int(j == c),)
+                        for j in range(d)] for c in piv]
+            for rows in itertools.product(*(itertools.product(*r) for r in entries)):
+                by_dim[k].append(tuple(space.subspace_elems(rows)))
+        by_dim[k].sort()
     return by_dim
 
 
@@ -685,7 +686,6 @@ def unipotent_flag_extend(V: FiniteGroup, pas: Sequence[PartialAutomorphism],
     d = space.dim
     if d > dim_cap:
         return Decision(UNKNOWN, reason=f"dimension {d} beyond flag search cap")
-    p = space.p
     for phi in pas:
         if phi.group is not V:
             raise ValueError("partial automorphisms must live on V")
@@ -702,13 +702,9 @@ def unipotent_flag_extend(V: FiniteGroup, pas: Sequence[PartialAutomorphism],
         if len(cur) == 1:
             found = list(chain)
             return
-        dim_cur = 0
-        n = len(cur)
-        while n > 1:
-            n //= p
-            dim_cur += 1
         cur_set = set(cur)
-        for nxt in by_dim.get(dim_cur - 1, []):
+        # chain[i] has dimension d - i
+        for nxt in by_dim[d - len(chain)]:
             if found is not None:
                 return
             nxt_set = set(nxt)

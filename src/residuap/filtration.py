@@ -59,16 +59,6 @@ class Filtration:
             n -= 1
         return n - 1
 
-    def essential_length(self) -> int:
-        return len({t.elems for t in self.terms if len(t) > 1})
-
-    def stabilized_length(self) -> int:
-        """Number of stored terms after dropping a repeated tail (at least 1)."""
-        n = len(self.terms)
-        while n >= 2 and self.terms[n - 1].elems == self.terms[n - 2].elems:
-            n -= 1
-        return n
-
     def is_central_p(self, p: int) -> bool:
         if not self.complete:
             return False

@@ -65,17 +65,6 @@ class Graph:
             frontier = new
         return len(seen) == self.nv
 
-    def component_of(self, v0: int) -> set[int]:
-        seen = {v0}
-        changed = True
-        while changed:
-            changed = False
-            for e in range(self.ne):
-                if self.orig[e] in seen and self.term[e] not in seen:
-                    seen.add(self.term[e])
-                    changed = True
-        return seen
-
     def betti(self) -> int:
         """First Betti number |E|/2 - |V| + 1 for a connected graph."""
         return self.ne // 2 - self.nv + 1
@@ -168,9 +157,6 @@ class PathWord:
 
     def end(self, gog: GraphOfGroups) -> int:
         return gog.graph.term[self.steps[-1][0]] if self.steps else self.base
-
-    def is_closed(self, gog: GraphOfGroups) -> bool:
-        return self.end(gog) == self.base
 
     def length(self) -> int:
         return len(self.steps)

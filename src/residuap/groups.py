@@ -444,9 +444,6 @@ class GroupAction:
         self.target = target
         self.perms = perms
 
-    def apply(self, a: int, x: int) -> int:
-        return int(self.perms[a, x])
-
 
 def semidirect_product(B: FiniteGroup, H: FiniteGroup, action: GroupAction,
                        name: Optional[str] = None,

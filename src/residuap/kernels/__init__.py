@@ -1,38 +1,18 @@
-"""Low-level table kernels with a vectorized core and a pure-Python fallback.
+"""Low-level table kernels: a vectorized numpy core and a pure-Python reference.
 
 The heavy inner loops of the workbench (Cayley-table closure, bulk
-commutators, associativity sweeps, row reduction mod p) live behind a small
-backend API.  ``RESIDUAP_BACKEND=python`` in the environment forces the
-pure-Python implementation; by default the numpy-vectorized backend is used.
-Both backends are importable directly for differential testing and for the
-benchmark in ``benchmarks/bench_kernels.py``.
+commutators, associativity sweeps, row reduction mod p) live here.  The
+package binds the numpy backend.  ``pybackend`` is the reference that the
+differential tests compare against; ``perfbench/run.py --trace 1`` times
+``closure`` and ``validate_table`` through both.
 """
 
-import os
-
 from . import npbackend, pybackend
-
-_name = os.environ.get("RESIDUAP_BACKEND", "numpy").strip().lower()
-if _name in ("python", "py", "pure"):
-    backend = pybackend
-    BACKEND_NAME = "python"
-else:
-    backend = npbackend
-    BACKEND_NAME = "numpy"
-
-validate_table = backend.validate_table
-inverse_table = backend.inverse_table
-closure = backend.closure
-bulk_mult = backend.bulk_mult
-commutators = backend.commutators
-powers = backend.powers
-conjugates = backend.conjugates
-is_homomorphism = backend.is_homomorphism
-rref_mod_p = backend.rref_mod_p
+from .npbackend import (bulk_mult, closure, commutators, conjugates,
+                        inverse_table, is_homomorphism, powers, rref_mod_p,
+                        validate_table)
 
 __all__ = [
-    "BACKEND_NAME",
-    "backend",
     "npbackend",
     "pybackend",
     "validate_table",

@@ -395,6 +395,28 @@ def reference_amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
     return records
 
 
+# -- reference subspace lists -------------------------------------------------
+#
+# The enumeration that embed._all_subspaces used before reduced echelon forms:
+# every subgroup of the elementary abelian group from the generic
+# all_subgroups, bucketed by dimension.  The differential tests require
+# _all_subspaces, and the flag search run on it, to agree with this.
+
+def reference_all_subspaces(space: embed.ElabSpace) -> dict[int, list[tuple[int, ...]]]:
+    """Subspaces of space.V grouped by dimension, each list sorted."""
+    by_dim: dict[int, list] = {}
+    for elems in {s.elems for s in all_subgroups(space.V)}:
+        d = 0
+        n = len(elems)
+        while n > 1:
+            n //= space.p
+            d += 1
+        by_dim.setdefault(d, []).append(tuple(elems))
+    for d in by_dim:
+        by_dim[d].sort()
+    return by_dim
+
+
 # -- wreath tables -----------------------------------------------------------------
 #
 # algebra.wreath builds its table by formula and does not validate it.

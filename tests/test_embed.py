@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (c4_amalgam, chain, fresh, reference_amalgam_scan,
-                     reference_chief_trace)
+from helpers import (c4_amalgam, chain, fresh, reference_all_subspaces,
+                     reference_amalgam_scan, reference_chief_trace, relabel)
 
-from residuap import catalog
+from residuap import catalog, embed
 from residuap.embed import (Amalgam, ElabSpace, FlagCertificate,
-                            PartialAutomorphism, _central_p_subchains,
+                            PartialAutomorphism, _all_subspaces,
+                            _central_p_subchains,
                             _chain_tracer, amalgam_embeddable, amalgam_scan,
                             feasible_witness, fiber_sum, higman_embed,
                             inner_extension,
@@ -287,6 +288,100 @@ def test_certificate_transport_functoriality():
                                    Subgroup(W, sorted(mapping.values())),
                                    mapping)
         assert unipotent_flag_extend(W, [phi2]).is_yes
+
+
+# -- candidate subspaces of the flag search ---------------------------------------------
+
+def _elab(p, d):
+    return catalog.elementary_abelian(p, d) if d else catalog.cyclic(1)
+
+
+def gaussian_binomial(d, k, p):
+    """The number [d, k]_p of k-dimensional subspaces of F_p^d."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p,d", [(2, d) for d in range(6)] +
+                         [(3, d) for d in range(4)] + [(5, 1), (5, 2)])
+def test_all_subspaces_match_reference(p, d):
+    # ElabSpace picks its basis from the labels, so a relabeled copy
+    # enumerates in other coordinates
+    V = _elab(p, d)
+    for G in (V, relabel(V, 10 * p + d)):
+        space = ElabSpace(G)
+        assert _all_subspaces(space) == reference_all_subspaces(space)
+
+
+@pytest.mark.parametrize("p,dmax", [(2, 6), (3, 4), (5, 3)])
+def test_all_subspaces_are_all_subgroups_of_each_order(p, dmax):
+    for d in range(dmax + 1):
+        V = _elab(p, d)
+        by_dim = _all_subspaces(ElabSpace(V))
+        assert sorted(by_dim) == list(range(d + 1))
+        for k, subs in by_dim.items():
+            assert len(set(subs)) == len(subs) == gaussian_binomial(d, k, p)
+            assert subs == sorted(subs)
+            for s in subs:
+                assert len(s) == p ** k and list(s) == sorted(s)
+                assert set(V.mult[np.ix_(s, s)].ravel().tolist()) == set(s)
+
+
+def test_flag_search_on_the_trivial_group():
+    V = catalog.cyclic(1)
+    assert _all_subspaces(ElabSpace(V)) == {0: [(0,)]}
+    ident = PartialAutomorphism(V, full_subgroup(V), full_subgroup(V), {0: 0})
+    for pas in ([], [ident]):
+        dec = unipotent_flag_extend(V, pas)
+        assert dec.is_yes and dec.certificate.basis == ()
+
+
+def _random_pa(V, sp, rng, s):
+    """The linear map between two random s-dimensional subspaces that sends
+    one random basis to the other."""
+    def frame():
+        vecs = []
+        while len(vecs) < s:
+            span = set(sp.subspace_elems(vecs))
+            vecs.append(sp.vec(rng.choice(
+                [g for g in range(V.order) if g not in span])))
+        return vecs
+
+    def combine(coeffs, vecs):
+        return sp.elem([sum(c * v[i] for c, v in zip(coeffs, vecs))
+                        for i in range(sp.dim)])
+
+    src, dst = frame(), frame()
+    mapping = {combine(c, src): combine(c, dst)
+               for c in itertools.product(range(sp.p), repeat=s)}
+    return PartialAutomorphism(V, Subgroup(V, sorted(mapping)),
+                               Subgroup(V, sorted(mapping.values())), mapping)
+
+
+def test_flag_search_matches_reference_subspaces(monkeypatch):
+    # the shapes of the certify templates: F_2^r (r <= 4) and F_3^r (r <= 3)
+    rng = random.Random(6)
+    seen = set()
+    for p, rmax in ((2, 4), (3, 3)):
+        for r in range(1, rmax + 1):
+            V = catalog.elementary_abelian(p, r)
+            sp = ElabSpace(V)
+            for s in range(1, r + 1):
+                for n_pas in (1, 1, 2):
+                    pas = [_random_pa(V, sp, rng, s) for _ in range(n_pas)]
+                    dec = unipotent_flag_extend(V, pas)
+                    with monkeypatch.context() as m:
+                        m.setattr(embed, "_all_subspaces", reference_all_subspaces)
+                        want = unipotent_flag_extend(V, pas)
+                    assert (dec.status, dec.reason) == (want.status, want.reason)
+                    if dec.is_yes:
+                        assert dec.certificate.basis == want.certificate.basis
+                        assert dec.certificate.matrices == want.certificate.matrices
+                    seen.add(dec.status)
+    assert seen == {YES, NO}
 
 
 # -- the deterministic scan ---------------------------------------------------------
