@@ -14,7 +14,7 @@ from . import kernels
 from .filtration import Filtration, dimension_series, lower_central_p_series, \
     lower_central_series
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     right_coset_reps, trivial_subgroup)
+                     generating_sequence, right_coset_reps, trivial_subgroup)
 
 DEFAULT_WREATH_CAP = 4096
 
@@ -71,61 +71,58 @@ class AlgebraElement:
 
 
 class IdealBasis:
-    """A row-reduced basis of a two-sided ideal of F_p[G]."""
+    """A right ideal of F_p[G] (two-sided where it is built here) as the rows
+    of its reduced echelon basis, which depend only on the row space."""
 
     __slots__ = ("group", "p", "rows")
 
-    def __init__(self, group: FiniteGroup, p: int, rows, check_two_sided: bool = True):
+    def __init__(self, group: FiniteGroup, p: int, rows):
         self.group = group
         self.p = p
-        self.rows = [tuple(int(x) % p for x in r)
-                     for r in kernels.rref_mod_p(list(rows), p, ncols=group.order)]
-        if check_two_sided and not self._two_sided():
-            raise ValueError("row space is not a two-sided ideal")
-
-    def _two_sided(self) -> bool:
-        t = self.group.mult
-        n = self.group.order
-        for row in self.rows:
-            for g in range(n):
-                left = [0] * n
-                right = [0] * n
-                for h in range(n):
-                    left[int(t[g, h])] = row[h]
-                    right[int(t[h, g])] = row[h]
-                if not (self.contains_vector(left) and self.contains_vector(right)):
-                    return False
-        return True
+        self.rows = [tuple(r) for r in kernels.rref_mod_p(rows, p, ncols=group.order)]
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    def matrix(self) -> np.ndarray:
+        """The basis rows as a dim x |G| array."""
+        return np.array(self.rows, dtype=np.int64).reshape(self.dim, self.group.order)
+
+    def contains_rows(self, vecs) -> np.ndarray:
+        """For each row v of vecs, whether v lies in the ideal.
+
+        R is reduced, so R[:, pivots] is the identity and v is in the row
+        space exactly when v = v[pivots] @ R (mod p)."""
+        R = self.matrix()
+        vecs = np.asarray(vecs, dtype=np.int64) % self.p
+        pivots = [r.index(1) for r in self.rows]       # each leading entry is 1
+        residue = (vecs - vecs[:, pivots] @ R) % self.p
+        return ~residue.any(axis=1)
+
     def contains_vector(self, vec) -> bool:
-        vec = [int(x) % self.p for x in vec]
-        for row in self.rows:
-            lead = next(j for j, x in enumerate(row) if x)
-            c = vec[lead]
-            if c:
-                vec = [(a - c * b) % self.p for a, b in zip(vec, row)]
-        return not any(vec)
+        return bool(self.contains_rows([vec])[0])
 
     def contains(self, el: AlgebraElement) -> bool:
         return self.contains_vector(el.coeffs)
 
     def multiply(self, other: "IdealBasis") -> "IdealBasis":
-        """Basis of the product ideal (self * other)."""
-        t = self.group.mult
-        n = self.group.order
-        prods = []
-        for r in self.rows:
-            sup = [g for g in range(n) if r[g]]
-            for s in other.rows:
-                out = np.zeros(n, dtype=np.int64)
-                for g in sup:
-                    out[t[g]] += r[g] * np.asarray(s, dtype=np.int64)
-                prods.append(out % self.p)
-        return IdealBasis(self.group, self.p, prods, check_two_sided=False)
+        """Basis of the product I * omega, where other must be omega.
+
+        For x in S = generating_sequence(G), I * omega = sum_x I (x - 1): a
+        word in S telescopes as x y - 1 = x (y - 1) + (x - 1), I is a right
+        ideal, and G is finite, so words without inverses reach every g.
+        Right multiplication by x sends coordinate h to h x, so
+        I (x - 1) is spanned by the rows of R[:, t[:, x^-1]] - R.
+        """
+        G, n = self.group, self.group.order
+        if not (other.group is G and other.p == self.p and other.dim == n - 1
+                and all(sum(r) % self.p == 0 for r in other.rows)):
+            raise ValueError("multiply needs the augmentation ideal of the same "
+                             "group and p")
+        R = self.matrix()
+        blocks = [R[:, G.mult[:, G.inv[x]]] - R for x in generating_sequence(G)]
+        return IdealBasis(G, self.p, np.vstack(blocks) if blocks else R[:0])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IdealBasis) and self.group is other.group
@@ -140,14 +137,16 @@ def _require_p_group(G: FiniteGroup, p: int):
         raise ValueError(f"{G.name} is not a {p}-group")
 
 
+def _one_minus_g(n: int) -> np.ndarray:
+    """Row g - 1 holds e_0 - e_g, the coefficient vector of 1 - g (0 < g < n)."""
+    vecs = np.zeros((n - 1, n), dtype=np.int64)
+    vecs[:, 0] = 1
+    vecs[np.arange(n - 1), np.arange(1, n)] = -1
+    return vecs
+
+
 def augmentation_ideal(G: FiniteGroup, p: int) -> IdealBasis:
-    rows = []
-    for g in range(1, G.order):
-        row = [0] * G.order
-        row[0] = -1
-        row[g] = (row[g] + 1) % p
-        rows.append([x % p for x in row])
-    return IdealBasis(G, p, rows, check_two_sided=False)
+    return IdealBasis(G, p, _one_minus_g(G.order))
 
 
 def augmentation_ideal_powers(G: FiniteGroup, p: int):
@@ -170,16 +169,11 @@ def jennings_series(G: FiniteGroup, p: int) -> Filtration:
     """The filtration {g : 1 - g in omega^n}; must equal the dimension series."""
     _require_p_group(G, p)
     bases, _, d = augmentation_ideal_powers(G, p)
+    one_minus_g = _one_minus_g(G.order)
     terms = []
     for basis in bases:
-        elems = [0]
-        for g in range(1, G.order):
-            vec = [0] * G.order
-            vec[0] = 1
-            vec[g] = (vec[g] - 1) % p
-            vec[0] %= p
-            if basis.contains_vector(vec):
-                elems.append(g)
+        members = np.flatnonzero(basis.contains_rows(one_minus_g)) + 1
+        elems = [0] + members.tolist()
         terms.append(Subgroup(G, elems))
         if terms[-1].is_trivial():
             break
@@ -211,7 +205,7 @@ def annihilator_omega(G: FiniteGroup, p: int) -> IdealBasis:
         cols.append(m % p)
     big = np.vstack(cols) if cols else np.zeros((0, n), dtype=np.int64)
     ns = _nullspace_mod_p(big, p, n)
-    ann = IdealBasis(G, p, ns, check_two_sided=False)
+    ann = IdealBasis(G, p, ns)
     hat = AlgebraElement.hat(G, p)
     if ann.dim != 1 or not ann.contains(hat):
         raise AssertionError("ann(omega) is not the span of the all-ones element")
@@ -224,7 +218,7 @@ def annihilator_omega(G: FiniteGroup, p: int) -> IdealBasis:
 
 
 def _nullspace_mod_p(m: np.ndarray, p: int, ncols: int) -> list[list[int]]:
-    rows = kernels.rref_mod_p([list(map(int, r)) for r in m], p, ncols=ncols)
+    rows = kernels.rref_mod_p(m, p, ncols=ncols)
     pivots = []
     for r in rows:
         pivots.append(next(j for j, x in enumerate(r) if x))
@@ -424,7 +418,7 @@ def buckley_check(p: int, H: FiniteGroup, n_max: int,
         if n == 0:
             ideal_rows = [[1 if j == i else 0 for j in range(H.order)]
                           for i in range(H.order)]
-            ideal = IdealBasis(H, p, ideal_rows, check_two_sided=False)
+            ideal = IdealBasis(H, p, ideal_rows)
         elif n == 1:
             ideal = omega
         else:

@@ -43,43 +43,62 @@ def _identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+# products are formed in row blocks of about this many matrices at a time
+_BLOCK = 1 << 15
+
+
+def _codes(mats: np.ndarray, mod: int) -> np.ndarray:
+    """Each matrix of a (..., k, k) array with entries in [0, mod) as one
+    integer: its entries, row by row, as the digits base mod."""
+    flat = mats.reshape(mats.shape[:-2] + (-1,))
+    return flat @ (mod ** np.arange(flat.shape[-1] - 1, -1, -1))
+
+
 class MatrixGroup:
-    """A finite matrix group over Z/mod, enumerated lazily (no Cayley table)."""
+    """A finite matrix group over Z/mod as a list of matrices (tuples of
+    rows), identity first; ``mats`` holds them as an (n, k, k) array."""
 
     def __init__(self, elements: Sequence[tuple], mod: int, name: str = "M"):
         self.elements = list(elements)
         self.mod = mod
         self.name = name
-        self.index = {m: i for i, m in enumerate(self.elements)}
         if _identity(len(self.elements[0])) != self.elements[0]:
             raise ValueError("element 0 must be the identity matrix")
+        self.mats = np.array(self.elements, dtype=np.int64)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.index[_mat_mul(self.elements[i], self.elements[j], self.mod)]
-
     def as_finite_group(self, cap: int = 5000) -> tuple[FiniteGroup, list]:
-        n = self.order
+        """The Cayley table, built in row blocks: each product is encoded by
+        ``_codes`` and looked up in a code -> index array."""
+        n, q = self.order, self.mod
         if n > cap:
             raise CapExceeded(f"Cayley table of order {n} exceeds cap {cap}")
+        index = np.full(q ** self.mats[0].size, -1, dtype=np.int32)
+        index[_codes(self.mats, q)] = np.arange(n)
         table = np.empty((n, n), dtype=np.int64)
-        for i, a in enumerate(self.elements):
-            row = [self.index[_mat_mul(a, b, self.mod)] for b in self.elements]
-            table[i] = row
+        step = max(1, _BLOCK // n)
+        for i in range(0, n, step):
+            prods = self.mats[i:i + step, None] @ self.mats % q
+            table[i:i + step] = index[_codes(prods, q)]
+        if (table < 0).any():
+            raise ValueError("the matrices are not closed under multiplication")
         return FiniteGroup(table, name=self.name, validate=False), list(self.elements)
 
 
 def sl2_elements(mod: int) -> list[tuple]:
-    """All of SL(2, Z/mod), identity first, lexicographic on entries after."""
-    out = [_identity(2)]
-    for a, b, c, d in itertools.product(range(mod), repeat=4):
-        if (a * d - b * c) % mod == 1:
-            m = ((a, b), (c, d))
-            if m != out[0]:
-                out.append(m)
+    """All of SL(2, Z/mod), identity first, lexicographic on entries after.
+
+    One (c, d) grid per leading pair (a, b), so no array exceeds mod^2."""
+    c, d = np.divmod(np.arange(mod * mod), mod)
+    ident = _identity(2)
+    out = [ident]
+    for a, b in itertools.product(range(mod), repeat=2):
+        hit = np.flatnonzero((a * d - b * c) % mod == 1)
+        out += [((a, b), (x, y)) for x, y in zip(c[hit].tolist(), d[hit].tolist())
+                if ((a, b), (x, y)) != ident]
     return out
 
 
@@ -112,56 +131,61 @@ def sl2_congruence_tower(p: int, k: int, cap: int = DEFAULT_TOWER_CAP) -> Congru
     full = MatrixGroup(elems, mod, name=f"SL(2,Z/{mod})")
     if len(elems) != p ** (3 * k - 2) * (p * p - 1):
         raise AssertionError("SL(2, Z/p^k) order formula violated")
+    off_identity = full.mats - np.eye(2, dtype=np.int64)
     levels = []
     for i in range(1, k + 1):
-        q = p ** i
-        lvl = [m for m in elems
-               if all((m[r][c] - (1 if r == c else 0)) % q == 0
-                      for r in range(2) for c in range(2))]
-        levels.append(lvl)
+        hit = np.flatnonzero(~(off_identity % p ** i).any(axis=(1, 2)))
+        levels.append([elems[h] for h in hit.tolist()])
     return CongruenceTower(p, k, full, levels)
 
 
 def congruence_layer_check(p: int, k: int, cap: int = DEFAULT_TOWER_CAP) -> dict:
-    """Layer isomorphism types and [G_i, G_j] <= G_{i+j} for the tower mod p^k."""
+    """Layer isomorphism types and [G_i, G_j] <= G_{i+j} for the tower mod p^k.
+
+    Both tests are exhaustive and run on arrays: every commutator
+    a^-1 b^-1 a b = (b a)^-1 (a b) of G_i x G_j, one block of a at a time,
+    is looked up in G_{i+j} by its code.  The elements have det 1, so each
+    inverse is the adjugate, tr(M) I - M for a 2x2 matrix M."""
     tower = sl2_congruence_tower(p, k, cap=cap)
     mod = p ** k
     report = {"p": p, "k": k, "order": tower.full.order,
               "order_formula": tower.order_formula_holds(),
               "layers": [], "commutator_ok": True}
+    levels = [np.array(lvl, dtype=np.int64).reshape(-1, 2, 2) for lvl in tower.levels]
+    eye = np.eye(2, dtype=np.int64)
+    for lvl in levels:
+        det = lvl[:, 0, 0] * lvl[:, 1, 1] - lvl[:, 0, 1] * lvl[:, 1, 0]
+        if (det % mod != 1).any():
+            raise AssertionError("a congruence subgroup element has det != 1")
     for i in range(1, k):
-        gi = tower.levels[i - 1]
-        gi1 = tower.levels[i]
-        count = len(gi) // len(gi1)
+        gi = levels[i - 1]
+        count = len(gi) // len(levels[i])
         # the layer is elementary abelian of order p^3: verify exponent and size
         ok_size = count == p ** 3
-        ok_exp = all(_reduce(_mat_pow(m, p, mod), p ** (i + 1)) == _identity(2)
-                     for m in gi)
+        power = gi
+        for _ in range(p - 1):
+            power = power @ gi % mod
+        ok_exp = not ((power - eye) % p ** (i + 1)).any()
         report["layers"].append({"i": i, "order": count,
                                  "elementary_abelian_p3": ok_size and ok_exp})
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             if i + j > k:
                 continue
-            target = set(tower.levels[i + j - 1])
-            gi, gj = tower.levels[i - 1], tower.levels[j - 1]
-            for a in gi:
-                ai = _mat_inverse2(a, mod)
-                for b in gj:
-                    bi = _mat_inverse2(b, mod)
-                    comm = _mat_mul(_mat_mul(ai, bi, mod), _mat_mul(a, b, mod), mod)
-                    if comm not in target:
-                        report["commutator_ok"] = False
-                        report["commutator_failure"] = {"i": i, "j": j}
-                        return report
+            target = np.zeros(mod ** 4, dtype=bool)
+            target[_codes(levels[i + j - 1], mod)] = True
+            gi, gj = levels[i - 1], levels[j - 1]
+            step = max(1, _BLOCK // max(1, len(gj)))
+            for s in range(0, len(gi), step):
+                a = gi[s:s + step, None]
+                ba = gj @ a % mod
+                ba_inv = np.trace(ba, axis1=2, axis2=3)[..., None, None] * eye - ba
+                comm = ba_inv @ (a @ gj) % mod
+                if not target[_codes(comm, mod)].all():
+                    report["commutator_ok"] = False
+                    report["commutator_failure"] = {"i": i, "j": j}
+                    return report
     return report
-
-
-def _mat_inverse2(m, mod):
-    det = _det2(m, mod)
-    dinv = pow(det, -1, mod)
-    return ((m[1][1] * dinv % mod, -m[0][1] * dinv % mod),
-            (-m[1][0] * dinv % mod, m[0][0] * dinv % mod))
 
 
 def _reduce(m, q):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -632,17 +633,21 @@ class FlagCertificate:
                 if self.space.elem(self._from_flag(img)) != phi(a):
                     raise AssertionError("extension does not restrict to phi")
 
-    def _to_flag(self, vec):
-        # coordinates of vec in the flag basis
+    @cached_property
+    def _flag_rows(self) -> list[tuple[int, list[int]]]:
+        """The rows of reduced [B | I] that have a pivot in the B part, each
+        with that pivot: one reduction per certificate, read by _to_flag."""
         p, d = self.space.p, self.space.dim
-        rows = [list(b) + [0] * d for b in self.basis]
-        for i in range(d):
-            rows[i][d + i] = 1
-        reduced = kernels.rref_mod_p([list(map(int, r)) for r in rows], p, ncols=2 * d)
-        # solve x * basis = vec by elimination
+        rows = [list(b) + [int(i == j) for j in range(d)]
+                for i, b in enumerate(self.basis)]
+        reduced = kernels.rref_mod_p(rows, p, ncols=2 * d)
+        return [(r.index(1), r) for r in reduced if any(r[:d])]
+
+    def _to_flag(self, vec):
+        # coordinates of vec in the flag basis: solve x * basis = vec by elimination
+        p, d = self.space.p, self.space.dim
         target = [int(x) % p for x in vec] + [0] * d
-        for r in reduced:
-            lead = next(j for j, x in enumerate(r[:d]) if x)
+        for lead, r in self._flag_rows:
             c = target[lead]
             if c:
                 target = [(a - c * b) % p for a, b in zip(target, r)]
@@ -725,20 +730,20 @@ def unipotent_flag_extend(V: FiniteGroup, pas: Sequence[PartialAutomorphism],
         cand = min(x for x in term if x not in picked)
         basis_vecs.append(space.vec(cand))
         picked = set(space.subspace_elems(basis_vecs))
-    mats = tuple(_extend_in_flag(space, basis_vecs, phi) for phi in pas)
-    cert = FlagCertificate(space, tuple(basis_vecs), mats)
+    cert = FlagCertificate(space, tuple(basis_vecs), ())
+    cert.matrices = tuple(_extend_in_flag(cert, phi) for phi in pas)
     cert.verify(pas)
     return Decision(YES, certificate=cert)
 
 
-def _extend_in_flag(space: ElabSpace, basis_vecs, phi: PartialAutomorphism):
+def _extend_in_flag(cert: FlagCertificate, phi: PartialAutomorphism):
     """Extend phi to an upper-unitriangular matrix in the adapted basis.
 
     Processes the flag bottom-up: on A it equals phi, new basis directions at
     level j are fixed modulo the previous level.
     """
+    space = cert.space
     p, d = space.p, space.dim
-    cert = FlagCertificate(space, tuple(basis_vecs), ())
     known: dict[tuple, tuple] = {(0,) * d: (0,) * d}    # flag coords -> flag coords
 
     def add_pair(src, dst):

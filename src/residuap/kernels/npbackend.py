@@ -123,25 +123,37 @@ def is_homomorphism(mult_dom, mult_cod, mapping):
 
 
 def rref_mod_p(rows, p, ncols=None):
-    mat = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64)
+    """Reduced row echelon form over F_p; returns the nonzero rows as lists.
+
+    rows is a list of rows or an integer ndarray; every entry is reduced mod
+    p first (Python ints of any size included).  Pivots are sought in the
+    first ncols columns.  Each step eliminates only the rows with a nonzero
+    entry in the pivot column, and the sweep stops once every row holds a
+    pivot.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        mat = (rows % p).astype(np.int64)
+    else:
+        mat = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64)
     if mat.size == 0:
         return []
+    nrows = mat.shape[0]
     m = ncols if ncols is not None else mat.shape[1]
-    pivots = []
     rank = 0
     for col in range(m):
-        piv = None
-        for r in range(rank, mat.shape[0]):
-            if mat[r, col] % p:
-                piv = r
-                break
-        if piv is None:
+        if rank == nrows:
+            break
+        nz = np.flatnonzero(mat[rank:, col])
+        if nz.size == 0:
             continue
-        mat[[rank, piv]] = mat[[piv, rank]]
-        mat[rank] = (mat[rank] * pow(int(mat[rank, col]), -1, p)) % p
-        coef = mat[:, col].copy()
-        coef[rank] = 0
-        mat = (mat - np.outer(coef, mat[rank])) % p
-        pivots.append(col)
+        piv = rank + int(nz[0])
+        if piv != rank:
+            mat[[rank, piv]] = mat[[piv, rank]]
+        row = mat[rank] * pow(int(mat[rank, col]), -1, p) % p
+        mat[rank] = row
+        hit = np.flatnonzero(mat[:, col])
+        hit = hit[hit != rank]
+        if hit.size:
+            mat[hit] = (mat[hit] - np.outer(mat[hit, col], row)) % p
         rank += 1
-    return [[int(x) for x in mat[r]] for r in range(rank)]
+    return mat[:rank].tolist()

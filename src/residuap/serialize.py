@@ -6,10 +6,14 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
+import numpy as np
+
+from . import kernels
 from .certify import Certificate
 from .filtration import Filtration
 from .graphs import Graph, GraphOfGroups, PathWord, path_word
-from .groups import FiniteGroup, Homomorphism, Subgroup, require_prime
+from .groups import (FiniteGroup, Homomorphism, Subgroup, generating_sequence,
+                     require_prime)
 
 
 def group_to_obj(G: FiniteGroup) -> dict:
@@ -55,8 +59,21 @@ def ideal_basis_to_obj(basis) -> dict:
 
 
 def ideal_basis_from_obj(G: FiniteGroup, obj):
+    """An ideal basis, checked to span a two-sided ideal: x r and r x lie in
+    the span for every row r and every x in generating_sequence(G), which
+    suffices because G is finite, so words in those x reach every element."""
     from .algebra import IdealBasis
-    return IdealBasis(G, obj["p"], obj["rows"], check_two_sided=False)
+    if any(len(r) != G.order for r in obj["rows"]):
+        raise ValueError(f"ideal rows must have {G.order} entries")
+    ideal = IdealBasis(G, obj["p"], obj["rows"])
+    R = ideal.matrix()
+    moved = [R]
+    for x in generating_sequence(G):
+        xi = G.inv[x]
+        moved += [R[:, G.mult[xi, :]], R[:, G.mult[:, xi]]]     # x r and r x
+    if len(kernels.rref_mod_p(np.vstack(moved), ideal.p)) != ideal.dim:
+        raise ValueError("row space is not a two-sided ideal")
+    return ideal
 
 
 def filtration_to_obj(F: Filtration) -> dict:

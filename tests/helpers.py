@@ -432,3 +432,101 @@ def checked_wreath(*args, **kwargs) -> algebra.WreathProduct:
     if wp.group.order <= 256:
         kernels.validate_table(wp.group.mult)
     return wp
+
+
+# -- reference ideal products ------------------------------------------------------
+#
+# The general product that algebra.IdealBasis.multiply computed before it
+# used I * omega = sum_x I (x - 1) over a generating sequence: every basis
+# row of I times every basis row of J, with no use of J being omega.  Row r
+# times row s is sum_g r_g (g s), and (g s)[t[g, h]] = s[h]; all rows s are
+# moved at once for each (r, g).
+
+def reference_ideal_multiply(I: algebra.IdealBasis,
+                             J: algebra.IdealBasis) -> algebra.IdealBasis:
+    """The ideal I * J, from all products of basis rows."""
+    t = I.group.mult
+    S = np.array(J.rows, dtype=np.int64).reshape(J.dim, I.group.order)
+    prods = []
+    for r in I.rows:
+        out = np.zeros_like(S)
+        for g in np.flatnonzero(r):
+            out[:, t[g]] += r[g] * S
+        prods.append(out)
+    rows = np.vstack(prods) if prods else S[:0]
+    return algebra.IdealBasis(I.group, I.p, rows)
+
+
+# -- reference 2x2 matrix loops ----------------------------------------------------
+#
+# The loops congruence.py ran before its array form: enumeration over every
+# entry 4-tuple, Cayley tables from one product and one dict lookup per cell,
+# and the layer checks one matrix (or one pair of matrices) at a time.  The
+# products and inverses are written out for 2x2 matrices.
+
+def _ref_mul(x, y, q):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return (((a * e + b * g) % q, (a * f + b * h) % q),
+            ((c * e + d * g) % q, (c * f + d * h) % q))
+
+
+def _ref_inverse(m, q):
+    (a, b), (c, d) = m
+    dinv = pow((a * d - b * c) % q, -1, q)
+    return ((d * dinv % q, -b * dinv % q), (-c * dinv % q, a * dinv % q))
+
+
+def reference_sl2_elements(mod: int) -> list[tuple]:
+    """SL(2, Z/mod), identity first, lexicographic on entries after."""
+    ident = ((1, 0), (0, 1))
+    out = [ident]
+    for a, b, c, d in itertools.product(range(mod), repeat=4):
+        if (a * d - b * c) % mod == 1 and ((a, b), (c, d)) != ident:
+            out.append(((a, b), (c, d)))
+    return out
+
+
+def reference_as_finite_group(elements: Sequence[tuple], mod: int) -> list[list[int]]:
+    """The Cayley table of a list of 2x2 matrices mod `mod`, as lists."""
+    index = {m: i for i, m in enumerate(elements)}
+    return [[index[_ref_mul(a, b, mod)] for b in elements] for a in elements]
+
+
+def reference_layer_check(p: int, k: int) -> dict:
+    """congruence_layer_check, one matrix and one pair at a time, on the
+    tower that congruence.sl2_congruence_tower returns."""
+    from residuap import congruence
+    tower = congruence.sl2_congruence_tower(p, k)
+    mod = p ** k
+    ident = ((1, 0), (0, 1))
+    report = {"p": p, "k": k, "order": tower.full.order,
+              "order_formula": tower.order_formula_holds(),
+              "layers": [], "commutator_ok": True}
+    for i in range(1, k):
+        gi, gi1 = tower.levels[i - 1], tower.levels[i]
+        count = len(gi) // len(gi1)
+        q = p ** (i + 1)
+        ok_exp = True
+        for m in gi:
+            acc = ident
+            for _ in range(p):
+                acc = _ref_mul(acc, m, mod)
+            ok_exp = ok_exp and tuple(tuple(x % q for x in row) for row in acc) == ident
+        report["layers"].append({"i": i, "order": count,
+                                 "elementary_abelian_p3": count == p ** 3 and ok_exp})
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            if i + j > k:
+                continue
+            target = set(tower.levels[i + j - 1])
+            for a in tower.levels[i - 1]:
+                ai = _ref_inverse(a, mod)
+                for b in tower.levels[j - 1]:
+                    comm = _ref_mul(_ref_mul(ai, _ref_inverse(b, mod), mod),
+                                    _ref_mul(a, b, mod), mod)
+                    if comm not in target:
+                        report["commutator_ok"] = False
+                        report["commutator_failure"] = {"i": i, "j": j}
+                        return report
+    return report

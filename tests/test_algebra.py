@@ -191,3 +191,56 @@ def test_jennings_class_formula_catalog():
                 total += n * k
                 n += 1
             assert d == (p - 1) * total
+
+
+OMEGA_SUITE = [(p, G) for p, bound in ((2, 64), (3, 81), (5, 25))
+               for G in catalog.property_suite(p) if G.order <= bound]
+
+
+@pytest.mark.parametrize("p,G", OMEGA_SUITE,
+                         ids=[f"{p}:{G.name}" for p, G in OMEGA_SUITE])
+def test_omega_powers_match_reference_product(p, G):
+    """Every omega^n from the generator gathers has the rows of the general
+    product of all basis rows, on each group and on a relabeling of it."""
+    for H in (G, helpers.relabel(G, 5)):
+        bases, dims, d = augmentation_ideal_powers(H, p)
+        omega = augmentation_ideal(H, p)
+        cur, ref = omega, []
+        while cur.dim > 0:
+            ref.append(cur.rows)
+            cur = helpers.reference_ideal_multiply(cur, omega)
+        assert [b.rows for b in bases] == ref
+        assert dims == [len(r) for r in ref] + [0] and d == len(ref)
+
+
+def test_multiply_requires_omega():
+    D8 = catalog.dihedral(4)
+    omega = augmentation_ideal(D8, 2)
+    square = omega.multiply(omega)
+    assert square == helpers.reference_ideal_multiply(omega, omega)
+    not_omega = [
+        square,                                              # too small
+        augmentation_ideal(helpers.fresh(D8, "D8b"), 2),     # another group
+        augmentation_ideal(D8, 3),                           # another p
+        IdealBasis(D8, 2, [[int(j == g) for j in range(8)]   # dim 7, sums 1
+                           for g in range(1, 8)]),
+    ]
+    for other in not_omega:
+        with pytest.raises(ValueError, match="augmentation ideal"):
+            omega.multiply(other)
+
+
+def test_membership_matches_row_reduction():
+    """contains_rows agrees with a rank test on every 1 - g and every basis
+    vector e_g, for each power of omega of D16 and C3^2."""
+    from residuap import kernels
+    for G, p in ((catalog.dihedral(8), 2), (catalog.elementary_abelian(3, 2), 3)):
+        n = G.order
+        vecs = [[int(j == 0) - int(j == g) for j in range(n)] for g in range(n)]
+        vecs += [[int(j == g) for j in range(n)] for g in range(n)]
+        for basis in augmentation_ideal_powers(G, p)[0]:
+            got = basis.contains_rows(vecs)
+            for v, member in zip(vecs, got):
+                rank = len(kernels.rref_mod_p(list(basis.rows) + [v], p))
+                assert bool(member) == (rank == basis.dim)
+                assert basis.contains_vector(v) == member

@@ -1,5 +1,8 @@
 import pytest
 
+import helpers
+
+from residuap import congruence
 from residuap.congruence import (CongruenceTower, MatrixGroupSpec, TSpec,
                                  congruence_layer_check, matrix_p_filtration,
                                  power_map_injectivity, sl2_congruence_tower,
@@ -120,3 +123,67 @@ def test_image_filtration_is_central_p():
         G_img, filt, elems = image_filtration(spec, p, 3)
         assert G_img.order == p ** 3
         assert filt.is_central_p(p)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_sl2_elements_and_tables_match_reference(p, k):
+    from residuap.congruence import sl2_elements
+    tower = sl2_congruence_tower(p, k)
+    assert sl2_elements(p ** k) == helpers.reference_sl2_elements(p ** k)
+    assert tower.full.elements == helpers.reference_sl2_elements(p ** k)
+    G, elems = tower.full.as_finite_group()
+    assert elems == tower.full.elements
+    assert G.mult.tolist() == helpers.reference_as_finite_group(elems, p ** k)
+
+
+def test_level_group_table_matches_reference():
+    tower = sl2_congruence_tower(3, 3)
+    G1, elems = tower.level_group(1)
+    assert elems == tower.levels[0] and G1.order == 729
+    assert G1.mult.tolist() == helpers.reference_as_finite_group(elems, 27)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (2, 4), (3, 3)])
+def test_layer_check_matches_reference(p, k):
+    rep = congruence_layer_check(p, k)
+    assert rep == helpers.reference_layer_check(p, k)
+    assert rep["commutator_ok"]
+
+
+def _tower_without(level, matrix, monkeypatch):
+    """Make sl2_congruence_tower drop one matrix from G_level."""
+    build = congruence.sl2_congruence_tower
+
+    def broken(p, k, cap=congruence.DEFAULT_TOWER_CAP):
+        tower = build(p, k, cap=cap)
+        tower.levels[level - 1].remove(matrix)
+        return tower
+    monkeypatch.setattr(congruence, "sl2_congruence_tower", broken)
+
+
+# each removed matrix is a commutator of G_1 with G_{level - 1}: for p = 2
+# (in these towers) those commutators meet G_level only in 1 and (1 + p^level) I
+@pytest.mark.parametrize("p,k,level,matrix,failure", [
+    (2, 4, 3, ((9, 0), (0, 9)), (1, 2)),
+    (2, 3, 2, ((5, 0), (0, 5)), (1, 1)),
+    (3, 3, 2, ((19, 18), (18, 10)), (1, 1)),
+])
+def test_layer_check_reports_the_reference_failure(p, k, level, matrix, failure,
+                                                   monkeypatch):
+    _tower_without(level, matrix, monkeypatch)
+    rep = congruence_layer_check(p, k)
+    assert rep == helpers.reference_layer_check(p, k)
+    assert not rep["commutator_ok"]
+    assert rep["commutator_failure"] == {"i": failure[0], "j": failure[1]}
+
+
+def test_layer_check_requires_determinant_one(monkeypatch):
+    build = congruence.sl2_congruence_tower
+
+    def broken(p, k, cap=congruence.DEFAULT_TOWER_CAP):
+        tower = build(p, k, cap=cap)
+        tower.levels[0] = tower.levels[0] + [((3, 0), (0, 1))]
+        return tower
+    monkeypatch.setattr(congruence, "sl2_congruence_tower", broken)
+    with pytest.raises(AssertionError, match="det"):
+        congruence_layer_check(2, 3)

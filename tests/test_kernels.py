@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from residuap import catalog
@@ -49,17 +50,52 @@ def test_homomorphism_check_agrees():
     assert not npbackend.is_homomorphism(C4.mult, C2.mult, bad)
 
 
+def _rref_cases(rng, p):
+    """Small random matrices, tall and wide ones, all-zero rows, and matrices
+    of rank below their width (repeated rows, combinations of rows)."""
+    def rand(r, c):
+        return [[rng.randrange(p) for _ in range(c)] for _ in range(r)]
+    for _ in range(50):
+        yield rand(rng.randrange(1, 6), 5)
+    yield rand(200, 8)
+    yield rand(8, 200)
+    yield rand(3, 9) + [[0] * 9] + rand(2, 9) + [[0] * 9]
+    yield [[0] * 7 for _ in range(4)]
+    base = rand(3, 10)
+    yield [[(a * x + b * y) % p for x, y in zip(base[0], base[1])]
+           for a in range(3) for b in range(3)] + base + base
+    yield [r[:] for r in rand(1, 6) * 5]
+
+
 def test_rref_agrees_and_is_canonical():
     rng = random.Random(3)
-    for p in (2, 3, 5):
-        for _ in range(50):
-            rows = [[rng.randrange(p) for _ in range(5)]
-                    for _ in range(rng.randrange(1, 6))]
+    for p in (2, 3, 5, 7, 4093):
+        for rows in _rref_cases(rng, p):
+            ncols = len(rows[0])
             a = npbackend.rref_mod_p(rows, p)
             b = pybackend.rref_mod_p(rows, p)
             assert a == b
+            assert npbackend.rref_mod_p(rows, p, ncols=ncols) == a
+            assert npbackend.rref_mod_p(np.array(rows, dtype=np.int64), p) == a
+            assert all(type(x) is int for r in a for x in r)
+            # entries outside [0, p): the same classes, shifted by multiples of p
+            shifted = [[x + p * rng.randrange(-3, 3) for x in r] for r in rows]
+            assert npbackend.rref_mod_p(shifted, p) == a
+            assert npbackend.rref_mod_p(np.array(shifted), p) == a
+            huge = [[x + p * (2 ** 64 + rng.randrange(9)) for x in r] for r in rows]
+            assert npbackend.rref_mod_p(huge, p) == a == pybackend.rref_mod_p(huge, p)
             # canonical: re-reducing is a fixed point
-            assert npbackend.rref_mod_p(a, p, ncols=5) == a
+            assert npbackend.rref_mod_p(a, p, ncols=ncols) == a
+
+
+def test_rref_reduces_unsigned_and_empty_input():
+    big = np.array([[2 ** 63 + 5, 1], [2 ** 64 - 1, 0]], dtype=np.uint64)
+    rows = [[int(x) for x in r] for r in big]
+    for p in (2, 3, 7, 4093):
+        assert npbackend.rref_mod_p(big, p) == pybackend.rref_mod_p(rows, p)
+    assert npbackend.rref_mod_p([], 3) == []
+    assert npbackend.rref_mod_p(np.zeros((0, 4), dtype=np.int64), 3) == []
+    assert npbackend.rref_mod_p([[0, 0, 0]], 3) == []
 
 
 def test_validate_rejects_bad_tables():

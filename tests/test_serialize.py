@@ -93,3 +93,29 @@ def test_algebra_serialization_roundtrip():
     back = serialize.ideal_basis_from_obj(
         C4, roundtrip(serialize.ideal_basis_to_obj(omega)))
     assert back.rows == omega.rows
+
+
+def test_ideal_basis_from_obj_rejects_a_non_ideal():
+    from residuap.algebra import augmentation_ideal, augmentation_ideal_powers
+    C4 = catalog.cyclic(4)
+    with pytest.raises(ValueError, match="two-sided ideal"):
+        serialize.ideal_basis_from_obj(C4, {"p": 2, "rows": [[1, 1, 0, 0]]})
+    with pytest.raises(ValueError, match="entries"):
+        serialize.ideal_basis_from_obj(C4, {"p": 2, "rows": [[1, 1, 0]]})
+    # in D8, F_2[D8](1 + x) for the involution x = 1 is a left ideal and not
+    # a right one, and (1 + x)F_2[D8] the other way round
+    D8 = catalog.dihedral(4)
+    one_plus_x = [1, 1, 0, 0, 0, 0, 0, 0]
+    left = [[0] * 8 for _ in range(8)]
+    right = [[0] * 8 for _ in range(8)]
+    for g in range(8):
+        for h in range(8):
+            left[g][D8.mul(g, h)] += one_plus_x[h]
+            right[g][D8.mul(h, g)] += one_plus_x[h]
+    for rows in (left, right):
+        with pytest.raises(ValueError, match="two-sided ideal"):
+            serialize.ideal_basis_from_obj(D8, {"p": 2, "rows": rows})
+    for basis in augmentation_ideal_powers(D8, 2)[0] + [augmentation_ideal(C4, 2)]:
+        back = serialize.ideal_basis_from_obj(
+            basis.group, roundtrip(serialize.ideal_basis_to_obj(basis)))
+        assert back == basis
