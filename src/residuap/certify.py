@@ -476,66 +476,19 @@ def sigma_witness(gog: GraphOfGroups, tree: Optional[frozenset[int]] = None,
 
 def _complete_partial_linear(space: ElabSpace, phi: PartialAutomorphism) -> np.ndarray:
     """Extend a partial isomorphism of an elementary abelian group to a full
-    automorphism: minimal-index echelon complements mapped in order."""
-    from . import kernels
-    p, d = space.p, space.dim
-    a_rows = [list(space.vec(a)) for a in phi.A.elems]
-    b_rows = [list(space.vec(b)) for b in phi.B.elems]
-    a_basis = kernels.rref_mod_p(a_rows, p, ncols=d)
-    # complement of a span: greedy minimal-index unit vectors
-    def complement(rows):
-        have = [list(r) for r in rows]
-        comp = []
-        for j in range(d):
-            unit = [0] * d
-            unit[j] = 1
-            trial = kernels.rref_mod_p(have + comp + [unit], p, ncols=d)
-            if len(trial) > len(have) + len(comp):
-                comp.append(unit)
-        return comp
-    compA = complement(a_basis)
-    b_basis = []
-    for row in a_basis:
-        x = space.elem(row)
-        b_basis.append(list(space.vec(phi(x))))
-    compB = complement(kernels.rref_mod_p(b_rows, p, ncols=d))
-    if len(compA) != len(compB):
-        raise AssertionError("partial automorphism with mismatched corank")
-    src = a_basis + compA
-    dst = b_basis + compB
-    arr = np.empty(space.V.order, dtype=np.int64)
-    # express each element in the src basis, map coefficients to dst
-    for g in range(space.V.order):
-        coeff = _solve_in_basis(space, src, space.vec(g))
-        img = [0] * d
-        for c, row in zip(coeff, dst):
-            for i in range(d):
-                img[i] = (img[i] + c * row[i]) % p
-        arr[g] = space.elem(img)
-    if len(set(int(x) for x in arr)) != space.V.order:
+    automorphism that sends the least-index unit completion of A to that of
+    B, in order."""
+    coords = space.coords
+    comp_b = space.unit_completion(coords[list(phi.B.elems)])
+    M = space.linear_extension(coords[list(phi.A.elems)],
+                               coords[[phi(a) for a in phi.A.elems]],
+                               np.eye(space.dim, dtype=np.int64)[comp_b])
+    arr = space.perm(M)
+    if len(np.unique(arr)) != space.V.order:
         raise AssertionError("completion is not bijective")
-    for a in phi.A.elems:
-        if int(arr[a]) != phi(a):
-            raise AssertionError("completion does not extend phi")
+    if any(int(arr[a]) != phi(a) for a in phi.A.elems):
+        raise AssertionError("completion does not extend phi")
     return arr
-
-
-def _solve_in_basis(space: ElabSpace, basis_rows, vec):
-    from . import kernels
-    p, d = space.p, space.dim
-    k = len(basis_rows)
-    aug = [list(row) + [int(i == j) for j in range(k)]
-           for i, row in enumerate(basis_rows)]
-    red = kernels.rref_mod_p(aug, p, ncols=d + k)
-    target = list(vec) + [0] * k
-    for r in red:
-        lead = next(j for j, x in enumerate(r[:d]) if x)
-        c = target[lead]
-        if c:
-            target = [(a - c * b) % p for a, b in zip(target, r)]
-    if any(target[:d]):
-        raise AssertionError("vector outside the basis span")
-    return [(-x) % p for x in target[d:]]
 
 
 def _verify_sigma_witness(wit: SigmaWitness) -> None:

@@ -407,10 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULTS = {"json": False, "cap_wreath": 4096}
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     for key, value in _DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)

@@ -401,11 +401,10 @@ def matrix_p_filtration(spec: MatrixGroupSpec, p: int, k_max: int,
         tReport = {"index": t_index, "per_k": []}
         tw = tspec.words
         t_mats = [_eval_word_int(spec.generators, w) for w in tw]
-        # T must be abelian and unipotent
-        n = spec.dim
+        # T must be abelian (exactly, over Z) and unipotent
         for a in t_mats:
             for b in t_mats:
-                if _mat_mul(a, b, 10 ** 9) != _mat_mul(b, a, 10 ** 9):
+                if _eval_word_int((a, b), (1, 2)) != _eval_word_int((a, b), (2, 1)):
                     raise ValueError("T generators do not commute")
         for a in t_mats:
             if not _is_unipotent_int(a):

@@ -528,51 +528,112 @@ def feasible_witness(am: Amalgam, witness, p: int, cap: int = DEFAULT_HIGMAN_CAP
 # -- elementary abelian coordinates and flags --------------------------------------
 
 class ElabSpace:
-    """Coordinates on an elementary abelian p-group: indices <-> F_p^d vectors."""
+    """Coordinates on an elementary abelian p-group: indices <-> F_p^d vectors.
+
+    The basis is chosen greedily, each time the least index not yet spanned.
+    ``coords[g]`` is the coordinate row of g, and ``index[code]`` the element
+    whose row has the base-p code sum_i c_i p^i.  Linear maps act on rows:
+    ``perm(M)`` is v -> vM.
+    """
 
     def __init__(self, V: FiniteGroup):
         p = V.prime()
         if p is None and V.order > 1:
             raise ValueError("not a p-group")
         self.V = V
-        self.p = p if p is not None else 2
-        if any(V.element_orders()[x] not in (1, self.p) for x in range(V.order)) \
+        self.p = p = p if p is not None else 2
+        if any(V.element_orders()[x] not in (1, p) for x in range(V.order)) \
                 or not V.is_abelian:
             raise ValueError("not elementary abelian")
         basis = []
-        span = {0}
-        coords = {0: ()}
+        span = np.zeros(1, dtype=np.int64)      # spanned elements, row by row
+        rows = np.zeros((1, 0), dtype=np.int64)
         while len(span) < V.order:
-            x = min(y for y in range(V.order) if y not in span)
+            spanned = np.zeros(V.order, dtype=bool)
+            spanned[span] = True
+            x = int(np.argmin(spanned))
             basis.append(x)
-            new = {}
-            for g, c in coords.items():
-                acc = g
-                for e in range(self.p):
-                    new[acc] = c + (e,)
-                    acc = V.mul(acc, x)
-            coords = new
-            span = set(coords)
-        d = len(basis)
+            layers = [span]
+            for _ in range(1, p):
+                layers.append(V.mult[layers[-1], x])
+            span = np.concatenate(layers)
+            rows = np.vstack([np.column_stack([rows, np.full(len(rows), e)])
+                              for e in range(p)])
         self.basis = basis
-        self.dim = d
-        self.coords = {g: tuple(c) + (0,) * (d - len(c)) for g, c in coords.items()}
-        self.by_coord = {c: g for g, c in self.coords.items()}
+        self.dim = d = len(basis)
+        self.coords = np.zeros((V.order, d), dtype=np.int64)
+        self.coords[span] = rows
+        self._weights = p ** np.arange(d, dtype=np.int64)
+        self.index = np.zeros(V.order, dtype=np.int64)
+        self.index[rows @ self._weights] = span
 
     def vec(self, g: int) -> tuple[int, ...]:
-        return self.coords[g]
+        return tuple(self.coords[g].tolist())
 
     def elem(self, vec: Sequence[int]) -> int:
-        return self.by_coord[tuple(int(x) % self.p for x in vec)]
+        if len(vec) != self.dim:
+            raise KeyError(tuple(vec))
+        return int(self.index[sum(int(x) % self.p * int(w)
+                                  for x, w in zip(vec, self._weights))])
 
     def subspace_elems(self, vectors) -> list[int]:
-        """All elements in the span of the given coordinate vectors."""
-        span = {(0,) * self.dim}
-        for v in vectors:
-            v = tuple(int(x) % self.p for x in v)
-            span = {tuple((a + c * b) % self.p for a, b in zip(s, v))
-                    for s in span for c in range(self.p)}
-        return sorted(self.by_coord[s] for s in span)
+        """All elements in the span of at most d coordinate vectors."""
+        p, k = self.p, len(vectors)
+        if k > self.dim:
+            raise ValueError("more vectors than the dimension")
+        rows = np.array([[int(x) % p for x in v] for v in vectors],
+                        dtype=np.int64).reshape(k, self.dim)
+        coeffs = np.indices((p,) * k).reshape(k, p ** k).T     # all of F_p^k
+        return np.unique(self.index[coeffs @ rows % p @ self._weights]).tolist()
+
+    def perm(self, M) -> np.ndarray:
+        """The linear map v -> vM as a permutation of V's element indices."""
+        M = np.asarray(M, dtype=np.int64).reshape(self.dim, self.dim)
+        return self.index[self.coords @ M % self.p @ self._weights]
+
+    def inverse(self, B) -> np.ndarray:
+        """B^-1 over F_p for an invertible d x d matrix: one reduction of [B | I]."""
+        d = self.dim
+        aug = np.hstack([np.asarray(B, dtype=np.int64).reshape(d, d),
+                         np.eye(d, dtype=np.int64)])
+        red = kernels.rref_mod_p(aug, self.p, ncols=d)
+        if len(red) < d:
+            raise AssertionError("singular basis matrix")
+        return np.array(red, dtype=np.int64).reshape(d, 2 * d)[:, d:]
+
+    def unit_completion(self, rows) -> list[int]:
+        """The least-index greedy completion of the span of rows: e_j is taken
+        when it lies outside the span of the rows and of the e_i taken before.
+
+        That happens exactly when no vector of the span has its last nonzero
+        coordinate at j, so one reduction of the rows with their columns
+        reversed finds them all."""
+        d = self.dim
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), d)
+        red = kernels.rref_mod_p(rows[:, ::-1], self.p)
+        last = {d - 1 - r.index(1) for r in red}
+        return [j for j in range(d) if j not in last]
+
+    def linear_extension(self, src, dst, fill=None) -> np.ndarray:
+        """The d x d matrix M with sM = t for the row pairs (s, t) of src and
+        dst, sending the unit completion of src's span to the rows of fill
+        (by default each e_j to itself).
+
+        [src | dst] is reduced once; a reduced row with zero src part means
+        the pairs do not come from a linear map."""
+        p, d = self.p, self.dim
+        pairs = np.hstack([np.asarray(src, dtype=np.int64).reshape(len(src), d),
+                           np.asarray(dst, dtype=np.int64).reshape(len(dst), d)])
+        red = kernels.rref_mod_p(pairs, p)
+        red = np.array(red, dtype=np.int64).reshape(len(red), 2 * d)
+        if not red[:, :d].any(axis=1).all():
+            raise AssertionError("inconsistent linear extension")
+        unit = np.eye(d, dtype=np.int64)[self.unit_completion(red[:, :d])]
+        fill = unit if fill is None else np.asarray(fill, dtype=np.int64)
+        if len(fill) != len(unit):
+            raise AssertionError("partial automorphism with mismatched corank")
+        S, T = np.vstack([red[:, :d], unit]), np.vstack([red[:, d:], fill])
+        return self.inverse(S) @ T % p
 
 
 @dataclass
@@ -611,57 +672,38 @@ class PartialAutomorphism:
 @dataclass
 class FlagCertificate:
     """An adapted basis v_1..v_d (ascending flag = spans of prefixes) together
-    with upper-unitriangular extensions of the partial automorphisms."""
+    with upper-unitriangular extensions of the partial automorphisms.
+
+    Flag coordinates of v are vB^-1 for the basis matrix B; each matrix sends
+    the flag coordinate column c to (matrix) c."""
     space: ElabSpace
     basis: tuple[tuple[int, ...], ...]
     matrices: tuple             # one unitriangular matrix per partial automorphism
 
     def verify(self, pas: Sequence[PartialAutomorphism]) -> None:
         p, d = self.space.p, self.space.dim
-        for mat, phi in zip(self.matrices, pas):
-            for i in range(d):
-                for j in range(d):
-                    if i == j and mat[i][j] % p != 1:
-                        raise AssertionError("diagonal entry not 1")
-                    if i > j and mat[i][j] % p != 0:
-                        raise AssertionError("matrix not upper unitriangular")
-            # restriction to A equals phi (in flag coordinates)
-            for a in phi.A.elems:
-                va = self._to_flag(self.space.vec(a))
-                img = tuple(sum(mat[i][j] * va[j] for j in range(d)) % p
-                            for i in range(d))
-                if self.space.elem(self._from_flag(img)) != phi(a):
-                    raise AssertionError("extension does not restrict to phi")
+        for mat, perm, phi in zip(self.matrices, self.perms(), pas):
+            mat = np.asarray(mat, dtype=np.int64).reshape(d, d) % p
+            if (np.diag(mat) != 1).any():
+                raise AssertionError("diagonal entry not 1")
+            if np.tril(mat, -1).any():
+                raise AssertionError("matrix not upper unitriangular")
+            if any(int(perm[a]) != phi(a) for a in phi.A.elems):
+                raise AssertionError("extension does not restrict to phi")
 
     @cached_property
-    def _flag_rows(self) -> list[tuple[int, list[int]]]:
-        """The rows of reduced [B | I] that have a pivot in the B part, each
-        with that pivot: one reduction per certificate, read by _to_flag."""
-        p, d = self.space.p, self.space.dim
-        rows = [list(b) + [int(i == j) for j in range(d)]
-                for i, b in enumerate(self.basis)]
-        reduced = kernels.rref_mod_p(rows, p, ncols=2 * d)
-        return [(r.index(1), r) for r in reduced if any(r[:d])]
+    def basis_inverse(self) -> np.ndarray:
+        """B^-1, computed once per certificate."""
+        return self.space.inverse(self.basis)
 
-    def _to_flag(self, vec):
-        # coordinates of vec in the flag basis: solve x * basis = vec by elimination
-        p, d = self.space.p, self.space.dim
-        target = [int(x) % p for x in vec] + [0] * d
-        for lead, r in self._flag_rows:
-            c = target[lead]
-            if c:
-                target = [(a - c * b) % p for a, b in zip(target, r)]
-        if any(target[:d]):
-            raise AssertionError("vector outside the span of the basis")
-        return tuple((-x) % p for x in target[d:])
-
-    def _from_flag(self, coeffs):
-        p, d = self.space.p, self.space.dim
-        out = [0] * d
-        for c, b in zip(coeffs, self.basis):
-            for i in range(d):
-                out[i] = (out[i] + c * b[i]) % p
-        return tuple(out)
+    def perms(self) -> list[np.ndarray]:
+        """Each matrix as a permutation of V's element indices: in coordinate
+        rows it is v -> v B^-1 (matrix)^T B."""
+        d = self.space.dim
+        B = np.asarray(self.basis, dtype=np.int64).reshape(d, d)
+        return [self.space.perm(self.basis_inverse @ np.asarray(
+                    mat, dtype=np.int64).reshape(d, d).T @ B)
+                for mat in self.matrices]
 
 
 def _all_subspaces(space: ElabSpace) -> dict[int, list[tuple[int, ...]]]:
@@ -739,41 +781,14 @@ def unipotent_flag_extend(V: FiniteGroup, pas: Sequence[PartialAutomorphism],
 def _extend_in_flag(cert: FlagCertificate, phi: PartialAutomorphism):
     """Extend phi to an upper-unitriangular matrix in the adapted basis.
 
-    Processes the flag bottom-up: on A it equals phi, new basis directions at
-    level j are fixed modulo the previous level.
+    In flag coordinates the extension equals phi on A and fixes the
+    least-index unit directions that complete A; the matrix holds the image
+    of e_j in its column j.
     """
-    space = cert.space
-    p, d = space.p, space.dim
-    known: dict[tuple, tuple] = {(0,) * d: (0,) * d}    # flag coords -> flag coords
-
-    def add_pair(src, dst):
-        items = list(known.items())
-        for s0, d0 in items:
-            cs, cd = s0, d0
-            for _ in range(1, p):
-                cs = tuple((a + b) % p for a, b in zip(cs, src))
-                cd = tuple((a + b) % p for a, b in zip(cd, dst))
-                if cs in known:
-                    if known[cs] != cd:
-                        raise AssertionError("inconsistent linear extension")
-                else:
-                    known[cs] = cd
-
-    for a in phi.A.elems:
-        add_pair(cert._to_flag(space.vec(a)), cert._to_flag(space.vec(phi(a))))
-    for j in range(d):
-        e_j = tuple(int(i == j) for i in range(d))
-        if e_j in known:
-            continue
-        # choose the image e_j (trivial layer action is automatic for this choice)
-        add_pair(e_j, e_j)
-    mat = [[0] * d for _ in range(d)]
-    for j in range(d):
-        e_j = tuple(int(i == j) for i in range(d))
-        col = known[e_j]
-        for i in range(d):
-            mat[i][j] = col[i]
-    return tuple(tuple(row) for row in mat)
+    coords, inv = cert.space.coords, cert.basis_inverse
+    M = cert.space.linear_extension(coords[list(phi.A.elems)] @ inv,
+                                    coords[[phi(a) for a in phi.A.elems]] @ inv)
+    return tuple(tuple(row) for row in M.T.tolist())
 
 
 # -- inner extensions ----------------------------------------------------------------
@@ -797,21 +812,6 @@ class InnerExtension:
                     raise AssertionError("conjugator does not realize phi")
 
 
-def _flag_matrices_to_perms(space: ElabSpace, cert: FlagCertificate) -> list[np.ndarray]:
-    """Each unitriangular matrix as a permutation of V's element indices."""
-    p, d = space.p, space.dim
-    perms = []
-    for mat in cert.matrices:
-        arr = np.empty(space.V.order, dtype=np.int64)
-        for g in range(space.V.order):
-            c = cert._to_flag(space.vec(g))
-            img = tuple(sum(mat[i][j] * c[j] for j in range(d)) % p
-                        for i in range(d))
-            arr[g] = space.elem(cert._from_flag(img))
-        perms.append(arr)
-    return perms
-
-
 def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
                     aut_cap: int = 64, size_cap: int = DEFAULT_HIGMAN_CAP) -> Decision:
     """A p-group Hp >= G in which every phi_i becomes inner, or a proof of
@@ -833,7 +833,7 @@ def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
         dec.certificate.verify(G, pas, p)
         return dec
     try:
-        space = ElabSpace(G)
+        ElabSpace(G)
         elab = True
     except ValueError:
         elab = False
@@ -843,9 +843,7 @@ def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
             return Decision(NO, reason=flag.reason)
         if flag.status == UNKNOWN:
             return flag
-        cert: FlagCertificate = flag.certificate
-        perms = _flag_matrices_to_perms(space, cert)
-        return _realize_semidirect(G, pas, perms, p, size_cap)
+        return _realize_semidirect(G, pas, flag.certificate.perms(), p, size_cap)
     # general p-group: chief filtrations satisfying the invariance criterion
     witness = None
     for ser in chief_series(G):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import kernels
 from .groups import (FiniteGroup, Homomorphism, Subgroup, commutator_subgroup,
                      full_subgroup, intersect, normal_closure, power_subgroup,
@@ -449,19 +451,23 @@ def _induced_power_map(G: FiniteGroup, dom: Subgroup, e: int,
     top, to_parent, from_parent = mid.as_group()
     low_local = Subgroup(top, [from_parent[g] for g in low.elems], check=False)
     Q, proj = quotient(top, low_local)
-    images = {}
+    images = np.zeros(G.order, dtype=np.int64)
     for x in dom.elems:
         px = G.power(x, e)
         if px not in mid:
             return False, None, False
         images[x] = proj(from_parent[px])
-    t = G.mult
-    for a in dom.elems:
-        for b in dom.elems:
-            if images[int(t[a, b])] != Q.mul(images[a], images[b]):
-                return False, None, False
-    kernel = tuple(sorted(x for x in dom.elems if images[x] == 0))
-    surjective = len(set(images.values())) == Q.order
+    # morphism: images[ab] = images[a] images[b], compared in row blocks of
+    # about 2^20 pairs (one block up to |dom| = 1024)
+    d = np.asarray(dom.elems, dtype=np.int64)
+    step = max(1, (1 << 20) // len(d))
+    for i in range(0, len(d), step):
+        rows = d[i:i + step]
+        if not np.array_equal(images[G.mult[np.ix_(rows, d)]],
+                              Q.mult[np.ix_(images[rows], images[d])]):
+            return False, None, False
+    kernel = tuple(int(x) for x in d[images[d] == 0])
+    surjective = len(np.unique(images[d])) == Q.order
     return True, kernel, surjective
 
 

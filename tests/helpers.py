@@ -530,3 +530,268 @@ def reference_layer_check(p: int, k: int) -> dict:
                         report["commutator_failure"] = {"i": i, "j": j}
                         return report
     return report
+
+
+# -- seeded partial automorphisms of F_p^d ------------------------------------------
+
+# the shapes the differential tests of the flag search and completions cover
+ELAB_SHAPES = ([(2, d) for d in range(6)] + [(3, d) for d in range(4)]
+               + [(5, 1), (5, 2)])
+
+
+def elab_group(p: int, d: int) -> FiniteGroup:
+    return catalog.elementary_abelian(p, d) if d else catalog.cyclic(1)
+
+
+def random_partial_automorphism(V, sp, rng, s):
+    """The linear map between two random s-dimensional subspaces that sends
+    one random basis to the other."""
+    def frame():
+        vecs = []
+        while len(vecs) < s:
+            span = set(sp.subspace_elems(vecs))
+            vecs.append(sp.vec(rng.choice(
+                [g for g in range(V.order) if g not in span])))
+        return vecs
+
+    def combine(coeffs, vecs):
+        return sp.elem([sum(c * v[i] for c, v in zip(coeffs, vecs))
+                        for i in range(sp.dim)])
+
+    src, dst = frame(), frame()
+    mapping = {combine(c, src): combine(c, dst)
+               for c in itertools.product(range(sp.p), repeat=s)}
+    return embed.PartialAutomorphism(V, Subgroup(V, sorted(mapping)),
+                                     Subgroup(V, sorted(mapping.values())), mapping)
+
+
+def seeded_partial_automorphisms(V, sp, rng):
+    """Lists of one and of two random partial automorphisms, for every
+    dimension s of their domains."""
+    return [[random_partial_automorphism(V, sp, rng, s) for _ in range(n)]
+            for s in range(sp.dim + 1) for n in (1, 1, 2)]
+
+
+# -- reference F_p coordinates, flags and completions ------------------------------
+#
+# The routines embed.py and certify.py ran before one coordinate layer
+# (ElabSpace.perm, inverse, unit_completion, linear_extension) replaced them:
+# coordinates as dicts, flag coordinates by elimination against reduced
+# [B | I] per vector, the flag extension by enumerating the whole span of the
+# known pairs, greedy completions by one reduction per unit vector, and
+# permutations by one solve per element.  The differential tests require the
+# new code to give the same coordinates, decisions, bases, matrices and
+# permutations.
+
+class ReferenceElabSpace:
+    """Coordinates on an elementary abelian group, built with dicts."""
+
+    def __init__(self, V: FiniteGroup):
+        self.V = V
+        self.p = V.prime() or 2
+        basis = []
+        span = {0}
+        coords = {0: ()}
+        while len(span) < V.order:
+            x = min(y for y in range(V.order) if y not in span)
+            basis.append(x)
+            new = {}
+            for g, c in coords.items():
+                acc = g
+                for e in range(self.p):
+                    new[acc] = c + (e,)
+                    acc = V.mul(acc, x)
+            coords = new
+            span = set(coords)
+        self.basis = basis
+        self.dim = d = len(basis)
+        self.coords = {g: tuple(c) + (0,) * (d - len(c)) for g, c in coords.items()}
+        self.by_coord = {c: g for g, c in self.coords.items()}
+
+    def vec(self, g: int) -> tuple[int, ...]:
+        return self.coords[g]
+
+    def elem(self, vec) -> int:
+        return self.by_coord[tuple(int(x) % self.p for x in vec)]
+
+    def subspace_elems(self, vectors) -> list[int]:
+        span = {(0,) * self.dim}
+        for v in vectors:
+            v = tuple(int(x) % self.p for x in v)
+            span = {tuple((a + c * b) % self.p for a, b in zip(s, v))
+                    for s in span for c in range(self.p)}
+        return sorted(self.by_coord[s] for s in span)
+
+
+def _reference_to_flag(space, basis, vec):
+    p, d = space.p, space.dim
+    rows = [list(b) + [int(i == j) for j in range(d)] for i, b in enumerate(basis)]
+    reduced = [(r.index(1), r) for r in kernels.pybackend.rref_mod_p(rows, p)
+               if any(r[:d])]
+    target = [int(x) % p for x in vec] + [0] * d
+    for lead, r in reduced:
+        c = target[lead]
+        if c:
+            target = [(a - c * b) % p for a, b in zip(target, r)]
+    if any(target[:d]):
+        raise AssertionError("vector outside the span of the basis")
+    return tuple((-x) % p for x in target[d:])
+
+
+def _reference_from_flag(space, basis, coeffs):
+    p, d = space.p, space.dim
+    out = [0] * d
+    for c, b in zip(coeffs, basis):
+        for i in range(d):
+            out[i] = (out[i] + c * b[i]) % p
+    return tuple(out)
+
+
+def reference_extend_in_flag(space, basis, phi) -> tuple:
+    """The unitriangular matrix of phi in the adapted basis, from the span of
+    the known pairs in flag coordinates."""
+    p, d = space.p, space.dim
+    known = {(0,) * d: (0,) * d}
+
+    def add_pair(src, dst):
+        for s0, d0 in list(known.items()):
+            cs, cd = s0, d0
+            for _ in range(1, p):
+                cs = tuple((a + b) % p for a, b in zip(cs, src))
+                cd = tuple((a + b) % p for a, b in zip(cd, dst))
+                if cs in known:
+                    if known[cs] != cd:
+                        raise AssertionError("inconsistent linear extension")
+                else:
+                    known[cs] = cd
+
+    for a in phi.A.elems:
+        add_pair(_reference_to_flag(space, basis, space.vec(a)),
+                 _reference_to_flag(space, basis, space.vec(phi(a))))
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    for e_j in units:
+        if e_j not in known:
+            add_pair(e_j, e_j)
+    return tuple(tuple(known[units[j]][i] for j in range(d)) for i in range(d))
+
+
+def reference_flag_extend(V: FiniteGroup, pas) -> tuple:
+    """(status, reason, basis, matrices) of the flag search, on dict
+    coordinates; basis and matrices are None unless the status is yes."""
+    from residuap.results import NO, YES
+    space = ReferenceElabSpace(V)
+    d = space.dim
+    by_dim = embed._all_subspaces(space)
+    found = None
+
+    def descend(chain):
+        nonlocal found
+        if found is not None:
+            return
+        if len(chain[-1]) == 1:
+            found = list(chain)
+            return
+        cur_set = set(chain[-1])
+        for nxt in by_dim[d - len(chain)]:
+            if found is not None:
+                return
+            nxt_set = set(nxt)
+            if nxt_set <= cur_set and all(phi.preserves(cur_set, nxt_set)
+                                          for phi in pas):
+                descend(chain + [nxt])
+
+    descend([tuple(range(V.order))])
+    if found is None:
+        return NO, "no invariant flag with trivial layer action", None, None
+    basis = []
+    picked = {0}
+    for term in reversed(found[:-1]):
+        basis.append(space.vec(min(x for x in term if x not in picked)))
+        picked = set(space.subspace_elems(basis))
+    basis = tuple(basis)
+    return YES, "", basis, tuple(reference_extend_in_flag(space, basis, phi)
+                                   for phi in pas)
+
+
+def reference_flag_perms(space, basis, matrices) -> list[np.ndarray]:
+    """Each flag matrix as a permutation, one element at a time."""
+    p, d = space.p, space.dim
+    perms = []
+    for mat in matrices:
+        arr = np.empty(space.V.order, dtype=np.int64)
+        for g in range(space.V.order):
+            c = _reference_to_flag(space, basis, space.vec(g))
+            img = tuple(sum(mat[i][j] * c[j] for j in range(d)) % p for i in range(d))
+            arr[g] = space.elem(_reference_from_flag(space, basis, img))
+        perms.append(arr)
+    return perms
+
+
+def _reference_solve_in_basis(space, basis_rows, vec):
+    p, d = space.p, space.dim
+    k = len(basis_rows)
+    aug = [list(row) + [int(i == j) for j in range(k)]
+           for i, row in enumerate(basis_rows)]
+    target = list(vec) + [0] * k
+    for r in kernels.pybackend.rref_mod_p(aug, p, ncols=d + k):
+        lead = next(j for j, x in enumerate(r[:d]) if x)
+        c = target[lead]
+        if c:
+            target = [(a - c * b) % p for a, b in zip(target, r)]
+    if any(target[:d]):
+        raise AssertionError("vector outside the basis span")
+    return [(-x) % p for x in target[d:]]
+
+
+def reference_complete_partial_linear(space, phi) -> np.ndarray:
+    """A's reduced basis and greedy unit complement sent to phi of that basis
+    and B's greedy unit complement, then one solve per element."""
+    rref = kernels.pybackend.rref_mod_p
+    p, d = space.p, space.dim
+
+    def complement(rows):
+        comp = []
+        for j in range(d):
+            unit = [int(i == j) for i in range(d)]
+            if len(rref(rows + comp + [unit], p, ncols=d)) > len(rows) + len(comp):
+                comp.append(unit)
+        return comp
+
+    a_basis = rref([list(space.vec(a)) for a in phi.A.elems], p, ncols=d)
+    b_basis = [list(space.vec(phi(space.elem(row)))) for row in a_basis]
+    src = a_basis + complement(a_basis)
+    dst = b_basis + complement(rref([list(space.vec(b)) for b in phi.B.elems],
+                                    p, ncols=d))
+    arr = np.empty(space.V.order, dtype=np.int64)
+    for g in range(space.V.order):
+        coeff = _reference_solve_in_basis(space, src, space.vec(g))
+        arr[g] = space.elem([sum(c * row[i] for c, row in zip(coeff, dst)) % p
+                             for i in range(d)])
+    return arr
+
+
+# -- reference power-map classification --------------------------------------------
+#
+# filtration._induced_power_map as it checked the morphism property before its
+# array comparison: one FiniteGroup.mul per pair of domain elements.
+
+def reference_induced_power_map(G: FiniteGroup, dom: Subgroup, e: int,
+                                mid: Subgroup, low: Subgroup):
+    from residuap.groups import quotient
+    top, to_parent, from_parent = mid.as_group()
+    low_local = Subgroup(top, [from_parent[g] for g in low.elems], check=False)
+    Q, proj = quotient(top, low_local)
+    images = {}
+    for x in dom.elems:
+        px = G.power(x, e)
+        if px not in mid:
+            return False, None, False
+        images[x] = proj(from_parent[px])
+    t = G.mult
+    for a in dom.elems:
+        for b in dom.elems:
+            if images[int(t[a, b])] != Q.mul(images[a], images[b]):
+                return False, None, False
+    kernel = tuple(sorted(x for x in dom.elems if images[x] == 0))
+    surjective = len(set(images.values())) == Q.order
+    return True, kernel, surjective

@@ -3,11 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (axis_swap_loop, c4_star_c4, chain, d8_center_hnn, fresh,
-                     free_product, shift_loop, swap_loop, theta_graph)
+from helpers import (ELAB_SHAPES, ReferenceElabSpace, axis_swap_loop,
+                     c4_star_c4, chain, d8_center_hnn, elab_group, fresh,
+                     free_product, reference_complete_partial_linear, relabel,
+                     seeded_partial_automorphisms, shift_loop, swap_loop,
+                     theta_graph)
 
 from residuap import catalog
-from residuap.certify import (Certificate, certify_residually_p,
+from residuap.certify import (Certificate, _complete_partial_linear,
+                              certify_residually_p,
                               colimit_factor, colimit_sigma,
                               homology_fiber_sum_check, mu_of_unfolded_path,
                               partial_abelianization, reduction_certify,
@@ -163,6 +167,17 @@ def test_sigma_witness_pipeline():
                         Homomorphism(C2, V, [0, 1])])
     wit = sigma_witness(tg)
     assert wit.aut_group.order == 1
+
+
+@pytest.mark.parametrize("p,d", ELAB_SHAPES)
+def test_complete_partial_linear_matches_reference(p, d):
+    V = elab_group(p, d)
+    for G in (V, relabel(V, 10 * p + d)):
+        space, ref = ElabSpace(G), ReferenceElabSpace(G)
+        for pas in seeded_partial_automorphisms(G, space, random.Random(3 * p + d)):
+            for phi in pas:
+                want = reference_complete_partial_linear(ref, phi)
+                assert _complete_partial_linear(space, phi).tolist() == want.tolist()
 
 
 def test_sigma_witness_evaluates_kernel_words():

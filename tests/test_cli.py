@@ -8,7 +8,7 @@ import pytest
 from helpers import c4_star_c4, shift_loop, swap_loop, theta_graph
 
 import residuap
-from residuap import catalog, serialize
+from residuap import catalog, cli, serialize
 from residuap.cli import main
 from residuap.embed import ElabSpace
 from residuap.groups import Homomorphism
@@ -137,6 +137,25 @@ def test_malformed_input_exits_1(capsys, tmp_path):
     assert main(["gog", "certify", "--file", str(f), "--p", "3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_main_reuses_one_parser(monkeypatch):
+    def refuse():
+        raise AssertionError("the parser is built again")
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["group", "--group", "catalog:C4"]) == 0
+
+
+def test_matrixfilt_rejects_noncommuting_t(capsys, tmp_path):
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps({"generators": [[[1, 10 ** 9], [0, 1]], [[1, 0], [1, 1]]],
+                             "ngens": 2, "relators": [], "subgroups": [[[1], [2]]]}))
+    capsys.readouterr()
+    assert main(["congruence", "matrixfilt", "--file", str(f), "--p", "2",
+                 "--kmax", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "do not commute" in err
 
 
 def run_process(*argv):

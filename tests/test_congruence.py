@@ -85,6 +85,15 @@ def test_matrix_p_filtration_two_generators():
                for lvl in rep["levels"])
 
 
+def test_matrix_p_filtration_checks_commutation_exactly():
+    # ab and ba agree modulo 10^9 but not over Z
+    a, b = ((1, 10 ** 9), (0, 1)), ((1, 0), (1, 1))
+    spec = MatrixGroupSpec(generators=(a, b), presentation=Presentation(2, ()),
+                           subgroups=(TSpec(((1,), (2,))),))
+    with pytest.raises(ValueError, match="do not commute"):
+        matrix_p_filtration(spec, 2, 2)
+
+
 def test_matrix_spec_validation():
     with pytest.raises(ValueError):
         MatrixGroupSpec(generators=(((2, 0), (0, 1)),),

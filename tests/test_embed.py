@@ -4,8 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (c4_amalgam, chain, fresh, reference_all_subspaces,
-                     reference_amalgam_scan, reference_chief_trace, relabel)
+from helpers import (ELAB_SHAPES, ReferenceElabSpace, c4_amalgam, chain,
+                     elab_group, fresh, reference_all_subspaces,
+                     reference_amalgam_scan, reference_chief_trace,
+                     reference_flag_extend, reference_flag_perms,
+                     random_partial_automorphism, seeded_partial_automorphisms,
+                     relabel)
 
 from residuap import catalog, embed
 from residuap.embed import (Amalgam, ElabSpace, FlagCertificate,
@@ -292,10 +296,6 @@ def test_certificate_transport_functoriality():
 
 # -- candidate subspaces of the flag search ---------------------------------------------
 
-def _elab(p, d):
-    return catalog.elementary_abelian(p, d) if d else catalog.cyclic(1)
-
-
 def gaussian_binomial(d, k, p):
     """The number [d, k]_p of k-dimensional subspaces of F_p^d."""
     num = den = 1
@@ -305,12 +305,11 @@ def gaussian_binomial(d, k, p):
     return num // den
 
 
-@pytest.mark.parametrize("p,d", [(2, d) for d in range(6)] +
-                         [(3, d) for d in range(4)] + [(5, 1), (5, 2)])
+@pytest.mark.parametrize("p,d", ELAB_SHAPES)
 def test_all_subspaces_match_reference(p, d):
     # ElabSpace picks its basis from the labels, so a relabeled copy
     # enumerates in other coordinates
-    V = _elab(p, d)
+    V = elab_group(p, d)
     for G in (V, relabel(V, 10 * p + d)):
         space = ElabSpace(G)
         assert _all_subspaces(space) == reference_all_subspaces(space)
@@ -319,7 +318,7 @@ def test_all_subspaces_match_reference(p, d):
 @pytest.mark.parametrize("p,dmax", [(2, 6), (3, 4), (5, 3)])
 def test_all_subspaces_are_all_subgroups_of_each_order(p, dmax):
     for d in range(dmax + 1):
-        V = _elab(p, d)
+        V = elab_group(p, d)
         by_dim = _all_subspaces(ElabSpace(V))
         assert sorted(by_dim) == list(range(d + 1))
         for k, subs in by_dim.items():
@@ -339,28 +338,6 @@ def test_flag_search_on_the_trivial_group():
         assert dec.is_yes and dec.certificate.basis == ()
 
 
-def _random_pa(V, sp, rng, s):
-    """The linear map between two random s-dimensional subspaces that sends
-    one random basis to the other."""
-    def frame():
-        vecs = []
-        while len(vecs) < s:
-            span = set(sp.subspace_elems(vecs))
-            vecs.append(sp.vec(rng.choice(
-                [g for g in range(V.order) if g not in span])))
-        return vecs
-
-    def combine(coeffs, vecs):
-        return sp.elem([sum(c * v[i] for c, v in zip(coeffs, vecs))
-                        for i in range(sp.dim)])
-
-    src, dst = frame(), frame()
-    mapping = {combine(c, src): combine(c, dst)
-               for c in itertools.product(range(sp.p), repeat=s)}
-    return PartialAutomorphism(V, Subgroup(V, sorted(mapping)),
-                               Subgroup(V, sorted(mapping.values())), mapping)
-
-
 def test_flag_search_matches_reference_subspaces(monkeypatch):
     # the shapes of the certify templates: F_2^r (r <= 4) and F_3^r (r <= 3)
     rng = random.Random(6)
@@ -371,7 +348,8 @@ def test_flag_search_matches_reference_subspaces(monkeypatch):
             sp = ElabSpace(V)
             for s in range(1, r + 1):
                 for n_pas in (1, 1, 2):
-                    pas = [_random_pa(V, sp, rng, s) for _ in range(n_pas)]
+                    pas = [random_partial_automorphism(V, sp, rng, s)
+                           for _ in range(n_pas)]
                     dec = unipotent_flag_extend(V, pas)
                     with monkeypatch.context() as m:
                         m.setattr(embed, "_all_subspaces", reference_all_subspaces)
@@ -382,6 +360,62 @@ def test_flag_search_matches_reference_subspaces(monkeypatch):
                         assert dec.certificate.matrices == want.certificate.matrices
                     seen.add(dec.status)
     assert seen == {YES, NO}
+
+
+@pytest.mark.parametrize("p,d", ELAB_SHAPES)
+def test_elab_space_matches_reference_coordinates(p, d):
+    V = elab_group(p, d)
+    for G in (V, relabel(V, 10 * p + d)):
+        space, ref = ElabSpace(G), ReferenceElabSpace(G)
+        assert space.basis == ref.basis and space.dim == ref.dim
+        assert [space.vec(g) for g in range(G.order)] == \
+            [ref.vec(g) for g in range(G.order)]
+        assert [space.elem(ref.vec(g)) for g in range(G.order)] == list(range(G.order))
+        rng = random.Random(p * d)
+        for k in range(d + 1):
+            vecs = [ref.vec(rng.randrange(G.order)) for _ in range(k)]
+            assert space.subspace_elems(vecs) == ref.subspace_elems(vecs)
+
+
+@pytest.mark.parametrize("p,d", ELAB_SHAPES)
+def test_flag_extension_matches_reference(p, d):
+    V = elab_group(p, d)
+    seen = set()
+    for G in (V, relabel(V, 10 * p + d)):
+        space, ref = ElabSpace(G), ReferenceElabSpace(G)
+        for pas in seeded_partial_automorphisms(G, space, random.Random(p + 7 * d)):
+            dec = unipotent_flag_extend(G, pas)
+            status, reason, basis, matrices = reference_flag_extend(G, pas)
+            assert (dec.status, dec.reason) == (status, reason)
+            seen.add(status)
+            if not dec.is_yes:
+                continue
+            cert = dec.certificate
+            assert (cert.basis, cert.matrices) == (basis, matrices)
+            assert all(type(x) is int for m in cert.matrices for r in m for x in r)
+            want = reference_flag_perms(ref, basis, matrices)
+            assert [q.tolist() for q in cert.perms()] == [q.tolist() for q in want]
+    assert YES in seen
+
+
+def test_linear_extension_rejects_inconsistent_pairs():
+    space = ElabSpace(catalog.elementary_abelian(3, 2))
+    with pytest.raises(AssertionError, match="inconsistent linear extension"):
+        space.linear_extension([(1, 0), (2, 0)], [(1, 0), (0, 1)])
+    # consistent but dependent pairs; the completion e_1 is fixed
+    M = space.linear_extension([(1, 0), (2, 0)], [(1, 1), (2, 2)])
+    assert M.tolist() == [[1, 1], [0, 1]]
+    assert space.unit_completion([(1, 1)]) == [0]
+    assert space.unit_completion([(0, 1)]) == [0]
+    assert space.unit_completion([(1, 0)]) == [1]
+    with pytest.raises(AssertionError, match="singular"):
+        space.inverse([(1, 1), (2, 2)])
+
+
+def test_perm_on_the_trivial_group():
+    space = ElabSpace(catalog.cyclic(1))
+    assert space.perm(()).tolist() == [0]
+    assert space.linear_extension([()], [()]).shape == (0, 0)
 
 
 # -- the deterministic scan ---------------------------------------------------------

@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from helpers import (chain, fresh, reference_chief_refinement,
-                     reference_chief_series, relabel)
+                     reference_chief_series, reference_induced_power_map,
+                     relabel)
 
-from residuap import catalog
+from residuap import catalog, filtration
 from residuap.filtration import (AlignmentError, Filtration, StretchMap,
                                  align_filtrations, chief_refinement,
                                  chief_series, classify_potency,
@@ -203,6 +204,38 @@ def test_congruence_tower_is_uniformly_potent():
         F = Filtration(G, terms)
         rep = classify_potency(F, p, k - 2)
         assert rep.uniformly_p_potent
+
+
+def _potency_filtrations():
+    """(F, p, horizon): the filtrations of the potency tests, plus gamma^p
+    series of nonabelian groups, where x -> x^p is no morphism."""
+    from residuap.congruence import sl2_congruence_tower
+    out = [(chain(catalog.cyclic(9), [0, 3, 6]), 3, 2)]
+    V = catalog.elementary_abelian(3, 2)
+    out.append((Filtration(V, [full_subgroup(V), trivial_subgroup(V)]), 3, 1))
+    for p, k in ((3, 3), (2, 4)):
+        G = catalog.cyclic(p ** k)
+        terms = [full_subgroup(G)] + [subgroup_generated(G, [p ** i])
+                                      for i in range(1, k)]
+        out.append((Filtration(G, terms + [trivial_subgroup(G)]), p, k - 1))
+    tower = sl2_congruence_tower(3, 3)
+    G1, elems = tower.level_group(1)
+    index = {m: i for i, m in enumerate(elems)}
+    out.append((Filtration(G1, [Subgroup(G1, [index[m] for m in tower.levels[i]],
+                                         check=False) for i in range(3)]), 3, 1))
+    for G, p in ((catalog.dihedral(4), 2), (catalog.quaternion8(), 2),
+                 (catalog.heisenberg(3), 3)):
+        out.append((lower_central_p_series(G, p), p, 2))
+    return out
+
+
+def test_potency_levels_match_reference_power_map(monkeypatch):
+    for F, p, horizon in _potency_filtrations():
+        rep = classify_potency(F, p, horizon)
+        with monkeypatch.context() as m:
+            m.setattr(filtration, "_induced_power_map", reference_induced_power_map)
+            want = classify_potency(F, p, horizon)
+        assert (rep.plain, rep.strong) == (want.plain, want.strong)
 
 
 def test_power_layer_map_examples():
