@@ -283,32 +283,27 @@ def wreath(X: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_WREATH_CAP) -> Wre
     if order > cap:
         raise CapExceeded(f"wreath product of order {order} exceeds cap {cap}")
     nbase = nx ** nh
+    BaseG, digits = _power_group(X, nh)
     radix = nx ** np.arange(nh)
-    all_digits = np.empty((order, nh), dtype=np.int64)
-    rem = np.arange(order) % nbase
-    for k in range(nh):
-        all_digits[:, k] = rem % nx
-        rem //= nx
-    tops = np.arange(order) // nbase
+    tops, bases = np.divmod(np.arange(order), nbase)
     table = np.empty((order, order), dtype=np.int64)
-    for y in range(order):
-        h2, f2 = int(tops[y]), all_digits[y]
-        perm = H.mult[h2]                       # k -> h2 k
-        twisted = all_digits[:, perm]           # f1^{h2}(k) = f1(h2 k)
-        prod_digits = X.mult[twisted, f2[None, :]]
-        new_tops = H.mult[tops, h2]
-        table[:, y] = new_tops * nbase + prod_digits @ radix
+    # one block of columns per top h2: (h1, f1)(h2, f2) has top h1 h2 and
+    # base f1^{h2} f2, where twist[f] is the index of f^{h2} = f(h2 .)
+    for h2 in range(nh):
+        twist = digits[:, H.mult[h2]] @ radix
+        table[:, h2 * nbase:(h2 + 1) * nbase] = (
+            (H.mult[tops, h2] * nbase)[:, None] + BaseG.mult[twist[bases]])
     # correct by construction, so not validated here; the test suite
     # validates every wreath table it builds up to order 256
     W = FiniteGroup(table, name=f"{X.name}wr{H.name}", validate=False)
-    BaseG = _power_group(X, nh)
     base_emb = Homomorphism(BaseG, W, np.arange(nbase, dtype=np.int64), check=False)
     top_emb = Homomorphism(H, W, np.arange(nh, dtype=np.int64) * nbase, check=False)
     return WreathProduct(W, X, H, base_emb, top_emb)
 
 
-def _power_group(X: FiniteGroup, n: int) -> FiniteGroup:
-    """X^n with little-endian digit indexing (digit k has weight |X|^k)."""
+def _power_group(X: FiniteGroup, n: int) -> tuple[FiniteGroup, np.ndarray]:
+    """X^n with little-endian digit indexing (digit k has weight |X|^k),
+    and the digit rows of its elements."""
     nx = X.order
     order = nx ** n
     digits = np.empty((order, n), dtype=np.int64)
@@ -320,7 +315,7 @@ def _power_group(X: FiniteGroup, n: int) -> FiniteGroup:
     table = np.empty((order, order), dtype=np.int64)
     for y in range(order):
         table[:, y] = X.mult[digits, digits[y][None, :]] @ radix
-    return FiniteGroup(table, name=f"{X.name}^{n}", validate=False)
+    return FiniteGroup(table, name=f"{X.name}^{n}", validate=False), digits
 
 
 def standard_embedding(A: FiniteGroup, theta: Homomorphism,

@@ -17,12 +17,12 @@ from .algebra import WreathProduct, wreath
 from .filtration import (Filtration, StretchMap, align_filtrations,
                          central_p_step, chief_series, induced_chain,
                          lower_central_p_series, stretch)
-from .groups import (CapExceeded, FiniteGroup, Homomorphism,
-                     Subgroup, all_subgroups, automorphisms, direct_product,
-                     find_isomorphism, full_subgroup, identity_hom, intersect,
-                     is_p_power, permutation_closure, permutation_group,
-                     quotient, right_coset_reps, semidirect_product,
-                     subgroup_generated, trivial_subgroup)
+from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
+                     all_subgroups, automorphisms, direct_product,
+                     find_isomorphism, full_subgroup, generating_sequence,
+                     identity_hom, intersect, is_p_power, permutation_closure,
+                     permutation_group, quotient, right_coset_reps,
+                     semidirect_product, subgroup_generated, trivial_subgroup)
 from .results import NO, UNKNOWN, YES, Decision
 
 DEFAULT_HIGMAN_CAP = 4096
@@ -172,9 +172,7 @@ def higman_embed(am: Amalgam, FG: Filtration, FH: Filtration,
     countermap on U.  The predicted order of W is checked against `cap`
     before anything is built, and all output conditions are re-verified.
     """
-    p = am.G.prime() or am.H.prime()
-    if p is None:
-        p = 2
+    p = am.G.prime() or am.H.prime() or 2
     if not (am.G.is_p_group(p) and am.H.is_p_group(p) and am.U.is_p_group(p)):
         raise ValueError("amalgam groups must be p-groups for one prime")
     if FG.length() is None or FH.length() is None:
@@ -274,12 +272,10 @@ def _trivial_group() -> FiniteGroup:
 
 
 def _check_central_elab(G: FiniteGroup, X: Subgroup, p: int):
-    for x in X.elems:
-        if G.power(x, p) != 0:
-            raise AssertionError("last filtration term is not exponent p")
-        for g in range(G.order):
-            if G.mul(g, x) != G.mul(x, g):
-                raise AssertionError("last filtration term is not central")
+    if kernels.powers(G.mult, X.elems, p) != [0]:
+        raise AssertionError("last filtration term is not exponent p")
+    if set(kernels.commutators(G.mult, G.inv, generating_sequence(G), X.elems)) - {0}:
+        raise AssertionError("last filtration term is not central")
 
 
 def _push_subgroup(proj: Homomorphism, sub: Subgroup) -> Subgroup:
@@ -1107,7 +1103,7 @@ def amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
         for j in range(i, len(groups)):
             H = groups[j]
             if j == i:
-                H = FiniteGroup(G.mult.copy(), name=G.name + "'", validate=False)
+                H = G.copy(G.name + "'")
                 # the facts read only the table, which H shares with G
                 facts[H] = facts_of(G)
             for SG, UG, toUG, auts in facts_of(G)[1]:
@@ -1131,13 +1127,10 @@ def amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
 
 def scan_amalgam_object(groups: Sequence[FiniteGroup], rec: ScanRecord) -> Amalgam:
     """Rebuild the Amalgam described by a ScanRecord."""
-    by_name = {}
-    for i, G in enumerate(groups):
-        by_name[G.name] = G
+    by_name = {G.name: G for G in groups}
     G = by_name[rec.g_name]
     if rec.h_name.endswith("'"):
-        H = FiniteGroup(by_name[rec.h_name[:-1]].mult.copy(), name=rec.h_name,
-                        validate=False)
+        H = by_name[rec.h_name[:-1]].copy(rec.h_name)
     else:
         H = by_name[rec.h_name]
     SG = Subgroup(G, rec.u_g, check=False)

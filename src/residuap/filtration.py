@@ -14,10 +14,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .groups import (FiniteGroup, Homomorphism, Subgroup, commutator_subgroup,
-                     full_subgroup, intersect, normal_closure, power_subgroup,
-                     quotient, require_prime, subgroup_generated,
-                     trivial_subgroup)
+from .groups import (FiniteGroup, Homomorphism, Subgroup, full_subgroup,
+                     generating_sequence, intersect, normal_closure, quotient,
+                     require_prime, subgroup_generated, trivial_subgroup)
 
 
 class Filtration:
@@ -62,11 +61,19 @@ class Filtration:
         return n - 1
 
     def is_central_p(self, p: int) -> bool:
+        """Whether the chain starts at G, descends, and [G, G_n] G_n^p <= G_{n+1}
+        for every n (the last term against itself).  Taking [x, t] only for x
+        in S = generating_sequence(G) is exact on a descending chain: level
+        n+1's test puts [x, t] in G_{n+2} <= G_{n+1} for t in G_{n+1}, so S
+        conjugates G_{n+1} into itself, G_{n+1} is normal, and
+        [xy, t] = [x, t]^y [y, t] gives every [g, t] from the [x, t]."""
         if not self.complete:
             return False
-        return all(central_p_step(self.group, self.term(n), p)
-                   <= self.term(n + 1)._set
-                   for n in range(1, len(self.terms) + 1))
+        terms = self.terms
+        return (all(b <= a for a, b in zip(terms, terms[1:]))
+                and all(central_p_step(self.group, self.term(n), p)
+                        <= self.term(n + 1)._set
+                        for n in range(1, len(terms) + 1)))
 
     def layer(self, n: int):
         """The layer G_n / G_{n+1}.
@@ -102,12 +109,10 @@ class Filtration:
 
 
 def central_p_step(G: FiniteGroup, T: Subgroup, p: int) -> set[int]:
-    """The commutators [g, t] and the powers t^p for g in G and t in T.
-
-    They generate [G, T] T^p, so a complete filtration is central p exactly
-    when each term holds this set of the term above it.
-    """
-    return (set(kernels.commutators(G.mult, G.inv, range(G.order), T.elems))
+    """The [x, t] for x in generating_sequence(G) and t in T, and the t^p: a
+    normal subgroup holds [G, T] T^p exactly when it holds this set."""
+    return (set(kernels.commutators(G.mult, G.inv, generating_sequence(G),
+                                    T.elems))
             | set(kernels.powers(G.mult, T.elems, p)))
 
 
@@ -159,30 +164,34 @@ def stretch(F: Filtration, sm: StretchMap, total: Optional[int] = None) -> Filtr
 
 # -- canonical series ---------------------------------------------------------
 
-def lower_central_series(G: FiniteGroup) -> Filtration:
-    """gamma_1 = G, gamma_{n+1} = [G, gamma_n], computed to stabilization."""
+def _descend(G: FiniteGroup, p: Optional[int]) -> Filtration:
+    """G = T_1 > T_2 > ... to stabilization, T_{n+1} the normal closure of
+    the [x, t] for x in S = generating_sequence(G) and t in T_n (and of the
+    t^p when p is given).  That is [G, T_n] (T_n^p): [G, T] is normal and
+    [xy, t] = [x, t]^y [y, t]; the t^p of a normal T_n are a normal set."""
+    S = generating_sequence(G)
     terms = [full_subgroup(G)]
     while True:
-        nxt = commutator_subgroup(G, full_subgroup(G), terms[-1])
-        if nxt.elems == terms[-1].elems:
+        cur = terms[-1]
+        gens = kernels.commutators(G.mult, G.inv, S, cur.elems)
+        if p is not None:
+            gens += kernels.powers(G.mult, cur.elems, p)
+        nxt = normal_closure(G, gens)
+        if nxt.elems == cur.elems:
             break
         terms.append(nxt)
     return Filtration(G, terms, check=False)
+
+
+def lower_central_series(G: FiniteGroup) -> Filtration:
+    """gamma_1 = G, gamma_{n+1} = [G, gamma_n], computed to stabilization."""
+    return _descend(G, None)
 
 
 def lower_central_p_series(G: FiniteGroup, p: int) -> Filtration:
     """gamma^p_1 = G, gamma^p_{n+1} = [G, gamma^p_n] (gamma^p_n)^p."""
     require_prime(p)
-    terms = [full_subgroup(G)]
-    while True:
-        cur = terms[-1]
-        gens = list(commutator_subgroup(G, full_subgroup(G), cur).elems)
-        gens += kernels.powers(G.mult, cur.elems, p)
-        nxt = subgroup_generated(G, gens)
-        if nxt.elems == cur.elems:
-            break
-        terms.append(nxt)
-    return Filtration(G, terms, check=False)
+    return _descend(G, p)
 
 
 def dimension_series(G: FiniteGroup, p: int) -> Filtration:
@@ -198,7 +207,7 @@ def dimension_series(G: FiniteGroup, p: int) -> Filtration:
     n = 2
     while not D[-1].is_trivial():
         ceil_np = (n + p - 1) // p
-        gens = list(power_subgroup(G, D[ceil_np - 1], p).elems)
+        gens = kernels.powers(G.mult, D[ceil_np - 1].elems, p)
         for i in range(1, n):
             j = n - i
             gens += kernels.commutators(G.mult, G.inv, D[i - 1].elems, D[j - 1].elems)
@@ -509,16 +518,12 @@ def power_layer_map(G: FiniteGroup, p: int, n: int, m: int):
     F = lower_central_p_series(G, p)
     Gn = F.term(n)
     if p == 2:
-        c = commutator_subgroup(G, Gn, Gn)
-        if not c <= F.term(n + 2):
+        c = kernels.commutators(G.mult, G.inv, Gn.elems, Gn.elems)
+        if not set(c) <= F.term(n + 2)._set:
             raise LayerMapHypothesisError(
                 f"p=2 and [G_{n},G_{n}] is not inside G_{n+2}")
-    topn, to_par_n, _ = Gn.as_group()
-    Ln, projn = quotient(topn, Subgroup(topn, [to_par_n.index(g)
-                                               for g in F.term(n + 1).elems], check=False))
-    topm, to_par_m, _ = F.term(n + m).as_group()
-    Lm, projm = quotient(topm, Subgroup(topm, [to_par_m.index(g)
-                                               for g in F.term(n + m + 1).elems], check=False))
+    Ln, projn, to_par_n = F.layer(n)
+    Lm, projm, to_par_m = F.layer(n + m)
     # build the map on layer representatives and verify well-definedness
     mapping = {}
     for x in Gn.elems:

@@ -120,6 +120,20 @@ class FiniteGroup:
         p = _least_prime_factor(n)
         return p if self.is_p_group(p) else None
 
+    def copy(self, name: str) -> "FiniteGroup":
+        """An independent group on a copy of the table, keeping the element
+        orders, generating sequence and chief series (re-parented) found."""
+        H = FiniteGroup(self.mult.copy(), name=name, validate=False)
+        H._abelian = self._abelian
+        H._orders, H._gens = self._orders, self._gens   # never changed
+        if self._chief_series is not None:
+            terms: dict[tuple[int, ...], Subgroup] = {}
+            H._chief_series = [
+                tuple(terms.setdefault(T.elems, Subgroup(H, T.elems, check=False))
+                      for T in chain)
+                for chain in self._chief_series]
+        return H
+
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -326,33 +340,28 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    gens = sorted({int(g) for g in gens})
+    """The least normal subgroup of G containing gens, conjugated by
+    generating_sequence(G) only: a subgroup that each conjugation by a
+    generator maps into (so, being finite, onto) itself is normal."""
+    gens = {int(g) for g in gens}
     for g in gens:
         if not 0 <= g < G.order:
             raise ValueError(f"generator index {g} out of range")
-    elems = set(kernels.closure(G.mult, G.inv, gens))
+    S = generating_sequence(G)
+    elems = kernels.closure(G.mult, G.inv, gens)
     while True:
-        conj = set(kernels.conjugates(G.mult, G.inv, sorted(elems), range(G.order)))
-        if conj <= elems:
+        fresh = set(kernels.conjugates(G.mult, G.inv, elems, S)) - set(elems)
+        if not fresh:
             break
-        elems = set(kernels.closure(G.mult, G.inv, sorted(elems | conj)))
-    return Subgroup(G, sorted(elems), check=False)
+        gens |= fresh
+        elems = kernels.closure(G.mult, G.inv, gens)
+    return Subgroup(G, elems, check=False)
 
 
 def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
     if a.parent is not b.parent:
         raise ValueError("subgroups of different parents")
     return Subgroup(a.parent, sorted(a._set & b._set), check=False)
-
-
-def commutator_subgroup(G: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
-    gens = kernels.commutators(G.mult, G.inv, a.elems, b.elems)
-    return subgroup_generated(G, gens)
-
-
-def power_subgroup(G: FiniteGroup, a: Subgroup, e: int) -> Subgroup:
-    """Subgroup generated by the e-th powers of the elements of a."""
-    return subgroup_generated(G, kernels.powers(G.mult, a.elems, e))
 
 
 def centralizer(G: FiniteGroup, sub: Subgroup) -> Subgroup:

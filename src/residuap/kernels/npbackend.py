@@ -45,27 +45,31 @@ def inverse_table(mult):
 
 
 def closure(mult, inv, gens):
+    """Sorted <gens> by Dimino's coset enumeration (Butler, Fundamental
+    Algorithms for Permutation Groups, 1991, ch. 6).  Each new generator g,
+    in increasing order, extends H: coset representatives r are walked
+    breadth first, times every generator s so far, adding H r s when r s is
+    new.  The union is closed under right multiplication by the generators,
+    so it is the finite group <H, g>; inv is not needed."""
     t = _as_table(mult)
-    inv = np.asarray(inv, dtype=np.int64)
-    n = t.shape[0]
-    member = np.zeros(n, dtype=bool)
+    member = np.zeros(t.shape[0], dtype=bool)
     member[0] = True
-    gens = np.asarray(sorted({int(g) for g in gens}), dtype=np.int64)
-    if gens.size:
-        member[gens] = True
-        member[inv[gens]] = True
-    frontier = np.flatnonzero(member)
-    cur = frontier
-    while frontier.size:
-        prods = np.unique(np.concatenate([
-            t[np.ix_(cur, frontier)].ravel(),
-            t[np.ix_(frontier, cur)].ravel(),
-        ]))
-        fresh = prods[~member[prods]]
-        member[fresh] = True
-        frontier = fresh
-        cur = np.flatnonzero(member)
-    return [int(x) for x in np.flatnonzero(member)]
+    H = np.zeros(1, dtype=np.int64)
+    taken = []
+    for g in sorted({int(x) for x in gens}):
+        if member[g]:
+            continue
+        taken.append(g)
+        reps = [0]
+        for r in reps:
+            row = t[r]
+            for s in taken:
+                x = row[s]
+                if not member[x]:
+                    member[t[H, x]] = True
+                    reps.append(x)
+        H = np.flatnonzero(member)
+    return H.tolist()
 
 
 def bulk_mult(mult, xs, ys):

@@ -149,28 +149,22 @@ def is_homomorphism(mult_dom, mult_cod, mapping):
 
 
 def rref_mod_p(rows, p, ncols=None):
-    """Reduced row echelon form over F_p; returns list of nonzero rows."""
-    work = [[int(x) % p for x in r] for r in rows]
-    if not work:
-        return []
-    m = ncols if ncols is not None else len(work[0])
-    basis = []  # list of (pivot_col, row)
-    for r in work:
-        for pc, br in basis:
-            c = r[pc] % p
-            if c:
-                for j in range(m):
-                    r[j] = (r[j] - c * br[j]) % p
-        lead = next((j for j in range(m) if r[j] % p), None)
-        if lead is None:
+    """Reduced row echelon form over F_p; returns list of nonzero rows.
+    Pivots (the first nonzero row from the rank down, swapped up) are sought
+    in the first ncols columns; row operations act on whole rows."""
+    mat = [[int(x) % p for x in r] for r in rows]
+    m = ncols if ncols is not None else (len(mat[0]) if mat else 0)
+    rank = 0
+    for col in range(m):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
             continue
-        cinv = pow(r[lead], -1, p)
-        r = [(cinv * x) % p for x in r]
-        for pc, br in basis:
-            c = br[lead] % p
-            if c:
-                for j in range(m):
-                    br[j] = (br[j] - c * r[j]) % p
-        basis.append((lead, r))
-    basis.sort(key=lambda t: t[0])
-    return [row for _, row in basis]
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        cinv = pow(mat[rank][col], -1, p)
+        row = mat[rank] = [cinv * x % p for x in mat[rank]]
+        for i, r in enumerate(mat):
+            c = r[col]
+            if c and i != rank:
+                mat[i] = [(x - c * y) % p for x, y in zip(r, row)]
+        rank += 1
+    return mat[:rank]

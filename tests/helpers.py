@@ -795,3 +795,86 @@ def reference_induced_power_map(G: FiniteGroup, dom: Subgroup, e: int,
     kernel = tuple(sorted(x for x in dom.elems if images[x] == 0))
     surjective = len(set(images.values())) == Q.order
     return True, kernel, surjective
+
+
+# -- reference routines of the Higman tower -----------------------------------------
+#
+# The whole-group sweeps that the tower used before it worked from
+# generating sequences: the frontier closure of npbackend, the central-p step
+# over every element of G, the gamma series as subgroups generated by all
+# commutators [g, t], and the wreath table filled one column at a time.  The
+# differential tests require the generator-based routines to give exactly
+# these sets and tables.
+
+def reference_closure(mult, inv, gens) -> list[int]:
+    """<gens>: all products of the members found so far with the newest
+    ones, on both sides, until no new element appears."""
+    t = np.asarray(mult, dtype=np.int64)
+    inv = np.asarray(inv, dtype=np.int64)
+    member = np.zeros(t.shape[0], dtype=bool)
+    member[0] = True
+    gens = np.asarray(sorted({int(g) for g in gens}), dtype=np.int64)
+    if gens.size:
+        member[gens] = True
+        member[inv[gens]] = True
+    frontier = cur = np.flatnonzero(member)
+    while frontier.size:
+        prods = np.unique(np.concatenate([t[np.ix_(cur, frontier)].ravel(),
+                                          t[np.ix_(frontier, cur)].ravel()]))
+        frontier = prods[~member[prods]]
+        member[frontier] = True
+        cur = np.flatnonzero(member)
+    return [int(x) for x in cur]
+
+
+def reference_central_p_step(G: FiniteGroup, T: Subgroup, p: int) -> set[int]:
+    """The commutators [g, t] for every g in G and t in T, and the t^p."""
+    return (set(kernels.commutators(G.mult, G.inv, range(G.order), T.elems))
+            | set(kernels.powers(G.mult, T.elems, p)))
+
+
+def reference_is_central_p(F: Filtration, p: int) -> bool:
+    """F starts at G, descends, and every term holds the reference step of
+    the term above it (the last term tested against itself)."""
+    terms = F.terms
+    return (len(terms[0]) == F.group.order
+            and all(b._set <= a._set for a, b in zip(terms, terms[1:]))
+            and all(reference_central_p_step(F.group, a, p) <= b._set
+                    for a, b in zip(terms, terms[1:] + terms[-1:])))
+
+
+def reference_gamma_series(G: FiniteGroup, p: Optional[int] = None) -> list[tuple]:
+    """The gamma series (p None) or the gamma^p series of G, as element
+    tuples: each next term generated by all [g, t] for g in G and t in the
+    term, and by the t^p when p is given."""
+    terms = [tuple(range(G.order))]
+    while True:
+        gens = kernels.commutators(G.mult, G.inv, range(G.order), terms[-1])
+        if p is not None:
+            gens += kernels.powers(G.mult, terms[-1], p)
+        nxt = tuple(reference_closure(G.mult, G.inv, gens))
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+
+
+def reference_wreath_table(X: FiniteGroup, H: FiniteGroup) -> np.ndarray:
+    """The Cayley table of X wr H, one column (h2, f2) at a time:
+    (h1, f1)(h2, f2) = (h1 h2, f1^{h2} f2) with f^h(k) = f(hk)."""
+    nx, nh = X.order, H.order
+    nbase = nx ** nh
+    order = nbase * nh
+    radix = nx ** np.arange(nh)
+    all_digits = np.empty((order, nh), dtype=np.int64)
+    rem = np.arange(order) % nbase
+    for k in range(nh):
+        all_digits[:, k] = rem % nx
+        rem //= nx
+    tops = np.arange(order) // nbase
+    table = np.empty((order, order), dtype=np.int64)
+    for y in range(order):
+        h2, f2 = int(tops[y]), all_digits[y]
+        twisted = all_digits[:, H.mult[h2]]
+        prod_digits = X.mult[twisted, f2[None, :]]
+        table[:, y] = H.mult[tops, h2] * nbase + prod_digits @ radix
+    return table

@@ -127,6 +127,29 @@ def test_chief_series_is_kept_with_the_group():
     assert [[t.elems for t in ser] for ser in chief_series(G)] == want
 
 
+@pytest.mark.parametrize("G", [catalog.dihedral(8), catalog.quaternion8(),
+                               catalog.elementary_abelian(2, 3)],
+                         ids=lambda G: G.name)
+def test_copy_keeps_the_chief_series_on_the_copy(G, monkeypatch):
+    G = fresh(G, G.name + "~orig")
+    chief_series(G)
+    H = G.copy(G.name + "'")
+    assert H.mult is not G.mult and (H.mult == G.mult).all()
+    assert H.element_orders() == G.element_orders()
+    enumerations = []
+    finder = filtration._minimal_normal_finder
+    monkeypatch.setattr(filtration, "_minimal_normal_finder",
+                        lambda K: enumerations.append(K) or finder(K))
+    got = chief_series(H)
+    assert enumerations == []
+    # a fresh enumeration on an independent copy gives the same terms
+    want = chief_series(fresh(G, G.name + "~fresh"))
+    assert enumerations != []
+    assert [[T.elems for T in ser] for ser in got] == \
+        [[T.elems for T in ser] for ser in want]
+    assert all(T.parent is H for ser in got for T in ser)
+
+
 @pytest.mark.parametrize("G", [catalog.elementary_abelian(2, 3),
                                catalog.elementary_abelian(2, 4)],
                          ids=lambda G: G.name)

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from helpers import reference_closure
+
 from residuap import catalog
 from residuap.kernels import npbackend, pybackend
 
@@ -75,6 +77,10 @@ def test_rref_agrees_and_is_canonical():
             a = npbackend.rref_mod_p(rows, p)
             b = pybackend.rref_mod_p(rows, p)
             assert a == b
+            # pivots in the first k columns, the rest an augmented part
+            for k in range(ncols):
+                assert npbackend.rref_mod_p(rows, p, ncols=k) == \
+                    pybackend.rref_mod_p(rows, p, ncols=k)
             assert npbackend.rref_mod_p(rows, p, ncols=ncols) == a
             assert npbackend.rref_mod_p(np.array(rows, dtype=np.int64), p) == a
             assert all(type(x) is int for r in a for x in r)
@@ -86,6 +92,13 @@ def test_rref_agrees_and_is_canonical():
             assert npbackend.rref_mod_p(huge, p) == a == pybackend.rref_mod_p(huge, p)
             # canonical: re-reducing is a fixed point
             assert npbackend.rref_mod_p(a, p, ncols=ncols) == a
+
+
+def test_rref_applies_row_operations_to_augmented_columns():
+    rows = [[1, 1, 1, 0], [0, 1, 0, 1]]
+    want = [[1, 0, 1, 1], [0, 1, 0, 1]]
+    assert pybackend.rref_mod_p(rows, 2, ncols=2) == want
+    assert npbackend.rref_mod_p(rows, 2, ncols=2) == want
 
 
 def test_rref_reduces_unsigned_and_empty_input():
@@ -105,3 +118,40 @@ def test_validate_rejects_bad_tables():
         pybackend.validate_table([[0, 1], [1, 1]])
     with pytest.raises(ValueError):
         npbackend.validate_table([[1, 0], [0, 1]])
+
+
+def _seeded_generator_lists(G, rng):
+    """Generator lists of 0 to 5 elements: the empty list, lists with the
+    identity, repeats, and elements already spanned by earlier ones."""
+    n = G.order
+    yield []
+    yield [0]
+    for _ in range(12):
+        gens = [rng.randrange(n) for _ in range(rng.randrange(1, 6))]
+        yield gens
+        yield gens[:1] * 2 + [0]
+        # a product of two earlier generators lies in their span
+        yield gens[:2] + [int(G.mult[gens[0], gens[-1]])]
+
+
+@pytest.mark.parametrize(
+    "G", catalog.two_group_scan_list(16)
+    + [catalog.cyclic(3), catalog.cyclic(9), catalog.heisenberg(3)],
+    ids=lambda g: g.name)
+def test_closure_matches_reference(G):
+    rng = random.Random(f"closure:{G.name}")
+    tl = G.mult.tolist()
+    inv_py = pybackend.inverse_table(tl)
+    for gens in _seeded_generator_lists(G, rng):
+        want = reference_closure(G.mult, G.inv, gens)
+        assert npbackend.closure(G.mult, G.inv, gens) == want
+        assert pybackend.closure(tl, inv_py, gens) == want
+
+
+@pytest.mark.parametrize("gens", [[1], [3, 5]])
+def test_closure_on_c1024(gens):
+    C = catalog.cyclic(1024)
+    got = npbackend.closure(C.mult, C.inv, gens)
+    assert got == reference_closure(C.mult, C.inv, gens) == list(range(1024))
+    assert npbackend.closure(C.mult, C.inv, [512, 256]) == \
+        reference_closure(C.mult, C.inv, [512, 256]) == list(range(0, 1024, 256))
