@@ -14,7 +14,8 @@ from . import kernels
 from .filtration import Filtration, dimension_series, lower_central_p_series, \
     lower_central_series
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     generating_sequence, right_coset_reps, trivial_subgroup)
+                     generating_sequence, require_p_group, right_coset_reps,
+                     trivial_subgroup)
 
 DEFAULT_WREATH_CAP = 4096
 
@@ -132,11 +133,6 @@ class IdealBasis:
         return f"IdealBasis(dim={self.dim} in F_{self.p}[{self.group.name}])"
 
 
-def _require_p_group(G: FiniteGroup, p: int):
-    if not G.is_p_group(p) or (G.order > 1 and G.order % p != 0):
-        raise ValueError(f"{G.name} is not a {p}-group")
-
-
 def _one_minus_g(n: int) -> np.ndarray:
     """Row g - 1 holds e_0 - e_g, the coefficient vector of 1 - g (0 < g < n)."""
     vecs = np.zeros((n - 1, n), dtype=np.int64)
@@ -154,7 +150,7 @@ def augmentation_ideal_powers(G: FiniteGroup, p: int):
 
     d is the nilpotency class of omega: the largest n with omega^n != 0.
     """
-    _require_p_group(G, p)
+    require_p_group(G, p)
     omega = augmentation_ideal(G, p)
     bases = []
     cur = omega
@@ -167,7 +163,7 @@ def augmentation_ideal_powers(G: FiniteGroup, p: int):
 
 def jennings_series(G: FiniteGroup, p: int) -> Filtration:
     """The filtration {g : 1 - g in omega^n}; must equal the dimension series."""
-    _require_p_group(G, p)
+    require_p_group(G, p)
     bases, _, d = augmentation_ideal_powers(G, p)
     one_minus_g = _one_minus_g(G.order)
     terms = []
@@ -191,7 +187,7 @@ def jennings_series(G: FiniteGroup, p: int) -> Filtration:
 
 def annihilator_omega(G: FiniteGroup, p: int) -> IdealBasis:
     """ann(omega) = span of the all-ones element; checked against omega^d."""
-    _require_p_group(G, p)
+    require_p_group(G, p)
     n = G.order
     t = G.mult
     # a * (g - 1) = 0 for all g <=> coefficient vector constant
@@ -398,7 +394,7 @@ def buckley_check(p: int, H: FiniteGroup, n_max: int,
     where base is the additive group of F_p[H] inside W.
     """
     from .catalog import cyclic
-    _require_p_group(H, p)
+    require_p_group(H, p)
     wp = wreath(cyclic(p), H, cap=cap)
     W = wp.group
     base = wp.base_subgroup()

@@ -346,12 +346,7 @@ def _certify_abelian(gog: GraphOfGroups, p: int, tree: frozenset[int],
 
 
 def _inner_for_sigma(sigma: FiniteGroup, pas, p: int, cap: int) -> Decision:
-    try:
-        ElabSpace(sigma)
-        elab = True
-    except ValueError:
-        elab = False
-    if elab:
+    if sigma.is_elementary_abelian():
         return inner_extension(sigma, pas, size_cap=cap)
     # abelian but not elementary abelian: go through the gamma^p layers
     F = lower_central_p_series(sigma, p)

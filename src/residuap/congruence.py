@@ -12,46 +12,65 @@ from typing import Sequence
 import numpy as np
 
 from .groups import CapExceeded, FiniteGroup, require_prime
-from .smith import Presentation, theta_map
+from .smith import Presentation, det_unimodular, theta_map
 
 DEFAULT_TOWER_CAP = 3 ** 9
-
-
-def _mat_mul(a, b, mod):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % mod
-                       for j in range(n)) for i in range(n))
-
-
-def _mat_pow(a, e, mod):
-    n = len(a)
-    acc = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    base = tuple(tuple(x % mod for x in row) for row in a)
-    while e:
-        if e & 1:
-            acc = _mat_mul(acc, base, mod)
-        base = _mat_mul(base, base, mod)
-        e >>= 1
-    return acc
-
-
-def _det2(a, mod):
-    return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % mod
 
 
 def _identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def _dtype(n: int, mod: int):
+    """int64 while a product of two n x n matrices with entries in [0, mod)
+    cannot overflow it, else exact Python ints (dtype object)."""
+    return np.int64 if n * (mod - 1) ** 2 < 2 ** 63 else object
+
+
+def _mod_array(m, mod: int) -> np.ndarray:
+    """An integer matrix, or a stack of them, reduced mod `mod` in the dtype
+    `_dtype` picks for its size."""
+    a = np.array(m, dtype=object) % mod
+    return a.astype(_dtype(a.shape[-1], mod))
+
+
+def _power(mats: np.ndarray, e: int, mod: int) -> np.ndarray:
+    """mats^e mod `mod` for every matrix of a (..., n, n) stack, by repeated
+    squaring."""
+    acc = np.eye(mats.shape[-1], dtype=mats.dtype)
+    while e:
+        if e & 1:
+            acc = acc @ mats % mod
+        mats = mats @ mats % mod
+        e >>= 1
+    return acc
+
+
+def _order(m: np.ndarray, mod: int, bound: int) -> int:
+    """The least e >= 1 with m^e = 1 mod `mod`; AssertionError past `bound`."""
+    eye = np.eye(len(m), dtype=m.dtype)
+    acc, e = m, 1
+    while (acc != eye).any():
+        acc = acc @ m % mod
+        e += 1
+        if e > bound:
+            raise AssertionError("runaway order computation")
+    return e
+
+
 # products are formed in row blocks of about this many matrices at a time
 _BLOCK = 1 << 15
 
 
-def _codes(mats: np.ndarray, mod: int) -> np.ndarray:
-    """Each matrix of a (..., k, k) array with entries in [0, mod) as one
-    integer: its entries, row by row, as the digits base mod."""
-    flat = mats.reshape(mats.shape[:-2] + (-1,))
-    return flat @ (mod ** np.arange(flat.shape[-1] - 1, -1, -1))
+def _codes(rows: np.ndarray, mod: int) -> np.ndarray:
+    """Each row of a (..., w) array with entries in [0, mod) as one integer:
+    its entries as the digits base mod, most significant first, so codes
+    order rows lexicographically.  Python ints once mod^w passes int64."""
+    w = rows.shape[-1]
+    if mod ** w > 2 ** 63:
+        weights = np.array([mod ** e for e in range(w - 1, -1, -1)], dtype=object)
+        return rows.astype(object) @ weights
+    return rows @ (mod ** np.arange(w - 1, -1, -1))
 
 
 class MatrixGroup:
@@ -77,12 +96,12 @@ class MatrixGroup:
         if n > cap:
             raise CapExceeded(f"Cayley table of order {n} exceeds cap {cap}")
         index = np.full(q ** self.mats[0].size, -1, dtype=np.int32)
-        index[_codes(self.mats, q)] = np.arange(n)
+        index[_codes(self.mats.reshape(n, -1), q)] = np.arange(n)
         table = np.empty((n, n), dtype=np.int64)
         step = max(1, _BLOCK // n)
         for i in range(0, n, step):
             prods = self.mats[i:i + step, None] @ self.mats % q
-            table[i:i + step] = index[_codes(prods, q)]
+            table[i:i + step] = index[_codes(prods.reshape(len(prods), n, -1), q)]
         if (table < 0).any():
             raise ValueError("the matrices are not closed under multiplication")
         return FiniteGroup(table, name=self.name, validate=False), list(self.elements)
@@ -162,10 +181,7 @@ def congruence_layer_check(p: int, k: int, cap: int = DEFAULT_TOWER_CAP) -> dict
         count = len(gi) // len(levels[i])
         # the layer is elementary abelian of order p^3: verify exponent and size
         ok_size = count == p ** 3
-        power = gi
-        for _ in range(p - 1):
-            power = power @ gi % mod
-        ok_exp = not ((power - eye) % p ** (i + 1)).any()
+        ok_exp = not ((_power(gi, p, mod) - eye) % p ** (i + 1)).any()
         report["layers"].append({"i": i, "order": count,
                                  "elementary_abelian_p3": ok_size and ok_exp})
     for i in range(1, k + 1):
@@ -173,7 +189,7 @@ def congruence_layer_check(p: int, k: int, cap: int = DEFAULT_TOWER_CAP) -> dict
             if i + j > k:
                 continue
             target = np.zeros(mod ** 4, dtype=bool)
-            target[_codes(levels[i + j - 1], mod)] = True
+            target[_codes(levels[i + j - 1].reshape(-1, 4), mod)] = True
             gi, gj = levels[i - 1], levels[j - 1]
             step = max(1, _BLOCK // max(1, len(gj)))
             for s in range(0, len(gi), step):
@@ -181,35 +197,21 @@ def congruence_layer_check(p: int, k: int, cap: int = DEFAULT_TOWER_CAP) -> dict
                 ba = gj @ a % mod
                 ba_inv = np.trace(ba, axis1=2, axis2=3)[..., None, None] * eye - ba
                 comm = ba_inv @ (a @ gj) % mod
-                if not target[_codes(comm, mod)].all():
+                if not target[_codes(comm.reshape(comm.shape[:2] + (4,)), mod)].all():
                     report["commutator_ok"] = False
                     report["commutator_failure"] = {"i": i, "j": j}
                     return report
     return report
 
 
-def _reduce(m, q):
-    return tuple(tuple(x % q for x in row) for row in m)
-
-
-def _layer_representatives(p: int, i: int) -> list[tuple]:
-    """Representatives of G_i/G_{i+1} as matrices mod p^{i+1}: I + p^i A with
-    tr(A) = 0 mod p (det condition), one per residue class."""
-    q = p ** (i + 1)
-    reps = []
-    for a, b, c in itertools.product(range(p), repeat=3):
-        # A = [[a, b], [c, -a]] mod p gives det(I + p^i A) = 1 mod p^{i+1}
-        m = ((1 + p ** i * a) % q, (p ** i * b) % q), \
-            ((p ** i * c) % q, (1 - p ** i * a) % q)
-        reps.append(m)
-    return reps
-
-
 def power_map_injectivity(p: int, k: int) -> dict:
     """For odd p, verify that M -> M^p induces injective morphisms
     G_i/G_{i+1} -> G_{i+1}/G_{i+2} for 1 <= i <= k-2.
 
-    Works on canonical layer representatives; no full tower enumeration.
+    Works on the p^3 canonical layer representatives I + p^i A, tr(A) = 0
+    mod p, as one array; no full tower enumeration.  The product of the
+    representatives of A and A' is I + p^i(A + A') mod p^{i+1}, since
+    2i >= i + 1, so its class is read from its entries.
     """
     require_prime(p)
     if p == 2:
@@ -219,28 +221,23 @@ def power_map_injectivity(p: int, k: int) -> dict:
     levels = []
     all_ok = True
     for i in range(1, k - 1):
-        reps = _layer_representatives(p, i)
         q1 = p ** (i + 1)          # cosets of G_{i+1} live mod p^{i+1}
         q2 = p ** (i + 2)          # image cosets of G_{i+2} live mod p^{i+2}
-        rep_by_class = {_reduce(m, q1): m for m in reps}
-        images = {key: _reduce(_mat_pow(m, p, q2), q2)
-                  for key, m in rep_by_class.items()}
+        dt = _dtype(2, q2)
+        eye = np.eye(2, dtype=dt)
+        # A = [[a, b], [c, -a]] mod p gives det(I + p^i A) = 1 mod p^{i+1};
+        # representative a p^2 + b p + c has digits (a, b, c)
+        a, b, c = np.indices((p, p, p)).reshape(3, -1).astype(dt)
+        reps = (eye + p ** i * np.stack([a, b, c, -a], axis=1).reshape(-1, 2, 2)) % q1
+        images = _power(reps, p, q2)
         # well-definedness: another lift of the same G_{i+1}-coset must give
         # the same G_{i+2}-coset of the p-th power
-        well_defined = True
-        for key, m in rep_by_class.items():
-            shifted = tuple(tuple((x + q1) % q2 for x in row) for row in m)
-            if _reduce(_mat_pow(shifted, p, q2), q2) != images[key]:
-                well_defined = False
-        inj = len(set(images.values())) == len(reps)
-        hom = True
-        for k1, m1 in rep_by_class.items():
-            for k2, m2 in rep_by_class.items():
-                prod_class = _reduce(_mat_mul(m1, m2, q1), q1)
-                lhs = images[prod_class]
-                rhs = _reduce(_mat_mul(images[k1], images[k2], q2), q2)
-                if lhs != rhs:
-                    hom = False
+        well_defined = np.array_equal(_power((reps + q1) % q2, p, q2), images)
+        inj = len({tuple(x) for x in images.reshape(-1, 4).tolist()}) == len(reps)
+        prods = reps[:, None] @ reps % q1
+        digits = (prods - eye)[..., [0, 0, 1], [0, 1, 0]] // p ** i
+        prod_class = (digits @ np.array([p * p, p, 1])).astype(np.int64)
+        hom = np.array_equal(images[prod_class], images[:, None] @ images % q2)
         levels.append({"i": i, "layer_order": len(reps), "well_defined": well_defined,
                        "homomorphism": hom, "injective": inj})
         all_ok = all_ok and inj and hom and well_defined
@@ -259,15 +256,8 @@ def unitriangular_order(n: int, p: int, d: int, N: Sequence[Sequence[int]]) -> i
         for j in range(0, i + 1):
             if N[i][j] % mod:
                 raise ValueError("N must be strictly upper triangular")
-    M = tuple(tuple((N[i][j] + (1 if i == j else 0)) % mod for j in range(n))
-              for i in range(n))
-    acc = M
-    order = 1
-    while acc != _identity(n):
-        acc = _mat_mul(acc, M, mod)
-        order += 1
-        if order > mod * n:
-            raise AssertionError("runaway order computation")
+    M = _mod_array([[N[i][j] + (i == j) for j in range(n)] for i in range(n)], mod)
+    order = _order(M, mod, mod * n)
     if mod % order != 0 or order > mod:
         raise AssertionError("order does not divide p^d")
     # exactness clause
@@ -306,13 +296,12 @@ class MatrixGroupSpec:
         for g in self.generators:
             if len(g) != n or any(len(r) != n for r in g):
                 raise ValueError("generators must be square of equal size")
-            d = _int_det(g)
-            if d not in (1, -1):
+            if det_unimodular(g) not in (1, -1):
                 raise ValueError("generators must have determinant +-1")
         if self.presentation.ngens != len(self.generators):
             raise ValueError("presentation generator count mismatch")
         for rel in self.presentation.relators:
-            if _eval_word_int(self.generators, rel) != _identity(n):
+            if (_eval_word_int(self.generators, rel) != np.eye(n, dtype=object)).any():
                 raise ValueError("a relator does not evaluate to the identity")
 
     @property
@@ -320,20 +309,12 @@ class MatrixGroupSpec:
         return len(self.generators[0])
 
 
-def _int_det(m) -> int:
-    from .smith import det_unimodular
-    return det_unimodular(m)
-
-
-def _eval_word_int(gens, word):
-    n = len(gens[0])
-    acc = _identity(n)
+def _eval_word_int(gens, word) -> np.ndarray:
+    """The matrix of a word over Z, exactly: an array of Python ints."""
+    acc = np.eye(len(gens[0]), dtype=object)
     for letter in word:
-        g = [list(map(int, row)) for row in gens[abs(letter) - 1]]
-        if letter < 0:
-            g = _int_inverse(g)
-        acc = tuple(tuple(sum(acc[i][k] * g[k][j] for k in range(n))
-                          for j in range(n)) for i in range(n))
+        g = [[int(x) for x in row] for row in gens[abs(letter) - 1]]
+        acc = acc @ np.array(g if letter > 0 else _int_inverse(g), dtype=object)
     return acc
 
 
@@ -363,17 +344,6 @@ def _int_inverse(m):
     return tuple(out)
 
 
-def _mat_inverse_mod(m, mod):
-    n = len(m)
-    if n == 2:
-        det = _det2(m, mod)
-        dinv = pow(det, -1, mod)
-        return ((m[1][1] * dinv % mod, -m[0][1] * dinv % mod),
-                (-m[1][0] * dinv % mod, m[0][0] * dinv % mod))
-    inv = _int_inverse(m)
-    return _reduce(inv, mod)
-
-
 def matrix_p_filtration(spec: MatrixGroupSpec, p: int, k_max: int,
                         image_cap: int = 200_000) -> dict:
     """The mod-p^k finite quotients G -> SL(n, Z/p^k) x H/p^k H and the exact
@@ -389,14 +359,8 @@ def matrix_p_filtration(spec: MatrixGroupSpec, p: int, k_max: int,
     rank, theta_rows = theta_map(spec.presentation)
     report = {"p": p, "rank_H": rank, "levels": [], "subgroups": []}
     for k in range(1, k_max + 1):
-        mod = p ** k
-        gens_mod = [_reduce(g, mod) for g in spec.generators]
-        closure = _closure_mod(gens_mod, theta_rows, mod, p ** k, image_cap)
-        report["levels"].append({
-            "k": k,
-            "image_order": closure if isinstance(closure, int) else len(closure),
-            "capped": isinstance(closure, int),
-        })
+        size = len(_image_closure(spec, theta_rows, p ** k, image_cap))
+        report["levels"].append({"k": k, "image_order": size, "capped": size > image_cap})
     for t_index, tspec in enumerate(spec.subgroups):
         tReport = {"index": t_index, "per_k": []}
         tw = tspec.words
@@ -404,14 +368,13 @@ def matrix_p_filtration(spec: MatrixGroupSpec, p: int, k_max: int,
         # T must be abelian (exactly, over Z) and unipotent
         for a in t_mats:
             for b in t_mats:
-                if _eval_word_int((a, b), (1, 2)) != _eval_word_int((a, b), (2, 1)):
+                if (a @ b != b @ a).any():
                     raise ValueError("T generators do not commute")
         for a in t_mats:
             if not _is_unipotent_int(a):
                 raise ValueError("T generator is not unipotent")
         t_theta = [_theta_of_word(theta_rows, w) for w in tw]
         for k in range(1, k_max + 1):
-            mod = p ** k
             lattice = _t_intersection_lattice(t_mats, t_theta, p, k)
             # gamma^p_{k+l}(T) = p^(k+l-1) T on exponent vectors
             want1 = p ** k          # level 1
@@ -430,15 +393,13 @@ def matrix_p_filtration(spec: MatrixGroupSpec, p: int, k_max: int,
     return report
 
 
-def _is_unipotent_int(m) -> bool:
+def _is_unipotent_int(m: np.ndarray) -> bool:
     """(m - id)^n = 0 over Z."""
-    n = len(m)
-    a = [[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    a = m - np.eye(len(m), dtype=object)
     acc = a
-    for _ in range(n - 1):
-        acc = [[sum(acc[i][k] * a[k][j] for k in range(n)) for j in range(n)]
-               for i in range(n)]
-    return all(x == 0 for row in acc for x in row)
+    for _ in range(len(m) - 1):
+        acc = acc @ a
+    return not (acc != 0).any()
 
 
 def _theta_of_word(theta_rows, word):
@@ -452,81 +413,60 @@ def _theta_of_word(theta_rows, word):
     return tuple(acc)
 
 
-def _t_intersection_lattice(t_mats, t_theta, p: int, k: int):
-    """Index of {m in Z^r : T(m) in G_k} inside Z^r ... supported exactly for
-    cyclic T (r = 1), where the index returned is the generator multiple."""
+def _t_intersection_lattice(t_mats, t_theta, p: int, k: int) -> int:
+    """Index of {e in Z^r : T(e) in G_k} inside Z^r, where T(e) is the
+    product of the powers m_j^e_j of the T-generators, theta part included.
+
+    For cyclic T (r = 1) it is the least e with m^e = 1 mod p^k and
+    e theta = 0 mod p^k; for r >= 2 it is counted over the exponent box
+    [0, p^k)^r, all of it at once as arrays."""
     mod = p ** k
-    if len(t_mats) == 1:
-        m = t_mats[0]
-        # order of m mod p^k
-        o = 1
-        acc = _reduce(m, mod)
-        ident = _identity(len(m))
-        while acc != ident:
-            acc = _mat_mul(acc, m, mod)
-            o += 1
-            if o > mod ** (len(m) ** 2):
-                raise AssertionError("runaway unipotent order")
-        # theta condition: e * theta = 0 mod p^k componentwise
-        th = t_theta[0]
-        t_ord = mod
-        nz = [abs(x) for x in th if x]
-        if not nz:
-            theta_step = 1
-        else:
-            g = 0
-            for x in nz:
-                g = math.gcd(g, x)
-            theta_step = mod // math.gcd(mod, g)
-        step = o * theta_step // math.gcd(o, theta_step)
-        return step
-    # small abelian T: enumerate exponent boxes
-    r = len(t_mats)
-    best = None
-    count = 0
-    total = 0
-    for exps in itertools.product(range(p ** k), repeat=r):
-        total += 1
-        acc = _identity(len(t_mats[0]))
-        for m, e in zip(t_mats, exps):
-            acc = _mat_mul(acc, _mat_pow(m, e, p ** k), p ** k)
-        th = [0] * len(t_theta[0])
-        for te, e in zip(t_theta, exps):
-            for i in range(len(th)):
-                th[i] += e * te[i]
-        if acc == _identity(len(t_mats[0])) and all(x % p ** k == 0 for x in th):
-            count += 1
-    return total // count if count else None
+    n = len(t_mats[0])
+    mats = [_mod_array(m, mod) for m in t_mats]
+    if len(mats) == 1:
+        theta_step = mod // math.gcd(mod, *t_theta[0])
+        return math.lcm(_order(mats[0], mod, mod ** (n * n)), theta_step)
+    eye = np.eye(n, dtype=mats[0].dtype)
+    acc = eye[None]
+    th = np.zeros((1, len(t_theta[0])), dtype=eye.dtype)
+    for m, te in zip(mats, t_theta):
+        powers = [eye]
+        for _ in range(mod - 1):
+            powers.append(powers[-1] @ m % mod)
+        acc = (acc[:, None] @ np.stack(powers) % mod).reshape(-1, n, n)
+        steps = (np.arange(mod)[:, None] * np.array(te, dtype=object) % mod).astype(eye.dtype)
+        th = ((th[:, None] + steps) % mod).reshape(len(acc), len(te))
+    count = int(((acc == eye).all(axis=(1, 2)) & (th == 0).all(axis=1)).sum())
+    return mod ** len(mats) // count
 
 
-def _closure_mod(gens_mod, theta_rows, mod, theta_mod, cap):
-    """Closure of the generator images in SL(n,Z/mod) x Z^r/theta_mod.
+def _image_closure(spec: MatrixGroupSpec, theta_rows, mod: int, cap: int) -> np.ndarray:
+    """The image of G in GL(n, Z/mod) x (Z/mod)^r, one row [entries of M |
+    theta part] per element, identity first.
 
-    Returns the element set, or the reached size (int) if the cap is hit.
+    Breadth first from the identity, multiplying on the right by the
+    generator images only: the image is finite, so every inverse is a
+    positive power.  Each round's new rows come in code order.  Once more
+    than `cap` elements are found the search stops and returns cap + 1 rows.
     """
-    r = len(theta_rows[0]) if theta_rows else 0
-    start = (_identity(len(gens_mod[0])), (0,) * r)
-    items = [(g, tuple(x % theta_mod for x in theta_rows[i]))
-             for i, g in enumerate(gens_mod)]
-    inv_items = [(_mat_inverse_mod(g, mod),
-                  tuple(-x % theta_mod for x in theta_rows[i]))
-                 for i, g in enumerate(gens_mod)]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for m, th in frontier:
-            for gm, gth in items + inv_items:
-                nm = _mat_mul(m, gm, mod)
-                nth = tuple((a + b) % theta_mod for a, b in zip(th, gth))
-                key = (nm, nth)
-                if key not in seen:
-                    seen.add(key)
-                    new.append(key)
-                    if len(seen) > cap:
-                        return len(seen)
-        frontier = new
-    return seen
+    n, g = spec.dim, len(spec.generators)
+    gens = _mod_array(spec.generators, mod)
+    thetas = (np.array(theta_rows, dtype=object) % mod).astype(gens.dtype)
+    r = thetas.shape[1]
+    frontier = np.concatenate([np.eye(n, dtype=gens.dtype).ravel(),
+                               np.zeros(r, dtype=gens.dtype)])[None]
+    found, known = [frontier], _codes(frontier, mod)
+    while len(frontier) and len(known) <= cap:
+        f = len(frontier)
+        mats = frontier[:, :n * n].reshape(f, 1, n, n) @ gens % mod
+        ths = (frontier[:, None, n * n:] + thetas) % mod
+        cand = np.concatenate([mats.reshape(f * g, n * n), ths.reshape(f * g, r)], axis=1)
+        codes, first = np.unique(_codes(cand, mod), return_index=True)
+        fresh = known[np.minimum(np.searchsorted(known, codes), len(known) - 1)] != codes
+        frontier = cand[first[fresh]]
+        found.append(frontier)
+        known = np.sort(np.concatenate([known, codes[fresh]]))
+    return np.concatenate(found)[:cap + 1]
 
 
 def image_filtration(spec: MatrixGroupSpec, p: int, k: int,
@@ -537,35 +477,34 @@ def image_filtration(spec: MatrixGroupSpec, p: int, k: int,
     collects the image elements that are trivial at level j; its first term
     is the image of G_1.  The terms form a central p-filtration of the
     level-1 kernel image (checked by callers through the filtration module).
+    The elements are (matrix, theta) pairs, identity first, then
+    lexicographic; the table is built one row (one block product) at a time.
     """
     from .filtration import Filtration
     from .groups import Subgroup as _Subgroup
     rank, theta_rows = theta_map(spec.presentation)
     mod = p ** k
-    gens_mod = [_reduce(g, mod) for g in spec.generators]
-    closure = _closure_mod(gens_mod, theta_rows, mod, mod, image_cap)
-    if isinstance(closure, int):
+    rows = _image_closure(spec, theta_rows, mod, image_cap)
+    if len(rows) > image_cap:
         raise CapExceeded("finite image beyond the cap")
-    elems = sorted(closure)
-    ident = (_identity(spec.dim), (0,) * (len(theta_rows[0]) if theta_rows else 0))
-    elems.remove(ident)
-    elems.insert(0, ident)
-    index = {m: i for i, m in enumerate(elems)}
-    n = len(elems)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, (ma, ta) in enumerate(elems):
-        for j, (mb, tb) in enumerate(elems):
-            key = (_mat_mul(ma, mb, mod),
-                   tuple((x + y) % mod for x, y in zip(ta, tb)))
-            table[i, j] = index[key]
+    codes = _codes(rows, mod)
+    order = np.concatenate([[0], 1 + np.argsort(codes[1:])])
+    rows, codes = rows[order], codes[order]
+    by_code = np.argsort(codes)
+    sorted_codes = codes[by_code]
+    size, n = len(rows), spec.dim
+    mats, ths = rows[:, :n * n].reshape(size, n, n), rows[:, n * n:]
+    table = np.empty((size, size), dtype=np.int64)
+    for i in range(size):
+        prods = np.concatenate([(mats[i] @ mats % mod).reshape(size, n * n),
+                                (ths[i] + ths) % mod], axis=1)
+        table[i] = by_code[np.searchsorted(sorted_codes, _codes(prods, mod))]
     G_img = FiniteGroup(table, name=f"image mod {p}^{k}", validate=False)
-    levels = []
-    for j in range(1, k + 1):
-        q = p ** j
-        levels.append([i for i, (m, t) in enumerate(elems)
-                       if all((m[r][c] - (1 if r == c else 0)) % q == 0
-                              for r in range(spec.dim) for c in range(spec.dim))
-                       and all(x % q == 0 for x in t)])
+    off = rows - rows[0]
+    levels = [np.flatnonzero((off % p ** j == 0).all(axis=1)).tolist()
+              for j in range(1, k + 1)]
+    elems = [(tuple(tuple(row[i * n:(i + 1) * n]) for i in range(n)), tuple(row[n * n:]))
+             for row in rows.tolist()]
     # the filtration lives on the image of G_1, realized as its own group
     G1, to_parent, from_parent = _Subgroup(G_img, levels[0], check=False).as_group()
     terms = [_Subgroup(G1, [from_parent[g] for g in lv], check=False)

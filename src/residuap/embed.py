@@ -534,13 +534,10 @@ class ElabSpace:
 
     def __init__(self, V: FiniteGroup):
         p = V.prime()
-        if p is None and V.order > 1:
-            raise ValueError("not a p-group")
+        if not V.is_elementary_abelian():
+            raise ValueError("not a p-group" if p is None else "not elementary abelian")
         self.V = V
         self.p = p = p if p is not None else 2
-        if any(V.element_orders()[x] not in (1, p) for x in range(V.order)) \
-                or not V.is_abelian:
-            raise ValueError("not elementary abelian")
         basis = []
         span = np.zeros(1, dtype=np.int64)      # spanned elements, row by row
         rows = np.zeros((1, 0), dtype=np.int64)
@@ -828,12 +825,7 @@ def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
             G, identity_hom(G), tuple(0 for _ in pas)))
         dec.certificate.verify(G, pas, p)
         return dec
-    try:
-        ElabSpace(G)
-        elab = True
-    except ValueError:
-        elab = False
-    if elab:
+    if G.is_elementary_abelian():
         flag = unipotent_flag_extend(G, pas)
         if flag.is_no:
             return Decision(NO, reason=flag.reason)
@@ -931,10 +923,9 @@ def layerwise_inner_extension(G: FiniteGroup, F: Filtration,
         Ln, proj, to_parent = F.layer(n)
         if Ln.order == 1:
             continue
-        try:
-            space = ElabSpace(Ln)
-        except ValueError:
+        if not Ln.is_elementary_abelian():
             return Decision(UNKNOWN, reason=f"layer {n} is not elementary abelian")
+        space = ElabSpace(Ln)
         from_parent = {g: i for i, g in enumerate(to_parent)}
         layer_pas = []
         for phi in pas:
@@ -979,11 +970,7 @@ def inner_extension_with_chain(G, pas, chain: Filtration, p: int,
                for upper, lower in zip(series, series[1:]) for phi in pas):
         return Decision(UNKNOWN, reason="assembled chain fails the trivial-"
                                         "action criterion")
-    try:
-        space = ElabSpace(G)
-    except ValueError:
-        space = None
-    if space is not None:
+    if G.is_elementary_abelian():
         return inner_extension(G, pas, aut_cap=aut_cap, size_cap=size_cap)
     return _extend_in_stabilizer(
         G, pas, [Subgroup(G, t.elems, check=False) for t in series], p,

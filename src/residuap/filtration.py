@@ -16,7 +16,8 @@ import numpy as np
 from . import kernels
 from .groups import (FiniteGroup, Homomorphism, Subgroup, full_subgroup,
                      generating_sequence, intersect, normal_closure, quotient,
-                     require_prime, subgroup_generated, trivial_subgroup)
+                     require_p_group, require_prime, subgroup_generated,
+                     trivial_subgroup)
 
 
 class Filtration:
@@ -201,8 +202,10 @@ def dimension_series(G: FiniteGroup, p: int) -> Filtration:
     D_1 = G, D_n = (D_ceil(n/p))^p prod_{i+j=n} [D_i, D_j]
     and cross-checked against Lazard's closed formula
     D_n = prod_{i p^j >= n} gamma_i(G)^(p^j); the two must agree.
+    G must be a p-group: otherwise the series never reaches 1.
     """
     require_prime(p)
+    require_p_group(G, p)
     D = [full_subgroup(G)]  # D[k] = D_{k+1}
     n = 2
     while not D[-1].is_trivial():

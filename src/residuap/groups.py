@@ -120,6 +120,15 @@ class FiniteGroup:
         p = _least_prime_factor(n)
         return p if self.is_p_group(p) else None
 
+    def is_elementary_abelian(self) -> bool:
+        """Abelian with every element of order 1 or p, for one prime p; the
+        trivial group counts."""
+        if self.order == 1:
+            return True
+        p = self.prime()
+        return (p is not None and self.is_abelian
+                and all(o in (1, p) for o in self.element_orders()))
+
     def copy(self, name: str) -> "FiniteGroup":
         """An independent group on a copy of the table, keeping the element
         orders, generating sequence and chief series (re-parented) found."""
@@ -159,6 +168,11 @@ def require_prime(p: int) -> None:
                          "below 3.3e24")
     if p < 2 or not _is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def require_p_group(G: FiniteGroup, p: int) -> None:
+    if not G.is_p_group(p):
+        raise ValueError(f"{G.name} is not a {p}-group")
 
 
 def _is_prime(n: int) -> bool:

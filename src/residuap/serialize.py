@@ -18,7 +18,7 @@ from .groups import (FiniteGroup, Homomorphism, Subgroup, generating_sequence,
 
 def group_to_obj(G: FiniteGroup) -> dict:
     return {"order": G.order,
-            "mult": [[int(x) for x in row] for row in G.mult],
+            "mult": G.mult.tolist(),
             "name": G.name}
 
 

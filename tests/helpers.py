@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -530,6 +531,148 @@ def reference_layer_check(p: int, k: int) -> dict:
                         report["commutator_failure"] = {"i": i, "j": j}
                         return report
     return report
+
+
+# -- reference n x n matrix loops mod p^k -------------------------------------------
+#
+# The tuple loops congruence.py ran for the power map, the finite images of
+# integer matrix groups and the orders before its array form: one product at
+# a time, the image closed under the generators and their inverses, and the
+# image table from one product and one dict lookup per cell.
+
+def _ref_mat_mul(a, b, mod):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % mod
+                       for j in range(n)) for i in range(n))
+
+
+def _ref_identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _ref_reduce(m, q):
+    return tuple(tuple(x % q for x in row) for row in m)
+
+
+def _ref_mat_pow(a, e, mod):
+    acc, base = _ref_identity(len(a)), _ref_reduce(a, mod)
+    while e:
+        if e & 1:
+            acc = _ref_mat_mul(acc, base, mod)
+        base = _ref_mat_mul(base, base, mod)
+        e >>= 1
+    return acc
+
+
+def reference_matrix_order(m, mod: int) -> int:
+    """The least e >= 1 with m^e = 1 mod `mod`, one product at a time."""
+    ident, acc, e = _ref_identity(len(m)), _ref_reduce(m, mod), 1
+    while acc != ident:
+        acc, e = _ref_mat_mul(acc, m, mod), e + 1
+    return e
+
+
+def _ref_pow2(a, e, q):
+    acc = ((1, 0), (0, 1))
+    for _ in range(e):
+        acc = _ref_mul(acc, a, q)
+    return acc
+
+
+def reference_power_map_injectivity(p: int, k: int) -> dict:
+    """congruence.power_map_injectivity on 2x2 tuples, with a dict from
+    each layer class to its representative."""
+    levels = []
+    all_ok = True
+    for i in range(1, k - 1):
+        q1, q2 = p ** (i + 1), p ** (i + 2)
+        reps = [(((1 + p ** i * a) % q1, (p ** i * b) % q1),
+                 ((p ** i * c) % q1, (1 - p ** i * a) % q1))
+                for a, b, c in itertools.product(range(p), repeat=3)]
+        rep_by_class = {_ref_reduce(m, q1): m for m in reps}
+        images = {key: _ref_pow2(m, p, q2) for key, m in rep_by_class.items()}
+        well_defined = all(
+            _ref_pow2(tuple(tuple((x + q1) % q2 for x in row) for row in m), p, q2)
+            == images[key] for key, m in rep_by_class.items())
+        inj = len(set(images.values())) == len(reps)
+        hom = all(images[_ref_mul(m1, m2, q1)]
+                  == _ref_mul(images[k1], images[k2], q2)
+                  for k1, m1 in rep_by_class.items() for k2, m2 in rep_by_class.items())
+        levels.append({"i": i, "layer_order": len(reps), "well_defined": well_defined,
+                       "homomorphism": hom, "injective": inj})
+        all_ok = all_ok and inj and hom and well_defined
+    return {"p": p, "k": k, "levels": levels, "all_injective": all_ok}
+
+
+def reference_image_closure(spec, p: int, k: int, cap: int):
+    """The image of spec's group in GL(n, Z/p^k) x (Z/p^k)^r as a set of
+    (matrix, theta) pairs, closed under the generators and their inverses;
+    the reached size (cap + 1) once it passes the cap."""
+    from residuap.congruence import _int_inverse
+    from residuap.smith import theta_map
+    mod = p ** k
+    _, theta_rows = theta_map(spec.presentation)
+    steps = []
+    for g, th in zip(spec.generators, theta_rows):
+        steps.append((_ref_reduce(g, mod), tuple(x % mod for x in th)))
+        steps.append((_ref_reduce(_int_inverse(g), mod), tuple(-x % mod for x in th)))
+    start = (_ref_identity(spec.dim), (0,) * len(theta_rows[0]))
+    seen, frontier = {start}, [start]
+    while frontier:
+        new = []
+        for m, th in frontier:
+            for gm, gth in steps:
+                key = (_ref_mat_mul(m, gm, mod),
+                       tuple((a + b) % mod for a, b in zip(th, gth)))
+                if key not in seen:
+                    seen.add(key)
+                    new.append(key)
+                    if len(seen) > cap:
+                        return len(seen)
+        frontier = new
+    return seen
+
+
+def reference_image_table(spec, p: int, k: int):
+    """(elems, table, levels) of congruence.image_filtration: the elements
+    identity first, then sorted; the table cell by cell; level j the
+    elements trivial mod p^j."""
+    mod, n = p ** k, spec.dim
+    elems = sorted(reference_image_closure(spec, p, k, 10 ** 9))
+    ident = next(e for e in elems if e[0] == _ref_identity(n) and not any(e[1]))
+    elems.remove(ident)
+    elems.insert(0, ident)
+    index = {e: i for i, e in enumerate(elems)}
+    table = [[index[(_ref_mat_mul(ma, mb, mod),
+                     tuple((x + y) % mod for x, y in zip(ta, tb)))]
+              for mb, tb in elems] for ma, ta in elems]
+    levels = [[i for i, (m, t) in enumerate(elems)
+               if _ref_reduce(m, p ** j) == _ref_reduce(ident[0], p ** j)
+               and not any(x % p ** j for x in t)] for j in range(1, k + 1)]
+    return elems, table, levels
+
+
+def reference_t_lattice(t_mats, t_theta, p: int, k: int) -> int:
+    """The index congruence._t_intersection_lattice returns.  For cyclic T
+    the least multiple from the order of m and the theta condition; for
+    r >= 2 the size of the exponent box [0, p^k)^r, each T(e) formed one
+    product at a time, over the number of e with T(e) = 1 and
+    e theta = 0 mod p^k."""
+    mod = p ** k
+    n = len(t_mats[0])
+    if len(t_mats) == 1:
+        nz = [abs(x) for x in t_theta[0] if x]
+        theta_step = mod // math.gcd(mod, math.gcd(*nz)) if nz else 1
+        o = reference_matrix_order(t_mats[0], mod)
+        return o * theta_step // math.gcd(o, theta_step)
+    count = 0
+    for exps in itertools.product(range(mod), repeat=len(t_mats)):
+        acc = _ref_identity(n)
+        for m, e in zip(t_mats, exps):
+            acc = _ref_mat_mul(acc, _ref_mat_pow(m, e, mod), mod)
+        th = [sum(e * te[i] for te, e in zip(t_theta, exps)) for i in range(len(t_theta[0]))]
+        count += acc == _ref_identity(n) and all(x % mod == 0 for x in th)
+    return mod ** len(t_mats) // count
 
 
 # -- seeded partial automorphisms of F_p^d ------------------------------------------

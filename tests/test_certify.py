@@ -418,3 +418,22 @@ def test_separating_level_single_position_variant():
         single = separating_level(gog, gfilt, com, ctx,
                                   single_position=i)["level"]
         assert single is not None and single <= full
+
+
+def test_sigma_coordinates_are_built_once(monkeypatch):
+    from residuap import certify, embed
+    built, sigmas = [], []
+    init, inner = embed.ElabSpace.__init__, certify._inner_for_sigma
+
+    def counting_init(self, V):
+        built.append(V)
+        init(self, V)
+
+    def recording_inner(sigma, *args):
+        sigmas.append(sigma)
+        return inner(sigma, *args)
+    monkeypatch.setattr(embed.ElabSpace, "__init__", counting_init)
+    monkeypatch.setattr(certify, "_inner_for_sigma", recording_inner)
+    assert certify_residually_p(shift_loop(), 3).is_yes
+    (sigma,) = sigmas
+    assert sum(V is sigma for V in built) == 1

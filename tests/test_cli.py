@@ -234,3 +234,10 @@ def test_verify_rejects_unknown_kind(capsys, tmp_path):
     f = tmp_path / "x.json"
     f.write_text(json.dumps({"kind": "other"}))
     assert main(["verify", "--file", str(f)]) == 1
+
+
+def test_dimension_series_rejects_a_non_p_group():
+    # the recursion never reaches 1 on C27 at p = 2
+    proc = run_process("filtration", "dimension", "--group", "catalog:C27", "--p", "2")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: ValueError: C27 is not a 2-group\n"

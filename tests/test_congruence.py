@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 import helpers
@@ -7,8 +10,8 @@ from residuap.congruence import (CongruenceTower, MatrixGroupSpec, TSpec,
                                  congruence_layer_check, matrix_p_filtration,
                                  power_map_injectivity, sl2_congruence_tower,
                                  unitriangular_order)
-from residuap.groups import CapExceeded
-from residuap.smith import Presentation
+from residuap.groups import CapExceeded, Subgroup
+from residuap.smith import Presentation, theta_map
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -196,3 +199,115 @@ def test_layer_check_requires_determinant_one(monkeypatch):
     monkeypatch.setattr(congruence, "sl2_congruence_tower", broken)
     with pytest.raises(AssertionError, match="det"):
         congruence_layer_check(2, 3)
+
+
+# -- the array forms against the tuple loops of tests/helpers.py ----------------
+
+HEIS_X = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+HEIS_Y = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+HEIS_Z = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+
+MATRIX_SPECS = {
+    "cyclic": zspec(((1,),), ((1, 1),)),
+    "two_generators": MatrixGroupSpec(
+        generators=(((1, 2), (0, 1)), ((1, 0), (2, 1))),
+        presentation=Presentation(2, ()), subgroups=(TSpec(((1,),)),)),
+    # [x, y] = z central: the relators kill z in H, so r = 2
+    "heisenberg": MatrixGroupSpec(
+        generators=(HEIS_X, HEIS_Y, HEIS_Z),
+        presentation=Presentation(3, ((-1, -2, 1, 2, -3), (-1, -3, 1, 3),
+                                      (-2, -3, 2, 3))),
+        subgroups=(TSpec(((3,),)), TSpec(((1,), (3,))))),
+    "negative_letters": MatrixGroupSpec(
+        generators=(UNIPOTENT, ((1, 0), (3, 1))),
+        presentation=Presentation(2, ()),
+        subgroups=(TSpec(((-1, -1),)), TSpec(((-2,),)))),
+    # T = <u, u^2>: the exponent box of the r >= 2 branch
+    "box": zspec(((1,), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (3, 4), (3, 5), (5, 4), (7, 3),
+                                 (3, 22), (5, 16)])
+def test_power_map_matches_reference(p, k):
+    # (3, 22) and (5, 16) multiply past int64 at their deeper layers
+    rep = power_map_injectivity(p, k)
+    assert json.dumps(rep) == json.dumps(helpers.reference_power_map_injectivity(p, k))
+    assert rep["all_injective"]
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_SPECS))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_matrix_p_filtration_matches_reference(name, p):
+    spec, cap = MATRIX_SPECS[name], 2000
+    rep = matrix_p_filtration(spec, p, 3, image_cap=cap)
+    json.dumps(rep)                       # plain ints and bools throughout
+    ref_levels = []
+    for k in (1, 2, 3):
+        closure = helpers.reference_image_closure(spec, p, k, cap)
+        capped = isinstance(closure, int)
+        ref_levels.append({"k": k, "capped": capped,
+                           "image_order": closure if capped else len(closure)})
+    assert rep["levels"] == ref_levels
+    _, theta_rows = theta_map(spec.presentation)
+    for tspec, trep in zip(spec.subgroups, rep["subgroups"]):
+        t_mats = [tuple(map(tuple, np.asarray(congruence._eval_word_int(
+            spec.generators, w)).tolist())) for w in tspec.words]
+        t_theta = [congruence._theta_of_word(theta_rows, w) for w in tspec.words]
+        # the reference box walk is slow past p^k = 27
+        ks = [k for k in (1, 2, 3) if p ** k <= 27]
+        assert [trep["per_k"][k - 1]["intersection_index"] for k in ks] == \
+            [helpers.reference_t_lattice(t_mats, t_theta, p, k) for k in ks]
+
+
+def test_capped_levels_report_cap_plus_one():
+    rep = matrix_p_filtration(MATRIX_SPECS["two_generators"], 5, 2, image_cap=500)
+    assert rep["levels"] == [{"k": 1, "image_order": 501, "capped": True},
+                             {"k": 2, "image_order": 501, "capped": True}]
+    rep = matrix_p_filtration(MATRIX_SPECS["two_generators"], 5, 1)
+    assert rep["levels"] == [{"k": 1, "image_order": 3000, "capped": False}]
+
+
+def test_exponent_box_branch():
+    # u^e1 u^(2 e2) = 1 and e1 + 2 e2 = 0 mod p^k cut out index p^k: level 1
+    rep = matrix_p_filtration(MATRIX_SPECS["box"], 3, 3)
+    (trep,) = rep["subgroups"]
+    assert [e["intersection_index"] for e in trep["per_k"]] == [3, 9, 27]
+    assert trep["level"] == 1
+
+
+@pytest.mark.parametrize("name,p,k", [
+    ("cyclic", 2, 3), ("cyclic", 5, 3), ("box", 3, 2), ("two_generators", 2, 3),
+    ("two_generators", 3, 1), ("heisenberg", 2, 2), ("heisenberg", 3, 1),
+    ("negative_letters", 2, 1), ("negative_letters", 3, 1)])
+def test_image_filtration_matches_reference(name, p, k):
+    from residuap.congruence import image_filtration
+    spec = MATRIX_SPECS[name]
+    G_img, filt, elems = image_filtration(spec, p, k)
+    ref_elems, ref_table, ref_levels = helpers.reference_image_table(spec, p, k)
+    assert elems == ref_elems
+    assert G_img.mult.tolist() == ref_table
+    G1, to_parent, _ = Subgroup(G_img, ref_levels[0], check=False).as_group()
+    assert filt.group.mult.tolist() == G1.mult.tolist()
+    assert [[to_parent[x] for x in t.elems] for t in filt.terms] == ref_levels
+    assert filt.is_central_p(p)
+
+
+def test_image_filtration_cap():
+    from residuap.congruence import image_filtration
+    with pytest.raises(CapExceeded):
+        image_filtration(MATRIX_SPECS["two_generators"], 3, 2, image_cap=5000)
+
+
+@pytest.mark.parametrize("n,p,d,N", [
+    (2, 3, 2, [[0, 1], [0, 0]]), (2, 5, 2, [[0, -1], [0, 0]]),
+    (3, 3, 2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+    (3, 5, 2, [[0, 5, 1], [0, 0, 5], [0, 0, 0]]),
+    (3, 3, 3, [[0, 3, 1], [0, 0, 9], [0, 0, 0]]),
+    # 3^20 passes the int64 bound on products: exact Python ints
+    (2, 3, 20, [[0, 3 ** 19], [0, 0]]),
+    (3, 3, 40, [[0, 3 ** 39, 0], [0, 0, 3 ** 38], [0, 0, 0]]),
+])
+def test_unitriangular_order_matches_reference(n, p, d, N):
+    M = tuple(tuple(N[i][j] + (i == j) for j in range(n)) for i in range(n))
+    assert unitriangular_order(n, p, d, N) == helpers.reference_matrix_order(M, p ** d)

@@ -516,3 +516,24 @@ def test_mapping_torus_rejects_non_automorphism():
     C3 = catalog.cyclic(3)
     with pytest.raises(ValueError):
         mapping_torus_check(C3, [np.array([0, 0, 0])])
+
+
+def _builds_elab_space(G):
+    try:
+        ElabSpace(G)
+    except ValueError:
+        return False
+    return True
+
+
+def test_is_elementary_abelian_matches_elab_space():
+    groups = (catalog.property_suite(2) + catalog.property_suite(3)
+              + catalog.property_suite(5) + catalog.two_group_scan_list(16)
+              + [catalog.by_name(name) for name in ("D8", "D16", "Q8", "SD16",
+                                                    "Heis27", "C9:C3", "C4xC2")]
+              + [catalog.cyclic(1), catalog.cyclic(6), catalog.abelian(6, 2),
+                 catalog.elementary_abelian(7, 2)])
+    for G in groups:
+        assert G.is_elementary_abelian() == _builds_elab_space(G), G.name
+    assert sum(G.is_elementary_abelian() for G in groups) > 0
+    assert not all(G.is_elementary_abelian() for G in groups)

@@ -119,3 +119,10 @@ def test_ideal_basis_from_obj_rejects_a_non_ideal():
         back = serialize.ideal_basis_from_obj(
             basis.group, roundtrip(serialize.ideal_basis_to_obj(basis)))
         assert back == basis
+
+
+def test_group_to_obj_holds_plain_ints():
+    G = catalog.by_name("SD16")
+    mult = serialize.group_to_obj(G)["mult"]
+    assert mult == [[int(x) for x in row] for row in G.mult]
+    assert all(type(x) is int for row in mult for x in row)
