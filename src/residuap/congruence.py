@@ -46,16 +46,18 @@ def _power(mats: np.ndarray, e: int, mod: int) -> np.ndarray:
     return acc
 
 
-def _order(m: np.ndarray, mod: int, bound: int) -> int:
-    """The least e >= 1 with m^e = 1 mod `mod`; AssertionError past `bound`."""
+def _unipotent_order(m: np.ndarray, p: int, mod: int) -> int:
+    """The order of a unipotent m mod `mod` = p^k.  It is a power of p, at
+    most p^k·(n - 1) for n x n matrices, so it is the least p^e with
+    m^(p^e) = 1, found by p-th powers."""
     eye = np.eye(len(m), dtype=m.dtype)
-    acc, e = m, 1
-    while (acc != eye).any():
-        acc = acc @ m % mod
-        e += 1
-        if e > bound:
-            raise AssertionError("runaway order computation")
-    return e
+    order = 1
+    while (m != eye).any():
+        if order >= mod * len(m):
+            raise AssertionError("the matrix is not unipotent")
+        m = _power(m, p, mod)
+        order *= p
+    return order
 
 
 # products are formed in row blocks of about this many matrices at a time
@@ -257,8 +259,8 @@ def unitriangular_order(n: int, p: int, d: int, N: Sequence[Sequence[int]]) -> i
             if N[i][j] % mod:
                 raise ValueError("N must be strictly upper triangular")
     M = _mod_array([[N[i][j] + (i == j) for j in range(n)] for i in range(n)], mod)
-    order = _order(M, mod, mod * n)
-    if mod % order != 0 or order > mod:
+    order = _unipotent_order(M, p, mod)
+    if order > mod:
         raise AssertionError("order does not divide p^d")
     # exactness clause
     first_nonzero = None
@@ -425,7 +427,7 @@ def _t_intersection_lattice(t_mats, t_theta, p: int, k: int) -> int:
     mats = [_mod_array(m, mod) for m in t_mats]
     if len(mats) == 1:
         theta_step = mod // math.gcd(mod, *t_theta[0])
-        return math.lcm(_order(mats[0], mod, mod ** (n * n)), theta_step)
+        return math.lcm(_unipotent_order(mats[0], p, mod), theta_step)
     eye = np.eye(n, dtype=mats[0].dtype)
     acc = eye[None]
     th = np.zeros((1, len(t_theta[0])), dtype=eye.dtype)

@@ -5,10 +5,11 @@ inner automorphisms, and mapping-torus criteria.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -430,33 +431,76 @@ def verify_higman(am: Amalgam, FG: Filtration, FH: Filtration,
 
 # -- search over chief filtrations ------------------------------------------------
 
-def _chain_tracer(G: FiniteGroup, chains: Sequence[Sequence[Subgroup]]):
-    """A function emb -> the chain that each of the descending chains of G
-    induces on U through the injective map emb: U -> G.
+def _prime_factor_count(n: int) -> int:
+    """The number of prime factors of n, counted with multiplicity."""
+    count, d = 0, 2
+    while n > 1:
+        while n % d == 0:
+            n //= d
+            count += 1
+        d += 1
+    return count
 
-    Term T gives the bitmask of {u : emb(u) in T}; a chain gives the tuple
-    of its masks with consecutive repeats dropped, so two chains induce the
-    same filtration on U exactly when their traces are equal.  The 0/1
-    membership matrix of the distinct terms is built once, and each call
-    makes one product with it.
+
+@functools.cache
+def _field_shifts(n: int) -> np.ndarray:
+    """shift[s] = n·Ω(n/s) for each divisor s of n, else 0: the bit at which
+    a trace key holds the mask of a term that meets U (|U| = n) in s
+    elements."""
+    shifts = np.array([n * _prime_factor_count(n // s) if s and n % s == 0
+                       else 0 for s in range(n + 1)], dtype=np.int64)
+    shifts.flags.writeable = False
+    return shifts
+
+
+def _chain_tracer(G: FiniteGroup, chains: Sequence[Sequence[Subgroup]]):
+    """A function E -> the chains that the descending chains of G induce on
+    U, for a (k, |U|) block E of injective maps U -> G given as index rows.
+
+    Term T gives the bitmask of {u : E[j, u] in T}.  The terms of a chain
+    are nested, so its distinct masks have distinct sizes s, and the chain
+    it induces on U is the list of these masks by decreasing size.  A key
+    packs that list into one integer: the mask of size s at bit |U|·Ω(|U|/s)
+    (Ω counts prime factors with multiplicity; log_p(|U|/s) for a p-group,
+    which is the mask's position when every term has index p in the one
+    before), OR-ed over the chain, so repeated masks fall on themselves.
+    The result is a (chains, k) array of keys; two chains induce the same
+    filtration on U through E[j] exactly when their keys in column j are
+    equal.  Keys are int64 while |U|·(Ω(|U|) + 1) < 63 and Python ints
+    above that.  The 0/1 membership matrix of the distinct terms is built
+    once, with one zero row that pads the shorter chains; its mask 0 adds
+    nothing, and no term gives mask 0, since every term holds the identity.
     """
     rows: dict[tuple[int, ...], int] = {}
     chain_rows = [[rows.setdefault(t.elems, len(rows)) for t in chain]
                   for chain in chains]
-    member = np.zeros((len(rows), G.order), dtype=np.int64)
-    for elems, r in rows.items():
-        member[r, list(elems)] = 1
+    pad = len(rows)
+    member = np.zeros((pad + 1, G.order), dtype=np.int64)
+    member[[r for elems, r in rows.items() for _ in elems],
+           [g for elems in rows for g in elems]] = 1
+    width = max(map(len, chain_rows), default=0)
+    index = np.array([r + [pad] * (width - len(r)) for r in chain_rows],
+                     dtype=np.int64).reshape(len(chain_rows), width)
 
-    def trace(emb: Homomorphism) -> list[tuple[int, ...]]:
-        n = emb.dom.order
+    def trace(E: np.ndarray) -> np.ndarray:
+        n = E.shape[1]
         # int64 holds a mask of at most 62 bits; Python ints hold any
         bits = (1 << np.arange(n, dtype=np.int64) if n < 63
                 else np.array([1 << u for u in range(n)], dtype=object))
-        masks = (member[:, emb.map] @ bits).tolist()
-        return [tuple(m for m, _ in itertools.groupby(masks[r] for r in chain))
-                for chain in chain_rows]
+        inside = member[:, E]                          # (terms, k, |U|)
+        masks = inside @ bits
+        shifts = _field_shifts(n)[inside.sum(axis=2)]
+        if n * (_prime_factor_count(n) + 1) >= 63:
+            masks, shifts = masks.astype(object), shifts.astype(object)
+        return np.bitwise_or.reduce((masks << shifts)[index], axis=1)
 
     return trace
+
+
+def _trace_keys(G: FiniteGroup, chains: Sequence[Sequence[Subgroup]],
+                emb: Homomorphism) -> list:
+    """The key of each chain's induced chain on emb.dom, through emb."""
+    return _chain_tracer(G, chains)(emb.map[None])[:, 0].tolist()
 
 
 def amalgam_embeddable(am: Amalgam, series_cap: int = 100_000) -> Decision:
@@ -469,10 +513,10 @@ def amalgam_embeddable(am: Amalgam, series_cap: int = 100_000) -> Decision:
         raise ValueError("amalgam_embeddable expects p-groups for one prime")
     sG = chief_series(am.G, cap=series_cap)
     sH = chief_series(am.H, cap=series_cap)
-    h_by_trace: dict[tuple, tuple] = {}
-    for tr, ser in zip(_chain_tracer(am.H, sH)(am.uH), sH):
+    h_by_trace: dict[int, tuple] = {}
+    for tr, ser in zip(_trace_keys(am.H, sH, am.uH), sH):
         h_by_trace.setdefault(tr, ser)
-    for tr, ser in zip(_chain_tracer(am.G, sG)(am.uG), sG):
+    for tr, ser in zip(_trace_keys(am.G, sG, am.uG), sG):
         if tr in h_by_trace:
             return Decision(YES, certificate=(ser, h_by_trace[tr]))
     return Decision(NO, reason="no chief filtrations induce the same chain on U")
@@ -508,8 +552,8 @@ def feasible_witness(am: Amalgam, witness, p: int, cap: int = DEFAULT_HIGMAN_CAP
     serG, serH = witness
     subG = _central_p_subchains(am.G, serG, p)
     subH = _central_p_subchains(am.H, serH, p)
-    trsG = _chain_tracer(am.G, [F.terms for F in subG])(am.uG)
-    trsH = _chain_tracer(am.H, [F.terms for F in subH])(am.uH)
+    trsG = _trace_keys(am.G, [F.terms for F in subG], am.uG)
+    trsH = _trace_keys(am.H, [F.terms for F in subH], am.uH)
     best = None
     for FG, trG in zip(subG, trsG):
         for FH, trH in zip(subH, trsH):
@@ -1038,19 +1082,6 @@ class ScanRecord:
     embeddable: bool
 
 
-def _isomorphisms_between(A: FiniteGroup, B: FiniteGroup,
-                          auts: Optional[list[np.ndarray]]):
-    """Isomorphisms A -> B: with auts = Aut(A) all of them, sorted; with
-    auts None only the first found."""
-    base = find_isomorphism(A, B)
-    if base is None:
-        return []
-    if auts is None:
-        return [base.map]
-    uniq = sorted({tuple(int(x) for x in base.map[a]) for a in auts})
-    return [np.asarray(m, dtype=np.int64) for m in uniq]
-
-
 def amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
                  all_iso_upto: int = 4):
     """Deterministic scan over amalgams built from the given 2-groups.
@@ -1063,28 +1094,51 @@ def amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
     Returns the list of ScanRecords in enumeration order.
     """
     records: list[ScanRecord] = []
-    # per group (keyed by identity): its chain tracer and, per subgroup S,
-    # (S, S as a group U, the parent index of each element of U, Aut(U) when
-    # all isomorphisms are listed, else None)
+    # per group (keyed by identity): its chain tracer, its trace sets keyed
+    # by the bytes of the embedding U -> G, and per subgroup S the tuple
+    # (S, S as a group U, the parent index of each element of U, the trace
+    # set of that inclusion), listed in order and bucketed by |S|
     facts: dict[FiniteGroup, tuple] = {}
-    trace_cache: dict[tuple[FiniteGroup, tuple], frozenset] = {}
+    # the isomorphisms U_G -> U_H depend only on the two tables; this memo
+    # lives for one call, so every scan pays for its own searches
+    isos: dict[tuple[bytes, bytes], tuple] = {}
+
+    def trace_sets(tracer, cache, E):
+        keys = [row.tobytes() for row in E]
+        todo = [j for j, key in enumerate(keys) if key not in cache]
+        if todo:
+            for j, col in zip(todo, tracer(E[todo]).T):
+                cache[keys[j]] = frozenset(col.tolist())
+        return [cache[key] for key in keys]
 
     def facts_of(G):
         if G not in facts:
-            subs = []
+            tracer, cache = _chain_tracer(G, chief_series(G)), {}
+            subs, by_order = [], {}
             for S in all_subgroups(G):
                 if 2 <= len(S) <= max_u:
                     U, toU, _ = S.as_group()
-                    auts = automorphisms(U) if len(S) <= all_iso_upto else None
-                    subs.append((S, U, toU, auts))
-            facts[G] = (_chain_tracer(G, chief_series(G)), subs)
+                    toU = np.asarray(toU, dtype=np.int64)
+                    subs.append((S, U, toU,
+                                 trace_sets(tracer, cache, toU[None])[0]))
+                    by_order.setdefault(len(S), []).append(subs[-1])
+            facts[G] = (tracer, cache, subs, by_order)
         return facts[G]
 
-    def trace_set(G, u_emb):
-        key = (G, tuple(int(x) for x in u_emb.map))
-        if key not in trace_cache:
-            trace_cache[key] = frozenset(facts_of(G)[0](u_emb))
-        return trace_cache[key]
+    def isomorphisms(UG, UH):
+        # all isomorphisms UG -> UH, sorted, up to all_iso_upto; else the
+        # first found; as the rows of a (k, |U|) array and as tuples
+        key = (UG.mult.tobytes(), UH.mult.tobytes())
+        if key not in isos:
+            base = find_isomorphism(UG, UH)
+            if base is None:
+                block = np.zeros((0, UG.order), dtype=np.int64)
+            elif UG.order > all_iso_upto:
+                block = base.map[None]
+            else:
+                block = np.unique(base.map[np.stack(automorphisms(UG))], axis=0)
+            isos[key] = (block, [tuple(m) for m in block.tolist()])
+        return isos[key]
 
     for i, G in enumerate(groups):
         for j in range(i, len(groups)):
@@ -1093,22 +1147,17 @@ def amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
                 H = G.copy(G.name + "'")
                 # the facts read only the table, which H shares with G
                 facts[H] = facts_of(G)
-            for SG, UG, toUG, auts in facts_of(G)[1]:
-                # both embeddings start at the G-side copy of U, so both
-                # trace sets live in the same coordinates
-                tG = trace_set(G, Homomorphism(UG, G, toUG, check=False))
-                for SH, UH, toUH, _ in facts_of(H)[1]:
-                    if len(SH) != len(SG):
-                        continue
-                    for iso in _isomorphisms_between(UG, UH, auts):
-                        uH = Homomorphism(UG, H,
-                                          [toUH[int(iso[x])]
-                                           for x in range(UG.order)],
-                                          check=False)
+            tracer, cache, _, subsH = facts_of(H)
+            for SG, UG, _, tG in facts_of(G)[2]:
+                # the embeddings of both sides start at the G-side copy of
+                # U, so both trace sets live in the same coordinates
+                for SH, UH, toUH, _ in subsH.get(len(SG), ()):
+                    block, maps = isomorphisms(UG, UH)
+                    for iso, tH in zip(maps, trace_sets(tracer, cache,
+                                                        toUH[block])):
                         records.append(ScanRecord(
-                            G.name, H.name, SG.elems, SH.elems,
-                            tuple(int(x) for x in iso),
-                            bool(tG & trace_set(H, uH))))
+                            G.name, H.name, SG.elems, SH.elems, iso,
+                            not tG.isdisjoint(tH)))
     return records
 
 

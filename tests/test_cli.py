@@ -241,3 +241,12 @@ def test_dimension_series_rejects_a_non_p_group():
     proc = run_process("filtration", "dimension", "--group", "catalog:C27", "--p", "2")
     assert proc.returncode == 1
     assert proc.stderr == "error: ValueError: C27 is not a 2-group\n"
+
+
+def test_utorder_of_order_3_to_the_20_returns(tmp_path):
+    # one product per step took 3^20 steps; p-th powers take 20
+    f = tmp_path / "ut.json"
+    f.write_text(json.dumps({"n": 2, "p": 3, "d": 20, "N": [[0, 1], [0, 0]]}))
+    proc = run_process("congruence", "utorder", "--file", str(f), "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"order": 3 ** 20}

@@ -455,15 +455,34 @@ def test_central_p_subchains_match_is_central_p(G):
         assert got == want
 
 
-@pytest.mark.parametrize("n", [32, 64])
+def _decode(key: int, n: int) -> tuple:
+    """A packed trace key back to its chain of sorted U-index tuples."""
+    out = []
+    while key:
+        mask = key & ((1 << n) - 1)
+        if mask:
+            out.append(tuple(u for u in range(n) if mask >> u & 1))
+        key >>= n
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
 def test_chain_tracer_matches_reference_trace(n):
-    # |U| = 64 needs masks wider than int64
+    # |U| = 8 packs into int64; |U| = 32 needs Python-int keys, and |U| = 64
+    # Python-int masks as well
     G, uG, _ = direct_product(catalog.cyclic(n), catalog.cyclic(2))
     series = chief_series(G)
-    want = [tuple(sum(1 << u for u in level)
-                  for level in reference_chief_trace(ser, uG))
-            for ser in series]
-    assert _chain_tracer(G, series)(uG) == want
+    # chief series, and subchains without their second term, whose traces
+    # can drop by more than one prime at a step
+    chains = series + [ser[:1] + ser[2:] for ser in series]
+    # a block of embeddings: uG after the automorphisms x -> a·x of C_n
+    block = np.stack([uG.map[(a * np.arange(n)) % n] for a in (1, 3, 5, n - 1)])
+    keys = _chain_tracer(G, chains)(block)
+    assert keys.shape == (len(chains), len(block))
+    for j, row in enumerate(block):
+        emb = Homomorphism(uG.dom, G, row, check=False)
+        assert [_decode(int(k), n) for k in keys[:, j]] == \
+            [reference_chief_trace(ser, emb) for ser in chains]
 
 
 def test_scan_matches_reference_and_per_record_path():
@@ -477,6 +496,30 @@ def test_scan_matches_reference_and_per_record_path():
     for rec in recs:
         am = scan_amalgam_object(groups, rec)
         assert amalgam_embeddable(am).is_yes == rec.embeddable
+    # relabeled tables give other isomorphism-memo keys; all isomorphisms
+    # up to order 8 give blocks of up to |Aut(C2^3)| = 168 embeddings; and
+    # |U| = 16 packs its keys into Python ints
+    relabeled = [relabel(G, 11 + i) for i, G in enumerate(groups)]
+    pair16 = [catalog.elementary_abelian(2, 4), catalog.abelian(4, 4)]
+    for args, kw in [((relabeled,), {}), ((groups,), {"all_iso_upto": 8}),
+                     ((pair16,), {"max_u": 16})]:
+        assert amalgam_scan(*args, **kw) == reference_amalgam_scan(*args, **kw)
+
+
+def test_scan_searches_each_pair_of_subgroup_tables_once(monkeypatch):
+    calls = []
+    search = embed.find_isomorphism
+
+    def counted(A, B):
+        calls.append(1)
+        return search(A, B)
+
+    monkeypatch.setattr(embed, "find_isomorphism", counted)
+    recs = amalgam_scan(catalog.two_group_scan_list(16))
+    assert (len(recs), len(calls)) == (18_662, 67)
+    # the memo lives for one call: a second scan searches again
+    amalgam_scan(catalog.two_group_scan_list(4))
+    assert len(calls) > 67
 
 
 # -- mapping tori ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from helpers import reference_closure
 
 from residuap import catalog
+from residuap.groups import FiniteGroup
 from residuap.kernels import npbackend, pybackend
 
 
@@ -155,3 +156,25 @@ def test_closure_on_c1024(gens):
     assert got == reference_closure(C.mult, C.inv, gens) == list(range(1024))
     assert npbackend.closure(C.mult, C.inv, [512, 256]) == \
         reference_closure(C.mult, C.inv, [512, 256]) == list(range(0, 1024, 256))
+
+
+@pytest.mark.parametrize("backend", ["np", "py"])
+def test_validate_rejects_one_swapped_intercalate_at_order_2048(backend):
+    # C2^11 (x·y = x xor y) with the intercalate on rows 1, 2 and columns
+    # 4, 7 swapped: still a latin square with identity 0 and two-sided
+    # inverses, but (6·1)·4 = 7·4 = 3 while 6·(1·4) = 6·6 = 0.  The seeded
+    # sample of 65,536 triples that both backends ran above order 256
+    # accepted this table.
+    n = 2048
+    idx = np.arange(n)
+    t = idx[:, None] ^ idx[None, :]
+    t[1, 4] = t[2, 7] = 6
+    t[1, 7] = t[2, 4] = 5
+    with pytest.raises(ValueError, match="associativity fails"):
+        if backend == "np":
+            FiniteGroup(t)
+        else:
+            pybackend.validate_table(t.tolist())
+    # the table it was made from passes
+    if backend == "np":
+        npbackend.validate_table(idx[:, None] ^ idx[None, :])
