@@ -16,8 +16,8 @@ import numpy as np
 from . import kernels
 from .algebra import WreathProduct, wreath
 from .filtration import (Filtration, StretchMap, align_filtrations,
-                         central_p_step, chief_series, induced_chain,
-                         lower_central_p_series, stretch)
+                         aligned_slots, central_p_step, chief_series,
+                         induced_chain, lower_central_p_series, stretch)
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
                      all_subgroups, automorphisms, direct_product,
                      find_isomorphism, full_subgroup, generating_sequence,
@@ -114,14 +114,25 @@ class HigmanResult:
 
 
 def predicted_higman_order(am: Amalgam, FG: Filtration, FH: Filtration) -> int:
-    """Predicted |W| for the wreath tower, computed on term orders only."""
+    """Predicted |W| for the wreath tower, computed on term orders only.
+    Raises AlignmentError exactly when align_filtrations(FG, FH, uG, uH)
+    does: that is decided on the induced chains as element tuples."""
     if am.uG.is_surjective() and am.uH.is_surjective():
         return am.G.order
-    FGs, FHs, _, _ = align_filtrations(FG, FH, am.uG, am.uH)
-    iG = [len(t) for t in FGs.terms]
-    iH = [len(t) for t in FHs.terms]
-    cU = [len(lv) for lv in induced_chain(FGs, am.uG)]
-    return _predict(iG, iH, cU)
+    cG, cH = induced_chain(FG, am.uG), induced_chain(FH, am.uH)
+    return _aligned_prediction([len(T) for T in FG.terms],
+                               [len(T) for T in FH.terms],
+                               [len(c) for c in cG], aligned_slots(cG, cH))
+
+
+def _aligned_prediction(iG: list[int], iH: list[int], cG: list[int],
+                        slots: list[tuple[int, int]]) -> int:
+    """_predict on the aligned filtrations, from the orders iG and iH of the
+    terms of FG and FH, the orders cG of their intersections with U on the
+    G side, and the aligned_slots of the two."""
+    return _predict([iG[j - 1] for j, _ in slots],
+                    [iH[j - 1] for _, j in slots],
+                    [cG[j - 1] for j, _ in slots])
 
 
 def _term_of(sizes: list[int], n: int) -> int:
@@ -497,10 +508,11 @@ def _chain_tracer(G: FiniteGroup, chains: Sequence[Sequence[Subgroup]]):
     return trace
 
 
-def _trace_keys(G: FiniteGroup, chains: Sequence[Sequence[Subgroup]],
-                emb: Homomorphism) -> list:
-    """The key of each chain's induced chain on emb.dom, through emb."""
-    return _chain_tracer(G, chains)(emb.map[None])[:, 0].tolist()
+def chief_tracer(G: FiniteGroup, cap: int = 100_000):
+    """_chain_tracer(G, chief_series(G, cap)), built once and kept with G."""
+    if G._chief_tracer is None:
+        G._chief_tracer = _chain_tracer(G, chief_series(G, cap=cap))
+    return G._chief_tracer
 
 
 def amalgam_embeddable(am: Amalgam, series_cap: int = 100_000) -> Decision:
@@ -513,10 +525,12 @@ def amalgam_embeddable(am: Amalgam, series_cap: int = 100_000) -> Decision:
         raise ValueError("amalgam_embeddable expects p-groups for one prime")
     sG = chief_series(am.G, cap=series_cap)
     sH = chief_series(am.H, cap=series_cap)
+    keysG, keysH = (chief_tracer(X, series_cap)(u.map[None])[:, 0].tolist()
+                    for X, u in ((am.G, am.uG), (am.H, am.uH)))
     h_by_trace: dict[int, tuple] = {}
-    for tr, ser in zip(_trace_keys(am.H, sH, am.uH), sH):
+    for tr, ser in zip(keysH, sH):
         h_by_trace.setdefault(tr, ser)
-    for tr, ser in zip(_trace_keys(am.G, sG, am.uG), sG):
+    for tr, ser in zip(keysG, sG):
         if tr in h_by_trace:
             return Decision(YES, certificate=(ser, h_by_trace[tr]))
     return Decision(NO, reason="no chief filtrations induce the same chain on U")
@@ -549,17 +563,31 @@ def feasible_witness(am: Amalgam, witness, p: int, cap: int = DEFAULT_HIGMAN_CAP
     on U) and returns (FG, FH, predicted) minimizing the predicted tower
     order, or None when every candidate exceeds the cap.
     """
+    def candidates(G, series, u):
+        # per subchain: the filtration, its induced chain on U as distinct
+        # sorted U-index tuples, its term orders and their intersection orders
+        image = {g: x for x, g in enumerate(u.map.tolist())}
+        meet = {T.elems: tuple(sorted(image[g] for g in T.elems if g in image))
+                for T in series}
+        out = []
+        for F in _central_p_subchains(G, series, p):
+            chain = [meet[T.elems] for T in F.terms]
+            out.append((F, list(dict.fromkeys(chain)),
+                        [len(T) for T in F.terms], [len(c) for c in chain]))
+        return out
+
     serG, serH = witness
-    subG = _central_p_subchains(am.G, serG, p)
-    subH = _central_p_subchains(am.H, serH, p)
-    trsG = _trace_keys(am.G, [F.terms for F in subG], am.uG)
-    trsH = _trace_keys(am.H, [F.terms for F in subH], am.uH)
+    identical = am.uG.is_surjective() and am.uH.is_surjective()
+    subH = candidates(am.H, serH, am.uH)
     best = None
-    for FG, trG in zip(subG, trsG):
-        for FH, trH in zip(subH, trsH):
+    for FG, trG, iG, cG in candidates(am.G, serG, am.uG):
+        for FH, trH, iH, cH in subH:
             if trG != trH:
                 continue
-            pred = predicted_higman_order(am, FG, FH)
+            # the pair matched on element tuples; along the nested chains
+            # the runs of equal intersections are the runs of equal orders
+            pred = am.G.order if identical else _aligned_prediction(
+                iG, iH, cG, aligned_slots(cG, cH))
             if pred <= cap and (best is None or pred < best[2]):
                 best = (FG, FH, pred)
     return best
@@ -1113,7 +1141,7 @@ def amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
 
     def facts_of(G):
         if G not in facts:
-            tracer, cache = _chain_tracer(G, chief_series(G)), {}
+            tracer, cache = chief_tracer(G), {}
             subs, by_order = [], {}
             for S in all_subgroups(G):
                 if 2 <= len(S) <= max_u:

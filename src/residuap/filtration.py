@@ -109,12 +109,17 @@ class Filtration:
         return f"Filtration({self.group.name}: {sizes})"
 
 
-def central_p_step(G: FiniteGroup, T: Subgroup, p: int) -> set[int]:
+def central_p_step(G: FiniteGroup, T: Subgroup, p: int) -> frozenset[int]:
     """The [x, t] for x in generating_sequence(G) and t in T, and the t^p: a
-    normal subgroup holds [G, T] T^p exactly when it holds this set."""
-    return (set(kernels.commutators(G.mult, G.inv, generating_sequence(G),
-                                    T.elems))
-            | set(kernels.powers(G.mult, T.elems, p)))
+    normal subgroup holds [G, T] T^p exactly when it holds this set.  Kept
+    with G per (T.elems, p)."""
+    key = (T.elems, p)
+    step = G._central_steps.get(key)
+    if step is None:
+        step = G._central_steps[key] = frozenset(
+            kernels.commutators(G.mult, G.inv, generating_sequence(G), T.elems)
+            + kernels.powers(G.mult, T.elems, p))
+    return step
 
 
 @dataclass(frozen=True)
@@ -350,6 +355,35 @@ def induced_chain(F: Filtration, emb: Homomorphism) -> list[tuple[int, ...]]:
     return chain
 
 
+def _runs(chain: Sequence) -> list[tuple[int, int]]:
+    """The runs of equal consecutive entries of chain, as 1-based
+    (first, last) index pairs."""
+    runs = []
+    start = 0
+    for i in range(1, len(chain) + 1):
+        if i == len(chain) or chain[i] != chain[start]:
+            runs.append((start + 1, i))
+            start = i
+    return runs
+
+
+def aligned_slots(cG: Sequence, cH: Sequence) -> list[tuple[int, int]]:
+    """The term indices (jG, jH), 1-based, of the two aligned filtrations,
+    slot by slot, from the chains cG and cH they induce on U: the runs of
+    equal entries are paired in order, the shorter of a pair padded by
+    repeating its last term.  Raises AlignmentError unless the chains are
+    equivalent: the same distinct entries in the same order (the trailing
+    convention repeats the last), in the same number of runs."""
+    if list(dict.fromkeys(cG)) != list(dict.fromkeys(cH)):
+        raise AlignmentError("filtrations do not induce equivalent chains on U")
+    runsG, runsH = _runs(cG), _runs(cH)
+    if len(runsG) != len(runsH):
+        raise AlignmentError("induced chains have different segment structure")
+    return [(min(ag + k, bg), min(ah + k, bh))
+            for (ag, bg), (ah, bh) in zip(runsG, runsH)
+            for k in range(max(bg - ag, bh - ah) + 1)]
+
+
 def align_filtrations(FG: Filtration, FH: Filtration,
                       uG: Homomorphism, uH: Homomorphism,
                       ) -> tuple[Filtration, Filtration, StretchMap, StretchMap]:
@@ -359,39 +393,11 @@ def align_filtrations(FG: Filtration, FH: Filtration,
     groups.  Raises AlignmentError when the induced filtrations on U are not
     equivalent.
     """
-    cG = induced_chain(FG, uG)
-    cH = induced_chain(FH, uH)
-    # trailing convention: pad conceptually with the final value
-    distinct_G = list(dict.fromkeys(cG))
-    distinct_H = list(dict.fromkeys(cH))
-    if distinct_G != distinct_H:
-        raise AlignmentError("filtrations do not induce equivalent chains on U")
-    levels = distinct_G
-
-    def segments(chain):
-        segs = []
-        start = 0
-        for i in range(1, len(chain) + 1):
-            if i == len(chain) or chain[i] != chain[start]:
-                segs.append((start + 1, i))  # 1-based [start, end]
-                start = i
-        return segs
-
-    segG = segments(cG)
-    segH = segments(cH)
-    if len(segG) != len(segH):
-        raise AlignmentError("induced chains have different segment structure")
-    outG, outH = [], []
-    iotaG, iotaH = [], []
-    for (ag, bg), (ah, bh) in zip(segG, segH):
-        width = max(bg - ag, bh - ah) + 1
-        for k in range(width):
-            iotaG.append(min(ag + k, bg))
-            iotaH.append(min(ah + k, bh))
-            outG.append(FG.term(min(ag + k, bg)))
-            outH.append(FH.term(min(ah + k, bh)))
-    FGs = Filtration(FG.group, outG, check=False)
-    FHs = Filtration(FH.group, outH, check=False)
+    slots = aligned_slots(induced_chain(FG, uG), induced_chain(FH, uH))
+    iotaG = [jG for jG, _ in slots]
+    iotaH = [jH for _, jH in slots]
+    FGs = Filtration(FG.group, [FG.term(j) for j in iotaG], check=False)
+    FHs = Filtration(FH.group, [FH.term(j) for j in iotaH], check=False)
     # the stretch maps: position of the first slot where original index j appears
     def to_stretchmap(iota_slots, n_orig):
         first = {}

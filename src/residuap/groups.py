@@ -30,13 +30,20 @@ class CapExceeded(ValueError):
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    The table must not be changed after construction: the element orders,
-    the generating sequence and the chief series are computed once from it
-    and kept with the group.
+    The table must not be changed after construction: these facts are
+    computed once from it, when first asked for, and kept with the group:
+
+    * whether it is abelian, the element orders, ``generating_sequence``;
+    * ``chief_series`` and the chain tracer of those series
+      (``embed.chief_tracer``);
+    * ``central_p_step(G, T, p)`` per (T.elems, p).
+
+    ``copy`` shares these facts with the copy, whose table is equal; only
+    the chief series are re-parented onto it, one Subgroup per distinct term.
     """
 
     __slots__ = ("order", "mult", "inv", "name", "_abelian", "_orders",
-                 "_gens", "_chief_series")
+                 "_gens", "_chief_series", "_chief_tracer", "_central_steps")
 
     def __init__(self, mult, name: str = "G", validate: bool = True):
         t = np.ascontiguousarray(np.asarray(mult, dtype=np.int64))
@@ -50,6 +57,8 @@ class FiniteGroup:
         self._orders: Optional[list[int]] = None
         self._gens: Optional[list[int]] = None
         self._chief_series: Optional[list] = None
+        self._chief_tracer = None
+        self._central_steps: dict[tuple, frozenset[int]] = {}
 
     # -- basic element arithmetic ------------------------------------------
 
@@ -130,17 +139,20 @@ class FiniteGroup:
                 and all(o in (1, p) for o in self.element_orders()))
 
     def copy(self, name: str) -> "FiniteGroup":
-        """An independent group on a copy of the table, keeping the element
-        orders, generating sequence and chief series (re-parented) found."""
+        """An independent group on a copy of the table, sharing the facts
+        found so far: the chief series are re-parented, one Subgroup per
+        distinct term; the rest depend only on the table and are never
+        changed, so they are shared as they are."""
         H = FiniteGroup(self.mult.copy(), name=name, validate=False)
         H._abelian = self._abelian
-        H._orders, H._gens = self._orders, self._gens   # never changed
+        H._orders, H._gens = self._orders, self._gens
+        H._chief_tracer = self._chief_tracer
+        H._central_steps = self._central_steps
         if self._chief_series is not None:
-            terms: dict[tuple[int, ...], Subgroup] = {}
-            H._chief_series = [
-                tuple(terms.setdefault(T.elems, Subgroup(H, T.elems, check=False))
-                      for T in chain)
-                for chain in self._chief_series]
+            terms = {e: Subgroup(H, e, check=False) for e in dict.fromkeys(
+                T.elems for chain in self._chief_series for T in chain)}
+            H._chief_series = [tuple(terms[T.elems] for T in chain)
+                               for chain in self._chief_series]
         return H
 
     def __repr__(self) -> str:
@@ -263,10 +275,9 @@ class Subgroup:
         to_parent = list(self.elems)
         from_parent = {g: i for i, g in enumerate(to_parent)}
         n = len(to_parent)
-        table = np.empty((n, n), dtype=np.int64)
-        sub = G.mult[np.ix_(to_parent, to_parent)]
-        for i in range(n):
-            table[i] = [from_parent[int(x)] for x in sub[i]]
+        # the elements are sorted, so a parent index's rank is its local index
+        elems = np.asarray(to_parent, dtype=np.int64)
+        table = np.searchsorted(elems, G.mult[np.ix_(elems, elems)])
         name = name or f"{G.name}|sub{n}"
         return FiniteGroup(table, name=name, validate=False), to_parent, from_parent
 
@@ -399,15 +410,10 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
         raise ValueError("subgroup is not normal")
     narr = np.asarray(N.elems, dtype=np.int64)
     rep = G.mult[:, narr].min(axis=1)          # rep[g] = min(gN)
-    reps = sorted(set(int(x) for x in rep))
-    index_of = {r: i for i, r in enumerate(reps)}
-    q = len(reps)
-    table = np.empty((q, q), dtype=np.int64)
-    for i, r in enumerate(reps):
-        table[i] = [index_of[int(rep[G.mult[r, s]])] for s in reps]
+    reps = np.unique(rep)                      # sorted; coset i is reps[i]
+    table = np.searchsorted(reps, rep[G.mult[np.ix_(reps, reps)]])
     Q = FiniteGroup(table, name=f"{G.name}/N{len(N)}", validate=False)
-    proj = Homomorphism(G, Q, [index_of[int(rep[g])] for g in range(G.order)],
-                        check=False)
+    proj = Homomorphism(G, Q, np.searchsorted(reps, rep), check=False)
     return Q, proj
 
 

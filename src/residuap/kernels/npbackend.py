@@ -40,14 +40,28 @@ def _right_generators(t):
     return gens
 
 
+def _is_latin(t):
+    """Whether every row and every column of t, whose entries lie in
+    0..n-1, is a permutation: each row i marks the cells i·n + t[i, j] of a
+    seen-array of n² cells, then each column j the cells t[i, j]·n + j, and
+    each time every cell must be marked.  O(n²), without sorting."""
+    n = t.shape[0]
+    seen = np.zeros(n * n, dtype=bool)
+    seen[t + np.arange(0, n * n, n)[:, None]] = True
+    if not seen.all():
+        return False
+    seen[:] = False
+    seen[t * n + np.arange(n)] = True
+    return bool(seen.all())
+
+
 def validate_table(mult):
     t = _as_table(mult)
     n = t.shape[0]
     idx = np.arange(n)
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         raise ValueError("index 0 is not an identity")
-    if not (np.array_equal(np.sort(t, axis=1), np.tile(idx, (n, 1)))
-            and np.array_equal(np.sort(t, axis=0), np.tile(idx[:, None], (1, n)))):
+    if not (0 <= t.min() and t.max() < n and _is_latin(t)):
         raise ValueError("table is not a latin square")
     inv = (t == 0).argmax(axis=1)
     if not (np.array_equal(t[idx, inv], np.zeros(n, dtype=np.int64))

@@ -9,7 +9,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from residuap import algebra, catalog, embed, graphs, kernels
-from residuap.filtration import Filtration
+from residuap.filtration import (Filtration, align_filtrations,
+                                 induced_chain)
 from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
                              all_subgroups, automorphisms, find_isomorphism,
                              full_subgroup, generating_sequence,
@@ -1021,3 +1022,84 @@ def reference_wreath_table(X: FiniteGroup, H: FiniteGroup) -> np.ndarray:
         prod_digits = X.mult[twisted, f2[None, :]]
         table[:, y] = H.mult[tops, h2] * nbase + prod_digits @ radix
     return table
+
+
+# -- reference subgroup and quotient tables -----------------------------------------
+#
+# The loops Subgroup.as_group and quotient ran before one searchsorted per
+# table: one dict lookup per cell, a row at a time.
+
+def reference_as_group_table(S: Subgroup) -> np.ndarray:
+    """The table of S on its own indices, the rank of each element in S.elems."""
+    G = S.parent
+    to_parent = list(S.elems)
+    from_parent = {g: i for i, g in enumerate(to_parent)}
+    n = len(to_parent)
+    table = np.empty((n, n), dtype=np.int64)
+    sub = G.mult[np.ix_(to_parent, to_parent)]
+    for i in range(n):
+        table[i] = [from_parent[int(x)] for x in sub[i]]
+    return table
+
+
+def reference_quotient(G: FiniteGroup, N: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """The table of G/N on the minimal coset representatives, in increasing
+    order, and the projection G -> G/N as an index array."""
+    narr = np.asarray(N.elems, dtype=np.int64)
+    rep = G.mult[:, narr].min(axis=1)
+    reps = sorted(set(int(x) for x in rep))
+    index_of = {r: i for i, r in enumerate(reps)}
+    q = len(reps)
+    table = np.empty((q, q), dtype=np.int64)
+    for i, r in enumerate(reps):
+        table[i] = [index_of[int(rep[G.mult[r, s]])] for s in reps]
+    proj = np.array([index_of[int(rep[g])] for g in range(G.order)],
+                    dtype=np.int64)
+    return table, proj
+
+
+# -- reference Higman tower prediction ------------------------------------------------
+#
+# The prediction embed.predicted_higman_order made before it worked on term
+# orders: the two filtrations aligned as Filtrations by align_filtrations
+# (which raises AlignmentError), then the orders of the aligned terms and of
+# the chain they induce on U.
+
+def reference_predicted_higman_order(am, FG: Filtration, FH: Filtration) -> int:
+    if am.uG.is_surjective() and am.uH.is_surjective():
+        return am.G.order
+    FGs, FHs, _, _ = align_filtrations(FG, FH, am.uG, am.uH)
+    return embed._predict([len(t) for t in FGs.terms],
+                          [len(t) for t in FHs.terms],
+                          [len(lv) for lv in induced_chain(FGs, am.uG)])
+
+
+def reference_feasible_witness(am, witness, p: int, cap: int):
+    """The search feasible_witness ran before it worked on term orders:
+    every pair of central p-subchains of the witness series (interior terms
+    deleted, tested by reference_is_central_p) that induce the same chain
+    on U, each pair predicted by reference_predicted_higman_order; the
+    first pair of least prediction within the cap, as (FG, FH, predicted)."""
+    def subchains(G, series):
+        if len(series[0]) != G.order:
+            return []
+        last = len(series) - 1
+        out = []
+        for r in range(last):
+            for keep in itertools.combinations(range(1, last), r):
+                F = Filtration(G, [series[i] for i in (0, *keep, last)],
+                               check=False)
+                if reference_is_central_p(F, p):
+                    out.append(F)
+        return out
+
+    best = None
+    for FG in subchains(am.G, witness[0]):
+        for FH in subchains(am.H, witness[1]):
+            if reference_chief_trace(FG.terms, am.uG) != \
+                    reference_chief_trace(FH.terms, am.uH):
+                continue
+            pred = reference_predicted_higman_order(am, FG, FH)
+            if pred <= cap and (best is None or pred < best[2]):
+                best = (FG, FH, pred)
+    return best

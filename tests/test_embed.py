@@ -7,7 +7,8 @@ import pytest
 from helpers import (ELAB_SHAPES, ReferenceElabSpace, c4_amalgam, chain,
                      elab_group, fresh, reference_all_subspaces,
                      reference_amalgam_scan, reference_chief_trace,
-                     reference_flag_extend, reference_flag_perms,
+                     reference_feasible_witness, reference_flag_extend,
+                     reference_flag_perms, reference_predicted_higman_order,
                      random_partial_automorphism, seeded_partial_automorphisms,
                      relabel)
 
@@ -21,7 +22,7 @@ from residuap.embed import (Amalgam, ElabSpace, FlagCertificate,
                             layerwise_inner_extension, mapping_torus_check,
                             predicted_higman_order, scan_amalgam_object,
                             unipotent_flag_extend)
-from residuap.filtration import (Filtration, chief_series,
+from residuap.filtration import (AlignmentError, Filtration, chief_series,
                                  lower_central_p_series)
 from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
                              abelian_invariants, direct_product, full_subgroup,
@@ -580,3 +581,106 @@ def test_is_elementary_abelian_matches_elab_space():
         assert G.is_elementary_abelian() == _builds_elab_space(G), G.name
     assert sum(G.is_elementary_abelian() for G in groups) > 0
     assert not all(G.is_elementary_abelian() for G in groups)
+
+
+# -- the tower prediction from term orders, and the facts kept with a group -----------
+
+def _yes_amalgams(groups):
+    for rec in amalgam_scan(groups):
+        if rec.embeddable:
+            am = scan_amalgam_object(groups, rec)
+            yield am, amalgam_embeddable(am).certificate
+
+
+def _alignment(fn, *args):
+    """fn(*args), or the message of the AlignmentError it raises."""
+    try:
+        return fn(*args)
+    except AlignmentError as exc:
+        return f"AlignmentError: {exc}"
+
+
+def test_predicted_order_from_sizes_matches_aligned_filtrations():
+    # every pair of central p-subchains of every yes witness: the matching
+    # pairs give the same prediction, the others the same AlignmentError
+    raised = 0
+    for am, (serG, serH) in _yes_amalgams(catalog.two_group_scan_list(8)):
+        for FG in _central_p_subchains(am.G, serG, 2):
+            for FH in _central_p_subchains(am.H, serH, 2):
+                want = _alignment(reference_predicted_higman_order, am, FG, FH)
+                assert _alignment(predicted_higman_order, am, FG, FH) == want
+                raised += isinstance(want, str)
+    assert raised > 0
+
+
+def test_predicted_order_raises_as_alignment_does():
+    am, FG, FH = c4_amalgam()
+    G, H = am.G, am.H
+    # C4 > 1 > C4 > 1 is no filtration (built unchecked): it induces U, 1,
+    # U, 1 on U = C2, the same distinct terms as FH in more runs, so only
+    # the segment count tells them apart
+    odd = Filtration(G, [full_subgroup(G), trivial_subgroup(G),
+                         full_subgroup(G), trivial_subgroup(G)], check=False)
+    # H alone induces U alone, which is not equivalent to U > 1
+    top = Filtration(H, [full_subgroup(H)])
+    # C2^3 u C2^3' over C2^2: chains through two different subgroups of
+    # order 2 induce chains of equal orders on U, yet not the same chain
+    E = catalog.elementary_abelian(2, 3)
+    E2 = fresh(E, "C2^3'")
+    V, toV, _ = Subgroup(E, [0, 1, 2, 3]).as_group()
+    amE = Amalgam(E, E2, V, Homomorphism(V, E, toV), Homomorphism(V, E2, toV))
+    for am_, FG_, FH_, message in [
+            (am, odd, FH, "segment structure"),
+            (am, FG, top, "equivalent chains"),
+            (amE, chain(E, [0, 1, 2, 3], [0, 1]), chain(E2, [0, 1, 2, 3], [0, 2]),
+             "equivalent chains")]:
+        with pytest.raises(AlignmentError, match=message):
+            predicted_higman_order(am_, FG_, FH_)
+        with pytest.raises(AlignmentError, match=message):
+            reference_predicted_higman_order(am_, FG_, FH_)
+
+
+def test_feasible_witness_matches_reference():
+    def terms(fw):
+        return fw and ([T.elems for T in fw[0].terms],
+                       [T.elems for T in fw[1].terms], fw[2])
+
+    # the scan's cap on every other record, a cap of 64 that refuses more
+    # candidates on the rest
+    count = 0
+    for am, witness in _yes_amalgams(catalog.two_group_scan_list(8)):
+        cap = (2048, 64)[count % 2]
+        assert terms(feasible_witness(am, witness, 2, cap=cap)) == \
+            terms(reference_feasible_witness(am, witness, 2, cap))
+        count += 1
+    assert count == 887
+    # |U| = 8 in C2^4 u C2^4': subchains of the two witness series induce
+    # chains on U of the same length that differ, such as U > (0, 1, 2, 3) > 1
+    # and U > (0, 1) > 1, and must not be paired
+    rec = embed.ScanRecord("C2^4", "C2^4'", (0, 3, 4, 7, 8, 11, 12, 15),
+                           tuple(range(8)), tuple(range(8)), True)
+    am = scan_amalgam_object([catalog.elementary_abelian(2, 4)], rec)
+    witness = amalgam_embeddable(am).certificate
+    assert terms(feasible_witness(am, witness, 2, cap=2048)) == \
+        terms(reference_feasible_witness(am, witness, 2, 2048))
+
+
+def test_chief_tracer_is_built_once_per_group(monkeypatch):
+    built = []
+    build = embed._chain_tracer
+    monkeypatch.setattr(embed, "_chain_tracer",
+                        lambda G, chains: built.append(G) or build(G, chains))
+    D8, C2 = fresh(catalog.dihedral(4), "D8~t"), catalog.cyclic(2)
+    V4 = fresh(catalog.klein4(), "V4~t")
+    am = Amalgam(D8, V4, C2, Homomorphism(C2, D8, [0, 4]),
+                 Homomorphism(C2, V4, [0, 1]))
+    decisions = [amalgam_embeddable(am) for _ in range(4)]
+    assert sorted(built, key=id) == sorted([D8, V4], key=id)
+    assert all(d.status == decisions[0].status for d in decisions)
+    # the copy shares the tracer, so an amalgam over it builds none
+    D8c = D8.copy("D8~t'")
+    assert D8c._chief_tracer is D8._chief_tracer
+    twin = Amalgam(D8, D8c, C2, Homomorphism(C2, D8, [0, 4]),
+                   Homomorphism(C2, D8c, [0, 4]))
+    assert amalgam_embeddable(twin).is_yes
+    assert len(built) == 2

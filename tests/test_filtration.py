@@ -8,7 +8,8 @@ from helpers import (chain, fresh, reference_chief_refinement,
 
 from residuap import catalog, filtration
 from residuap.filtration import (AlignmentError, Filtration, StretchMap,
-                                 align_filtrations, chief_refinement,
+                                 align_filtrations, central_p_step,
+                                 chief_refinement,
                                  chief_series, classify_potency,
                                  dimension_series, induced_chain,
                                  LayerMapHypothesisError, lower_central_p_series,
@@ -406,3 +407,22 @@ def test_gamma_structure_surjectivity(p):
                 assert acc in gp.term(n)
                 hit.add(int(proj.map[from_parent[acc]]))
             assert len(hit) == Ln.order
+
+
+@pytest.mark.parametrize("G", [catalog.elementary_abelian(2, 4),
+                               catalog.dihedral(8), catalog.abelian(4, 4),
+                               catalog.heisenberg(3), catalog.c9_semi_c3()],
+                         ids=lambda G: G.name)
+def test_kept_central_p_steps_equal_fresh_ones(G):
+    R = relabel(G, seed=G.order + 7)
+    H = R.copy(R.name + "'")
+    terms = {T.elems: T for ser in chief_series(R) for T in ser}
+    for elems, T in terms.items():
+        for p in (2, 3):
+            kept = central_p_step(R, T, p)
+            # a group on the same table with nothing kept computes it afresh
+            F = fresh(R, R.name + "~fresh")
+            assert kept == central_p_step(F, Subgroup(F, elems, check=False), p)
+            assert central_p_step(R, T, p) is kept
+            # the copy made before shares what the group keeps
+            assert central_p_step(H, Subgroup(H, elems, check=False), p) is kept

@@ -13,8 +13,13 @@ from residuap.groups import (CapExceeded, FiniteGroup, GroupAction,
 
 import numpy as np
 
-from helpers import (reference_automorphisms, reference_homomorphisms,
-                     reference_isomorphism, reference_retract, relabel)
+from helpers import (fresh, reference_as_group_table,
+                     reference_automorphisms, reference_homomorphisms,
+                     reference_isomorphism, reference_quotient,
+                     reference_retract, relabel)
+
+from residuap import groups
+from residuap.filtration import chief_series
 
 
 CATALOG_NAMES = ["C4", "C8", "C2^3", "D8", "Q8", "D16", "SD16", "Heis27",
@@ -248,3 +253,52 @@ def test_lagrange_for_produced_subgroups():
 def test_center():
     assert center(catalog.dihedral(4)).elems == (0, 4)
     assert len(center(catalog.heisenberg(3))) == 3
+
+
+@pytest.mark.parametrize(
+    "G", catalog.two_group_scan_list(16)
+    + [catalog.heisenberg(3), catalog.c9_semi_c3(), catalog.cyclic(6)],
+    ids=lambda G: G.name)
+def test_as_group_and_quotient_tables_match_reference(G):
+    # on the catalog table and on a relabeled one, whose subgroups have
+    # other element tuples
+    for K in (G, relabel(G, seed=G.order + 3)):
+        for S in all_subgroups(K):
+            U, to_parent, from_parent = S.as_group()
+            want = reference_as_group_table(S)
+            assert U.mult.dtype == want.dtype and \
+                U.mult.tobytes() == want.tobytes()
+            assert to_parent == list(S.elems)
+            assert from_parent == {g: i for i, g in enumerate(S.elems)}
+            if S.is_normal():
+                Q, proj = quotient(K, S)
+                table, pmap = reference_quotient(K, S)
+                assert Q.mult.dtype == table.dtype and \
+                    Q.mult.tobytes() == table.tobytes()
+                assert proj.map.dtype == pmap.dtype and \
+                    proj.map.tobytes() == pmap.tobytes()
+
+
+def test_copy_builds_each_distinct_chief_term_once(monkeypatch):
+    G = fresh(catalog.elementary_abelian(2, 4), "C2^4~copy")
+    series = chief_series(G)
+    distinct = {T.elems for ser in series for T in ser}
+    assert (len(series), len(distinct)) == (315, 67)
+    built = []
+    init = groups.Subgroup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.Subgroup, "__init__", counted)
+    H = G.copy("C2^4~copy'")
+    assert len(built) == len(distinct)
+    # one Subgroup per distinct term, shared by every series that holds it
+    kept = {}
+    for ser in chief_series(H):
+        for T in ser:
+            assert T.parent is H and kept.setdefault(T.elems, T) is T
+    assert len(built) == len(distinct)
+    assert [[T.elems for T in ser] for ser in chief_series(H)] == \
+        [[T.elems for T in ser] for ser in series]

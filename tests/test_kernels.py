@@ -121,6 +121,21 @@ def test_validate_rejects_bad_tables():
         npbackend.validate_table([[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("entry", [4, 5, 99, -1, -4])
+def test_validate_rejects_an_out_of_range_entry(entry):
+    # C2^2 with one interior entry outside 0..3: a ValueError from both
+    # backends, never an IndexError, and no negative entry read as an index
+    # from the end
+    t = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    t[2][3] = entry
+    with pytest.raises(ValueError, match="latin square"):
+        npbackend.validate_table(t)
+    with pytest.raises(ValueError, match="not a permutation"):
+        pybackend.validate_table(t)
+    with pytest.raises(ValueError, match="latin square"):
+        FiniteGroup(t)
+
+
 def _seeded_generator_lists(G, rng):
     """Generator lists of 0 to 5 elements: the empty list, lists with the
     identity, repeats, and elements already spanned by earlier ones."""
