@@ -1,12 +1,12 @@
 """Modular group algebras F_p[G], augmentation-ideal powers, Jennings'
-filtration, wreath products with standard embeddings, and the identities
-relating ideal powers to central series of wreath products.
+filtration, wreath products, and the identities relating ideal powers to
+central series of wreath products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -14,61 +14,9 @@ from . import kernels
 from .filtration import Filtration, dimension_series, lower_central_p_series, \
     lower_central_series
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     generating_sequence, require_p_group, right_coset_reps,
-                     trivial_subgroup)
+                     generating_sequence, require_p_group, trivial_subgroup)
 
 DEFAULT_WREATH_CAP = 4096
-
-
-class AlgebraElement:
-    """An element of F_p[G] as a coefficient vector indexed by group elements."""
-
-    __slots__ = ("group", "p", "coeffs")
-
-    def __init__(self, group: FiniteGroup, p: int, coeffs):
-        c = np.asarray(coeffs, dtype=np.int64) % p
-        if c.shape != (group.order,):
-            raise ValueError("coefficient vector has wrong length")
-        self.group = group
-        self.p = p
-        self.coeffs = c
-
-    @staticmethod
-    def basis(group: FiniteGroup, p: int, g: int) -> "AlgebraElement":
-        c = np.zeros(group.order, dtype=np.int64)
-        c[g] = 1
-        return AlgebraElement(group, p, c)
-
-    @staticmethod
-    def hat(group: FiniteGroup, p: int) -> "AlgebraElement":
-        """The sum of all group elements."""
-        return AlgebraElement(group, p, np.ones(group.order, dtype=np.int64))
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.group, self.p, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.group, self.p, self.coeffs - other.coeffs)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = np.zeros(self.group.order, dtype=np.int64)
-        t = self.group.mult
-        for g in np.flatnonzero(self.coeffs):
-            out[t[int(g)]] += int(self.coeffs[g]) * other.coeffs
-        return AlgebraElement(self.group, self.p, out)
-
-    def scale(self, c: int) -> "AlgebraElement":
-        return AlgebraElement(self.group, self.p, self.coeffs * c)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgebraElement) and self.group is other.group
-                and self.p == other.p and np.array_equal(self.coeffs, other.coeffs))
-
-    def __repr__(self) -> str:
-        return f"AlgebraElement(p={self.p}, {list(map(int, self.coeffs))})"
 
 
 class IdealBasis:
@@ -100,12 +48,6 @@ class IdealBasis:
         pivots = [r.index(1) for r in self.rows]       # each leading entry is 1
         residue = (vecs - vecs[:, pivots] @ R) % self.p
         return ~residue.any(axis=1)
-
-    def contains_vector(self, vec) -> bool:
-        return bool(self.contains_rows([vec])[0])
-
-    def contains(self, el: AlgebraElement) -> bool:
-        return self.contains_vector(el.coeffs)
 
     def multiply(self, other: "IdealBasis") -> "IdealBasis":
         """Basis of the product I * omega, where other must be omega.
@@ -183,50 +125,6 @@ def jennings_series(G: FiniteGroup, p: int) -> Filtration:
             raise AssertionError(f"Jennings filtration differs from the "
                                  f"dimension series at level {n}")
     return jen
-
-
-def annihilator_omega(G: FiniteGroup, p: int) -> IdealBasis:
-    """ann(omega) = span of the all-ones element; checked against omega^d."""
-    require_p_group(G, p)
-    n = G.order
-    t = G.mult
-    # a * (g - 1) = 0 for all g <=> coefficient vector constant
-    cols = []
-    for g in range(1, n):
-        # map a |-> a*(g-1), as a matrix acting on coefficient vectors
-        m = np.zeros((n, n), dtype=np.int64)
-        for h in range(n):
-            m[int(t[h, g]), h] += 1
-            m[h, h] -= 1
-        cols.append(m % p)
-    big = np.vstack(cols) if cols else np.zeros((0, n), dtype=np.int64)
-    ns = _nullspace_mod_p(big, p, n)
-    ann = IdealBasis(G, p, ns)
-    hat = AlgebraElement.hat(G, p)
-    if ann.dim != 1 or not ann.contains(hat):
-        raise AssertionError("ann(omega) is not the span of the all-ones element")
-    bases, _, d = augmentation_ideal_powers(G, p)
-    if d > 0:
-        top = bases[-1]
-        if top.dim != 1 or not top.contains(hat):
-            raise AssertionError("omega^d is not the span of the all-ones element")
-    return ann
-
-
-def _nullspace_mod_p(m: np.ndarray, p: int, ncols: int) -> list[list[int]]:
-    rows = kernels.rref_mod_p(m, p, ncols=ncols)
-    pivots = []
-    for r in rows:
-        pivots.append(next(j for j, x in enumerate(r) if x))
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, pc in zip(rows, pivots):
-            vec[pc] = (-r[f]) % p
-        basis.append(vec)
-    return basis
 
 
 # -- wreath products -----------------------------------------------------------
@@ -312,74 +210,6 @@ def _power_group(X: FiniteGroup, n: int) -> tuple[FiniteGroup, np.ndarray]:
     for y in range(order):
         table[:, y] = X.mult[digits, digits[y][None, :]] @ radix
     return FiniteGroup(table, name=f"{X.name}^{n}", validate=False), digits
-
-
-def standard_embedding(A: FiniteGroup, theta: Homomorphism,
-                       wp: WreathProduct,
-                       x_in_t: Optional[Homomorphism] = None) -> Homomorphism:
-    """The standard embedding A -> T wr H attached to theta: A -> H.
-
-    The countermap is fixed deterministically: minimal-index right coset
-    representatives of theta(A) in H, minimal preimages, and identity
-    offsets.  x_in_t embeds Ker(theta) into wp.X (identity-on-indices when
-    omitted); the result is verified to be an injective homomorphism.
-    """
-    H = wp.H
-    if theta.cod is not H:
-        raise ValueError("theta must land in the wreath top group")
-    ker = theta.kernel()
-    K, to_parent, _ = ker.as_group()
-    if x_in_t is None:
-        from .groups import find_isomorphism
-        iso = find_isomorphism(K, wp.X)
-        if iso is None:
-            raise ValueError("kernel is not isomorphic to the base factor")
-        emb = {to_parent[i]: int(iso.map[i]) for i in range(K.order)}
-    else:
-        if x_in_t.dom is not K and x_in_t.dom.order != K.order:
-            raise ValueError("x_in_t must be defined on the kernel")
-        if not x_in_t.is_injective():
-            raise ValueError("x_in_t must be injective")
-        emb = {to_parent[i]: int(x_in_t.map[i]) for i in range(K.order)}
-    counter = _countermap(A, theta)
-    rows = []
-    for a in range(A.order):
-        top = theta(a)
-        digits = []
-        for h in range(H.order):
-            th = int(H.mult[top, h])
-            x = A.word([A.inverse(counter[th]), a, counter[h]])
-            if x not in ker:
-                raise AssertionError("countermap defect: f_a(h) outside the kernel")
-            digits.append(emb[x])
-        rows.append(wp.index_of(top, digits))
-    hom = Homomorphism(A, wp.group, rows)  # verified
-    if not hom.is_injective():
-        raise AssertionError("standard embedding failed to be injective")
-    return hom
-
-
-def _countermap(A: FiniteGroup, theta: Homomorphism) -> list[int]:
-    """counter[h] in A with theta(counter[theta(a) h]) = theta(a) theta(counter[h])."""
-    H = theta.cod
-    image = sorted(set(int(x) for x in theta.map))
-    img_set = set(image)
-    rep_of = right_coset_reps(H, image)
-    minimal_preimage = {}
-    for a in range(A.order):
-        v = int(theta.map[a])
-        if v not in minimal_preimage:
-            minimal_preimage[v] = a
-        else:
-            minimal_preimage[v] = min(minimal_preimage[v], a)
-    out = []
-    for h in range(H.order):
-        s = rep_of[h]
-        v = int(H.mult[h, H.inverse(s)])
-        if v not in img_set:
-            raise AssertionError("coset bookkeeping error")
-        out.append(minimal_preimage[v])
-    return out
 
 
 # -- Buckley-type identities ----------------------------------------------------

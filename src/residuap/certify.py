@@ -1,5 +1,5 @@
 """Residually-p certification for graphs of finite p-groups: colimits,
-partial abelianization, unfolding witnesses, and the reduction pipeline.
+partial abelianization, and the reduction pipeline.
 
 Every certificate-producing operation re-verifies the homomorphism property
 on all defining relations and injectivity on all vertex groups before
@@ -14,15 +14,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embed import (Amalgam, ElabSpace, PartialAutomorphism, higman_embed,
+from .embed import (Amalgam, PartialAutomorphism, higman_embed,
                     inner_extension, layerwise_inner_extension)
 from .filtration import AlignmentError, lower_central_p_series
 from .graphs import (GogFiltration, Graph, GraphOfGroups, NormalFormContext,
-                     PathWord, maximal_subtree, unfold_gog)
+                     PathWord, maximal_subtree)
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     direct_product, permutation_closure, permutation_group,
-                     quotient, require_prime, subgroup_generated)
-from .results import NO, UNKNOWN, YES, Decision
+                     direct_product, quotient, require_prime,
+                     subgroup_generated)
+from .results import UNKNOWN, YES, Decision
 from .smith import Presentation, smith_abelianization
 
 
@@ -75,36 +75,6 @@ def _direct_sum(groups: Sequence[FiniteGroup]):
     embeds = [Homomorphism(groups[i], total, maps[i], check=False)
               for i in range(len(groups))]
     return total, embeds
-
-
-def colimit_factor(data: ColimitData, targets: Sequence[Homomorphism],
-                   target_group: FiniteGroup) -> Homomorphism:
-    """The unique morphism through the colimit for a compatible family."""
-    # sigma is generated by the injected vertex groups; propagate products
-    known = {0: 0}
-    frontier = [0]
-    gens = []
-    for inj, psi in zip(data.injections, targets):
-        for x in range(inj.dom.order):
-            gens.append((inj(x), psi(x)))
-    while frontier:
-        new = []
-        for s, t in list(known.items()):
-            for gs, gt in gens:
-                ns = data.sigma.mul(s, gs)
-                nt = target_group.mul(t, gt)
-                if ns in known:
-                    if known[ns] != nt:
-                        raise ValueError("family is not compatible: no factoring "
-                                         "morphism exists")
-                else:
-                    known[ns] = nt
-                    new.append(ns)
-        frontier = new
-    if len(known) != data.sigma.order:
-        raise AssertionError("injections do not generate the colimit")
-    return Homomorphism(data.sigma, target_group,
-                        [known[i] for i in range(data.sigma.order)])
 
 
 # -- partial abelianization -------------------------------------------------------
@@ -195,16 +165,6 @@ class Certificate:
                 # relation e f_e(x) e^-1 = f_bar(e)(x)
                 if P.conj(he, pt(fe(x))) != po(fb(x)):
                     raise AssertionError("certificate violates an edge relation")
-
-    def evaluate(self, w: PathWord) -> int:
-        """Image of a closed path under the certificate morphism."""
-        Y = self.gog.graph
-        P = self.target
-        acc = self.vertex_maps[w.base](w.g0)
-        for e, g in w.steps:
-            acc = P.mul(acc, self.edge_images[e])
-            acc = P.mul(acc, self.vertex_maps[Y.term[e]](g))
-        return acc
 
 
 # -- the certification pipeline -----------------------------------------------------
@@ -429,104 +389,6 @@ def _tree_tower(gog: GraphOfGroups, gfilt: GogFiltration,
     return P, FP, [psis[v] for v in range(Y.nv)]
 
 
-# -- the unfolding witness ----------------------------------------------------------
-
-@dataclass
-class SigmaWitness:
-    """An unfolding of the graph of groups together with a morphism of the
-    unfolded fundamental group onto Sigma, injective on all vertex groups."""
-    aut_group: FiniteGroup
-    aut_perms: tuple
-    unfolded: GraphOfGroups
-    morphism_data: dict
-    psi_edges: tuple[int, ...]
-
-
-def sigma_witness(gog: GraphOfGroups, tree: Optional[frozenset[int]] = None,
-                  aut_cap: int = 200_000) -> SigmaWitness:
-    """Extend each non-tree edge map to an automorphism sigma_e of
-    Sigma(G|T), unfold along e -> sigma_e, and produce the evaluation
-    morphism mu: pi_1(unfolded) -> Sigma; injectivity on every vertex group
-    of the unfolding is verified exhaustively."""
-    Y = gog.graph
-    tree = tree if tree is not None else maximal_subtree(Y, 0)
-    pab = partial_abelianization(gog, tree)
-    sigma = pab.colimit.sigma
-    space = ElabSpace(sigma)
-    perms = []
-    for phi in pab.pas:
-        perms.append(_complete_partial_linear(space, phi))
-    A_perms = permutation_closure(sigma, perms, size_cap=aut_cap)
-    A, _, index = permutation_group(sigma, A_perms)
-    psi = [0] * Y.ne
-    for e, q in zip(pab.oriented, perms):
-        psi[e] = index[tuple(int(x) for x in q)]
-        psi[Y.bar[e]] = A.inverse(psi[e])
-    unfolded, mor = unfold_gog(gog, tree, psi, A)
-    wit = SigmaWitness(A, tuple(A_perms), unfolded,
-                       {"pab": pab, "base_gog": gog, "tree": tree}, tuple(psi))
-    _verify_sigma_witness(wit)
-    return wit
-
-
-def _complete_partial_linear(space: ElabSpace, phi: PartialAutomorphism) -> np.ndarray:
-    """Extend a partial isomorphism of an elementary abelian group to a full
-    automorphism that sends the least-index unit completion of A to that of
-    B, in order."""
-    coords = space.coords
-    comp_b = space.unit_completion(coords[list(phi.B.elems)])
-    M = space.linear_extension(coords[list(phi.A.elems)],
-                               coords[[phi(a) for a in phi.A.elems]],
-                               np.eye(space.dim, dtype=np.int64)[comp_b])
-    arr = space.perm(M)
-    if len(np.unique(arr)) != space.V.order:
-        raise AssertionError("completion is not bijective")
-    if any(int(arr[a]) != phi(a) for a in phi.A.elems):
-        raise AssertionError("completion does not extend phi")
-    return arr
-
-
-def _verify_sigma_witness(wit: SigmaWitness) -> None:
-    pab: PartialAbelianization = wit.morphism_data["pab"]
-    gog: GraphOfGroups = wit.morphism_data["base_gog"]
-    sigma = pab.colimit.sigma
-    A = wit.aut_group
-    Y = gog.graph
-    cover = wit.unfolded.graph
-    # mu on a vertex copy (alpha, v): x -> alpha^{-1}-twisted injection of x;
-    # evaluate through the semidirect action and check injectivity exactly
-    for vc in range(cover.nv):
-        alpha, v = divmod(vc, Y.nv)
-        seen = set()
-        for x in range(wit.unfolded.vgroups[vc].order):
-            s = pab.colimit.injections[v](x)
-            twisted = int(wit.aut_perms[A.inverse(alpha)][s])
-            if twisted in seen:
-                raise AssertionError("mu is not injective on a vertex copy")
-            seen.add(twisted)
-
-
-def evaluate_sigma_witness(wit: SigmaWitness, w: PathWord) -> tuple[int, int]:
-    """Evaluate a closed path of the base gog through A |x Sigma.
-
-    Returns (a, s): the automorphism part and the Sigma part.
-    """
-    pab: PartialAbelianization = wit.morphism_data["pab"]
-    gog: GraphOfGroups = wit.morphism_data["base_gog"]
-    sigma = pab.colimit.sigma
-    A = wit.aut_group
-    Y = gog.graph
-    a, s = 0, 0
-    def mul_elem(a, s, v, g):
-        inj = pab.colimit.injections[v](g)
-        return a, sigma.mul(s, int(wit.aut_perms[A.inverse(a)][inj]))
-    a, s = mul_elem(a, s, w.base, w.g0)
-    for e, g in w.steps:
-        a = A.mul(a, wit.psi_edges[e])
-        a, s = mul_elem(a, s, Y.term[e], g)
-    return a, s
-
-
 # -- homology and separation ---------------------------------------------------------
 
 def homology_fiber_sum_check(gog: GraphOfGroups,
@@ -646,19 +508,3 @@ def separating_level(gog: GraphOfGroups, gfilt: GogFiltration, w: PathWord,
             return {"level": n}
     return {"level": None, "failing": failing,
             "reason": "no separating level within the filtration depth"}
-
-
-def mu_of_unfolded_path(wit: SigmaWitness, w_tilde: PathWord) -> int:
-    """mu of a closed path of the unfolded graph of groups: evaluate its
-    projection through A |x Sigma and project to Sigma.
-
-    The automorphism part must come out trivial for lifted paths; this is
-    asserted.
-    """
-    from .graphs import project_path
-    gog: GraphOfGroups = wit.morphism_data["base_gog"]
-    w = project_path(gog, wit.unfolded, w_tilde)
-    a, s = evaluate_sigma_witness(wit, w)
-    if a != 0:
-        raise AssertionError("path does not lie in the unfolding kernel")
-    return s

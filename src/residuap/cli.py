@@ -240,15 +240,11 @@ def cmd_gog(args) -> int:
         return _emit(args, {"sigma_order": pab.colimit.sigma.order,
                             "stable_letters": len(pab.oriented)})
     if args.what == "quotient":
-        subs = [Subgroup(gog.vgroups[v], data["collection"][v])
-                for v in range(gog.graph.nv)]
-        q, mor = graphs.quotient_gog(gog, subs)
+        q, mor = graphs.quotient_gog(gog, _collection(gog, data))
         return _emit(args, {"vertex_orders": [g.order for g in q.vgroups],
                             "edge_orders": [g.order for g in q.egroups]})
     if args.what == "cover":
-        subs = [Subgroup(gog.vgroups[v], data["collection"][v])
-                for v in range(gog.graph.nv)]
-        cover, mor, deg = graphs.common_cover(gog, subs)
+        cover, mor, deg = graphs.common_cover(gog, _collection(gog, data))
         return _emit(args, {"degree": deg, "vertices": cover.graph.nv,
                             "edges": cover.graph.ne})
     if args.what == "unfold":
@@ -270,6 +266,17 @@ def cmd_gog(args) -> int:
         rep = certify.separating_level(gog, gfilt, w, ctx)
         return _emit(args, rep, 0 if rep["level"] else EXIT_ERROR)
     raise ValueError(f"unknown gog operation {args.what!r}")
+
+
+def _collection(gog, data) -> list[Subgroup]:
+    """The subgroups of a gog file's "collection": one element list per vertex."""
+    coll = data["collection"]
+    if not (isinstance(coll, list) and len(coll) == gog.graph.nv and all(
+            isinstance(c, list) and all(isinstance(x, int) for x in c)
+            for c in coll)):
+        raise ValueError(f"collection must be a list of {gog.graph.nv} lists "
+                         f"of element indices")
+    return [Subgroup(gog.vgroups[v], c) for v, c in enumerate(coll)]
 
 
 def cmd_congruence(args) -> int:

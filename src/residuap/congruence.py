@@ -135,10 +135,6 @@ class CongruenceTower:
         p, k = self.p, self.k
         return self.full.order == p ** (3 * k - 2) * (p * p - 1)
 
-    def level_group(self, i: int, cap: int = 5000) -> tuple[FiniteGroup, list]:
-        mg = MatrixGroup(self.levels[i - 1], self.full.mod, name=f"SL2^{i}(Z/{self.full.mod})")
-        return mg.as_finite_group(cap=cap)
-
 
 def sl2_congruence_tower(p: int, k: int, cap: int = DEFAULT_TOWER_CAP) -> CongruenceTower:
     """Enumerate SL(2, Z/p^k) and its congruence subgroups G_i (1 <= i <= k)."""
@@ -469,47 +465,3 @@ def _image_closure(spec: MatrixGroupSpec, theta_rows, mod: int, cap: int) -> np.
         found.append(frontier)
         known = np.sort(np.concatenate([known, codes[fresh]]))
     return np.concatenate(found)[:cap + 1]
-
-
-def image_filtration(spec: MatrixGroupSpec, p: int, k: int,
-                     image_cap: int = 20_000):
-    """The finite image of G at level k with the images of the deeper G_j.
-
-    Returns (image_group, filtration, elems) where the filtration's term j
-    collects the image elements that are trivial at level j; its first term
-    is the image of G_1.  The terms form a central p-filtration of the
-    level-1 kernel image (checked by callers through the filtration module).
-    The elements are (matrix, theta) pairs, identity first, then
-    lexicographic; the table is built one row (one block product) at a time.
-    """
-    from .filtration import Filtration
-    from .groups import Subgroup as _Subgroup
-    rank, theta_rows = theta_map(spec.presentation)
-    mod = p ** k
-    rows = _image_closure(spec, theta_rows, mod, image_cap)
-    if len(rows) > image_cap:
-        raise CapExceeded("finite image beyond the cap")
-    codes = _codes(rows, mod)
-    order = np.concatenate([[0], 1 + np.argsort(codes[1:])])
-    rows, codes = rows[order], codes[order]
-    by_code = np.argsort(codes)
-    sorted_codes = codes[by_code]
-    size, n = len(rows), spec.dim
-    mats, ths = rows[:, :n * n].reshape(size, n, n), rows[:, n * n:]
-    table = np.empty((size, size), dtype=np.int64)
-    for i in range(size):
-        prods = np.concatenate([(mats[i] @ mats % mod).reshape(size, n * n),
-                                (ths[i] + ths) % mod], axis=1)
-        table[i] = by_code[np.searchsorted(sorted_codes, _codes(prods, mod))]
-    G_img = FiniteGroup(table, name=f"image mod {p}^{k}", validate=False)
-    off = rows - rows[0]
-    levels = [np.flatnonzero((off % p ** j == 0).all(axis=1)).tolist()
-              for j in range(1, k + 1)]
-    elems = [(tuple(tuple(row[i * n:(i + 1) * n]) for i in range(n)), tuple(row[n * n:]))
-             for row in rows.tolist()]
-    # the filtration lives on the image of G_1, realized as its own group
-    G1, to_parent, from_parent = _Subgroup(G_img, levels[0], check=False).as_group()
-    terms = [_Subgroup(G1, [from_parent[g] for g in lv], check=False)
-             for lv in levels]
-    filt = Filtration(G1, terms, check=False)
-    return G_img, filt, elems

@@ -21,7 +21,7 @@ from .filtration import (Filtration, StretchMap, align_filtrations,
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
                      all_subgroups, automorphisms, direct_product,
                      find_isomorphism, full_subgroup, generating_sequence,
-                     identity_hom, intersect, is_p_power, permutation_closure,
+                     identity_hom, is_p_power, permutation_closure,
                      permutation_group, quotient, right_coset_reps,
                      semidirect_product, subgroup_generated, trivial_subgroup)
 from .results import NO, UNKNOWN, YES, Decision
@@ -635,12 +635,6 @@ class ElabSpace:
     def vec(self, g: int) -> tuple[int, ...]:
         return tuple(self.coords[g].tolist())
 
-    def elem(self, vec: Sequence[int]) -> int:
-        if len(vec) != self.dim:
-            raise KeyError(tuple(vec))
-        return int(self.index[sum(int(x) % self.p * int(w)
-                                  for x, w in zip(vec, self._weights))])
-
     def subspace_elems(self, vectors) -> list[int]:
         """All elements in the span of at most d coordinate vectors."""
         p, k = self.p, len(vectors)
@@ -679,10 +673,9 @@ class ElabSpace:
         last = {d - 1 - r.index(1) for r in red}
         return [j for j in range(d) if j not in last]
 
-    def linear_extension(self, src, dst, fill=None) -> np.ndarray:
+    def linear_extension(self, src, dst) -> np.ndarray:
         """The d x d matrix M with sM = t for the row pairs (s, t) of src and
-        dst, sending the unit completion of src's span to the rows of fill
-        (by default each e_j to itself).
+        dst, fixing each e_j of the unit completion of src's span.
 
         [src | dst] is reduced once; a reduced row with zero src part means
         the pairs do not come from a linear map."""
@@ -694,10 +687,7 @@ class ElabSpace:
         if not red[:, :d].any(axis=1).all():
             raise AssertionError("inconsistent linear extension")
         unit = np.eye(d, dtype=np.int64)[self.unit_completion(red[:, :d])]
-        fill = unit if fill is None else np.asarray(fill, dtype=np.int64)
-        if len(fill) != len(unit):
-            raise AssertionError("partial automorphism with mismatched corank")
-        S, T = np.vstack([red[:, :d], unit]), np.vstack([red[:, d:], fill])
+        S, T = np.vstack([red[:, :d], unit]), np.vstack([red[:, d:], unit])
         return self.inverse(S) @ T % p
 
 
@@ -1062,8 +1052,8 @@ def mapping_torus_check(G: FiniteGroup, autos: Sequence[np.ndarray]) -> dict:
     if p is None and G.order > 1:
         raise ValueError("G must be a nontrivial p-group")
     for a in autos:
-        if not kernels.is_homomorphism(G.mult, G.mult, a) or \
-                len(set(int(x) for x in a)) != G.order:
+        if sorted(int(x) for x in a) != list(range(G.order)) or \
+                not kernels.is_homomorphism(G.mult, G.mult, a):
             raise ValueError("inputs must be automorphisms")
     gp = lower_central_p_series(G, p)
     report = {"p": p, "levels": [], "residually_p": None}

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .groups import (FiniteGroup, Homomorphism, Subgroup, full_subgroup,
-                     generating_sequence, intersect, normal_closure, quotient,
+                     generating_sequence, normal_closure, quotient,
                      require_p_group, require_prime, subgroup_generated,
                      trivial_subgroup)
 
@@ -88,21 +88,9 @@ class Filtration:
         Q, proj = quotient(top, Subgroup(top, below, check=False))
         return Q, proj, to_parent
 
-    def intersection(self, elems_or_sub) -> "Filtration":
-        """Intersection filtration with a subgroup of the same parent."""
-        sub = elems_or_sub
-        return Filtration(self.group, [intersect(t, sub) for t in self.terms],
-                          check=False)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Filtration) and self.group is other.group
                 and self.terms == other.terms)
-
-    def equivalent(self, other: "Filtration") -> bool:
-        """Same set of terms, which is equivalence of filtrations up to
-        stretching."""
-        return ({t.elems for t in self.terms} == {t.elems for t in other.terms}
-                and self.group is other.group)
 
     def __repr__(self) -> str:
         sizes = ">=".join(str(len(t)) for t in self.terms)
@@ -511,72 +499,3 @@ def classify_potency(F: Filtration, p: int, horizon: int) -> PotencyReport:
                                        phi_injective=matches,
                                        phi_bijective=matches and surj))
     return rep
-
-
-class LayerMapHypothesisError(ValueError):
-    """The cor-phi_n style hypothesis fails (the p=2, n=1 exceptional case)."""
-
-
-def power_layer_map(G: FiniteGroup, p: int, n: int, m: int):
-    """The verified layer morphism L^p_n(G) -> L^p_{n+m}(G) induced by x -> x^(p^m).
-
-    Requires p odd, n > 1, or [G_n, G_n] <= G_{n+2} for the lower central
-    p-series; the exceptional failure is reported via LayerMapHypothesisError.
-    """
-    require_prime(p)
-    F = lower_central_p_series(G, p)
-    Gn = F.term(n)
-    if p == 2:
-        c = kernels.commutators(G.mult, G.inv, Gn.elems, Gn.elems)
-        if not set(c) <= F.term(n + 2)._set:
-            raise LayerMapHypothesisError(
-                f"p=2 and [G_{n},G_{n}] is not inside G_{n+2}")
-    Ln, projn, to_par_n = F.layer(n)
-    Lm, projm, to_par_m = F.layer(n + m)
-    # build the map on layer representatives and verify well-definedness
-    mapping = {}
-    for x in Gn.elems:
-        px = G.power(x, p ** m)
-        if px not in F.term(n + m):
-            raise LayerMapHypothesisError("powers leave the target term")
-        src = projn(to_par_n.index(x))
-        dst = projm(to_par_m.index(px))
-        if src in mapping and mapping[src] != dst:
-            raise LayerMapHypothesisError("induced map is not well defined")
-        mapping[src] = dst
-    arr = [mapping[i] for i in range(Ln.order)]
-    return Homomorphism(Ln, Lm, arr)  # raises if not a morphism
-
-
-def retract_trace(G: FiniteGroup, H: Subgroup, series: str, p: Optional[int] = None,
-                  retraction: Optional[Homomorphism] = None) -> dict:
-    """Verify Sigma_n(H) = Sigma_n(G) ^ H for a retract H, per series in
-    {gamma, gamma_p, dimension}."""
-    from .groups import is_retract
-    if retraction is None:
-        retraction = is_retract(G, H)
-    if retraction is None:
-        raise ValueError("H is not a retract of G")
-    Hgrp, to_parent, _ = H.as_group()
-
-    def build(group):
-        if series == "gamma":
-            return lower_central_series(group)
-        if series == "gamma_p":
-            return lower_central_p_series(group, p)
-        if series == "dimension":
-            return dimension_series(group, p)
-        raise ValueError(f"unknown series {series!r}")
-
-    FG = build(G)
-    FH = build(Hgrp)
-    depth = max(len(FG.terms), len(FH.terms)) + 1
-    levels = []
-    ok = True
-    for n in range(1, depth + 1):
-        lhs = tuple(sorted(to_parent[i] for i in FH.term(n).elems))
-        rhs = intersect(FG.term(n), H).elems
-        levels.append({"n": n, "sigma_H": lhs, "sigma_G_cap_H": rhs,
-                       "equal": lhs == rhs})
-        ok = ok and lhs == rhs
-    return {"series": series, "ok": ok, "levels": levels}

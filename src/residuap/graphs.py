@@ -9,9 +9,8 @@ used as equality oracles.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .groups import (FiniteGroup, Homomorphism, Subgroup, quotient,
                      right_coset_reps, subgroup_generated)
@@ -92,34 +91,6 @@ def maximal_subtree(Y: Graph, root: int = 0) -> frozenset[int]:
     return frozenset(tree)
 
 
-def tree_geodesic(Y: Graph, tree: frozenset[int], src: int, dst: int) -> list[int]:
-    """Edge path inside the tree from src to dst."""
-    if src == dst:
-        return []
-    prev: dict[int, tuple[int, int]] = {}
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        new = []
-        for e in sorted(tree):
-            if Y.orig[e] in seen and Y.term[e] not in seen:
-                prev[Y.term[e]] = (Y.orig[e], e)
-                seen.add(Y.term[e])
-                new.append(Y.term[e])
-        if dst in seen:
-            break
-        frontier = new
-        if not new:
-            raise ValueError("tree does not span both vertices")
-    path = []
-    cur = dst
-    while cur != src:
-        v, e = prev[cur]
-        path.append(e)
-        cur = v
-    return list(reversed(path))
-
-
 class GraphOfGroups:
     """Vertex and edge groups over a graph, with injective edge morphisms
     f_e: G_e -> G_{term(e)} and G_{bar e} = G_e."""
@@ -164,11 +135,16 @@ class PathWord:
 
 def path_word(gog: GraphOfGroups, base: int, g0: int,
               steps: Sequence[tuple[int, int]]) -> PathWord:
-    """Validated constructor: enforces edge incidences and element ranges."""
+    """Validated constructor: enforces vertex, edge and element ranges and
+    edge incidences."""
     cur = base
+    if not 0 <= base < gog.graph.nv:
+        raise ValueError("base vertex out of range")
     if not 0 <= g0 < gog.vgroups[base].order:
         raise ValueError("g0 out of range")
     for e, g in steps:
+        if not 0 <= e < gog.graph.ne:
+            raise ValueError("edge index out of range")
         if gog.graph.orig[e] != cur:
             raise ValueError("edge path is not consecutive")
         cur = gog.graph.term[e]
@@ -298,73 +274,8 @@ class NormalFormContext:
                 return False
         return True
 
-    def equal(self, a: PathWord, b: PathWord) -> bool:
-        return self.normal_form(a) == self.normal_form(b)
-
     def identity(self, base: int) -> PathWord:
         return PathWord(base, 0, ())
-
-
-@dataclass
-class Letter:
-    """A generator letter of pi_1(G, T): a vertex element or a stable edge."""
-    kind: str            # "g" or "e"
-    vertex: int = 0
-    elem: int = 0
-    edge: int = 0
-
-
-def word_to_path(gog: GraphOfGroups, tree: frozenset[int], base: int,
-                 letters: Sequence[Letter]) -> PathWord:
-    """The canonical closed path at `base` representing a word in pi_1(G, T).
-
-    Tree edges are inserted as geodesics with trivial labels; this realizes
-    the isomorphism of pi_1(G, T) with pi_1(G, base).
-    """
-    Y = gog.graph
-    cur = base
-    out = PathWord(base, 0, ())
-    ctx_steps: list[tuple[int, int]] = []
-
-    def hop(to_vertex: int):
-        nonlocal cur
-        for e in tree_geodesic(Y, tree, cur, to_vertex):
-            ctx_steps.append((e, 0))
-        cur = to_vertex
-
-    g0 = 0
-    for let in letters:
-        if let.kind == "g":
-            hop(let.vertex)
-            if not ctx_steps:
-                # no movement happened, so the letter lives at the base
-                g0 = gog.vgroups[base].mul(g0, let.elem)
-            else:
-                e, g = ctx_steps[-1]
-                ctx_steps[-1] = (e, gog.vgroups[Y.term[e]].mul(g, let.elem))
-        elif let.kind == "e":
-            hop(Y.orig[let.edge])
-            ctx_steps.append((let.edge, 0))
-            cur = Y.term[let.edge]
-        else:
-            raise ValueError(f"unknown letter kind {let.kind!r}")
-    hop(base)
-    return path_word(gog, base, g0, ctx_steps)
-
-
-def random_closed_word(gog: GraphOfGroups, tree: frozenset[int], base: int,
-                       rng: random.Random, max_letters: int = 6) -> PathWord:
-    letters: list[Letter] = []
-    nletters = rng.randrange(1, max_letters + 1)
-    non_tree = [e for e in range(gog.graph.ne) if e not in tree]
-    for _ in range(nletters):
-        if non_tree and rng.random() < 0.4:
-            letters.append(Letter("e", edge=rng.choice(non_tree)))
-        else:
-            v = rng.randrange(gog.graph.nv)
-            letters.append(Letter("g", vertex=v,
-                                  elem=rng.randrange(gog.vgroups[v].order)))
-    return word_to_path(gog, tree, base, letters)
 
 
 # -- quotients and covers ------------------------------------------------------
@@ -475,14 +386,6 @@ class GogFiltration:
 
     def depth(self) -> int:
         return max(len(F.terms) for F in self.filtrations)
-
-    def edge_filtration(self, e: int):
-        from .filtration import Filtration
-        terms = []
-        for n in range(1, self.depth() + 1):
-            terms.append(self.gog.emaps[e].preimage(
-                self.filtrations[self.gog.graph.term[e]].term(n)))
-        return Filtration(self.gog.egroups[e], terms, check=False)
 
 
 # -- common covers ---------------------------------------------------------------
@@ -633,8 +536,10 @@ def unfold_graph(Y: Graph, tree: frozenset[int], psi: Sequence[int],
     labels on the right, so a closed path lifts iff the ordered product of
     its psi labels is trivial.
     """
-    if len(psi) != Y.ne:
+    if not isinstance(psi, (list, tuple)) or len(psi) != Y.ne:
         raise ValueError("psi must assign a value to every edge")
+    if not all(isinstance(a, int) and 0 <= a < A.order for a in psi):
+        raise ValueError("psi values must be elements of A")
     for e in range(Y.ne):
         if e in tree and psi[e] != 0:
             raise ValueError("psi must be trivial on tree edges")
@@ -690,34 +595,3 @@ def unfold_gog(gog: GraphOfGroups, tree: frozenset[int], psi: Sequence[int],
                       tuple(0 for _ in range(cover.ne)))
     mor.verify()
     return ggog, mor
-
-
-def psi_of_closed_path(Y: Graph, psi: Sequence[int], A: FiniteGroup,
-                       w: PathWord) -> int:
-    """Ordered product of the psi labels along the path (left to right)."""
-    acc = 0
-    for e, _ in w.steps:
-        acc = A.mul(acc, psi[e])
-    return acc
-
-
-def lift_closed_path(gog: GraphOfGroups, cover_gog: GraphOfGroups,
-                     psi: Sequence[int], A: FiniteGroup, w: PathWord,
-                     base_alpha: int = 0) -> Optional[PathWord]:
-    """Lift a closed path through the unfolding, or None if it does not close."""
-    Y = gog.graph
-    if psi_of_closed_path(Y, psi, A, w) != 0:
-        return None
-    a = base_alpha
-    steps = []
-    for e, g in w.steps:
-        steps.append((a * Y.ne + e, g))
-        a = A.mul(a, psi[e])
-    return PathWord(base_alpha * Y.nv + w.base, w.g0, tuple(steps))
-
-
-def project_path(gog: GraphOfGroups, cover_gog: GraphOfGroups,
-                 w: PathWord) -> PathWord:
-    Y = gog.graph
-    return PathWord(w.base % Y.nv, w.g0,
-                    tuple((e % Y.ne, g) for e, g in w.steps))

@@ -94,9 +94,6 @@ class FiniteGroup:
             acc = int(self.mult[acc, x])
         return acc
 
-    def element_order(self, a: int) -> int:
-        return self.element_orders()[a]
-
     def element_orders(self) -> list[int]:
         if self._orders is None:
             orders = [1] * self.order
@@ -228,6 +225,9 @@ class Subgroup:
         if check:
             if not elems or elems[0] != 0:
                 raise ValueError("subgroup must contain the identity 0")
+            if elems[-1] >= parent.order:
+                raise ValueError(f"subgroup element {elems[-1]} out of range "
+                                 f"for order {parent.order}")
             es = set(elems)
             for a in elems:
                 if int(parent.inv[a]) not in es:
@@ -302,8 +302,12 @@ class Homomorphism:
         m = np.asarray(mapping, dtype=np.int64)
         if m.shape != (dom.order,):
             raise ValueError("map length must equal the domain order")
-        if check and not kernels.is_homomorphism(dom.mult, cod.mult, m):
-            raise ValueError("not a homomorphism")
+        if check:
+            if not (m.min() >= 0 and m.max() < cod.order):
+                raise ValueError(f"map values must be elements 0..{cod.order - 1} "
+                                 f"of the codomain")
+            if not kernels.is_homomorphism(dom.mult, cod.mult, m):
+                raise ValueError("not a homomorphism")
         self.dom = dom
         self.cod = cod
         self.map = m
@@ -329,12 +333,6 @@ class Homomorphism:
         if inner.cod is not self.dom:
             raise ValueError("composition domain mismatch")
         return Homomorphism(inner.dom, self.cod, self.map[inner.map], check=False)
-
-    def restrict(self, sub: Subgroup) -> "Homomorphism":
-        """Restriction to a subgroup, as a map on the subgroup's own group."""
-        S, to_parent, _ = sub.as_group()
-        return Homomorphism(S, self.cod, [int(self.map[g]) for g in to_parent],
-                            check=False)
 
     def preimage(self, sub: Subgroup) -> Subgroup:
         inside = sub._set
@@ -381,23 +379,6 @@ def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
         gens |= fresh
         elems = kernels.closure(G.mult, G.inv, gens)
     return Subgroup(G, elems, check=False)
-
-
-def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
-    if a.parent is not b.parent:
-        raise ValueError("subgroups of different parents")
-    return Subgroup(a.parent, sorted(a._set & b._set), check=False)
-
-
-def centralizer(G: FiniteGroup, sub: Subgroup) -> Subgroup:
-    t = G.mult
-    elems = [g for g in range(G.order)
-             if all(t[g, x] == t[x, g] for x in sub.elems)]
-    return Subgroup(G, elems, check=False)
-
-
-def center(G: FiniteGroup) -> Subgroup:
-    return centralizer(G, full_subgroup(G))
 
 
 # -- quotients ---------------------------------------------------------------
@@ -519,35 +500,34 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
 
 
 def _homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
-                   cands: Sequence[Sequence[int]], injective: bool = False,
-                   fixed: frozenset[int] = frozenset()):
-    """Yield every homomorphism G -> H, as an index array, that sends gens[i]
-    into cands[i], in itertools.product order of the generator images.
+                   cands: Sequence[Sequence[int]]):
+    """Yield every injective homomorphism G -> H, as an index array, that
+    sends gens[i] into cands[i], in itertools.product order of the generator
+    images.
 
     Backtrack search (Holt, Eick & O'Brien, Handbook of Computational Group
     Theory, 2005): gens[i] gets its image only after gens[:i] have theirs,
     and the partial map on <gens[:i]> is then extended to <gens[:i+1]> by
     closing it under products.  A branch is pruned as soon as a product is
-    sent to two different images, or, with ``injective``, two elements share
-    an image, or an element of ``fixed`` is sent anywhere but to itself.  No
-    pruned branch holds a map the caller accepts, so the output equals that
-    of testing every tuple of images in turn.  gens must generate G.  Both
+    sent to two different images or two elements share an image.  No pruned
+    branch holds an injective homomorphism, so the output equals that of
+    testing every tuple of images in turn.  gens must generate G.  Both
     tables are read as Python lists, which keeps the work per node small.
     """
     gm = G.mult.tolist()
     hm = H.mult.tolist()
     m = [-1] * G.order           # the partial map; -1 marks unmapped
-    used = [False] * H.order     # images taken, kept only when injective
-    m[0], used[0] = 0, injective
+    used = [False] * H.order     # the images taken so far
+    m[0], used[0] = 0, True
     known = [0]                  # the mapped elements, in the order mapped
 
     def assign(z: int, w: int) -> bool:
         mz = m[z]
         if mz >= 0:
             return mz == w
-        if used[w] or (z != w and z in fixed):
+        if used[w]:
             return False
-        m[z], used[w] = w, injective
+        m[z], used[w] = w, True
         known.append(z)
         return True
 
@@ -588,30 +568,6 @@ def _homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
     yield from descend(0)
 
 
-def iter_homomorphisms(G: FiniteGroup, H: FiniteGroup):
-    """Yield all homomorphisms G -> H, in lexicographic order of the images
-    of generating_sequence(G), each image ranging over H by index."""
-    gens = generating_sequence(G)
-    orders_G = G.element_orders()
-    orders_H = H.element_orders()
-    cands = [[h for h in range(H.order) if orders_G[g] % orders_H[h] == 0]
-             for g in gens]
-    for m in _homomorphisms(G, H, gens, cands):
-        yield Homomorphism(G, H, m, check=False)
-
-
-def is_retract(G: FiniteGroup, H: Subgroup) -> Optional[Homomorphism]:
-    """A homomorphism G -> G with image in H restricting to the identity on H."""
-    if H.parent is not G:
-        raise ValueError("subgroup of a different group")
-    gens = generating_sequence(G)
-    orders = G.element_orders()
-    cands = [[h for h in H.elems if orders[g] % orders[h] == 0] for g in gens]
-    for m in _homomorphisms(G, G, gens, cands, fixed=H._set):
-        return Homomorphism(G, G, m, check=False)
-    return None
-
-
 def automorphisms(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP,
                   size_cap: int = DEFAULT_AUT_SIZE_CAP,
                   search_cap: int = 2_000_000) -> list[np.ndarray]:
@@ -629,20 +585,12 @@ def automorphisms(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP,
     if volume > search_cap:
         raise CapExceeded(f"automorphism search space {volume} beyond cap")
     out = []
-    for m in _homomorphisms(G, G, gens, [by_order[orders[g]] for g in gens],
-                            injective=True):
+    for m in _homomorphisms(G, G, gens, [by_order[orders[g]] for g in gens]):
         out.append(m)
         if len(out) > size_cap:
             raise CapExceeded("automorphism group larger than size cap")
     out.sort(key=lambda a: tuple(int(x) for x in a))
     return out
-
-
-def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP):
-    """Aut(G) as a FiniteGroup of permutations plus the tautological action."""
-    A, action, _ = permutation_group(G, automorphisms(G, cap=cap),
-                                     name=f"Aut({G.name})")
-    return A, action
 
 
 def permutation_group(G: FiniteGroup, perms: Sequence[np.ndarray],
@@ -711,8 +659,7 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
     by_order: dict[int, list[int]] = {}
     for x in range(H.order):
         by_order.setdefault(orders_H[x], []).append(x)
-    for m in _homomorphisms(G, H, gens, [by_order[orders_G[g]] for g in gens],
-                            injective=True):
+    for m in _homomorphisms(G, H, gens, [by_order[orders_G[g]] for g in gens]):
         return Homomorphism(G, H, m, check=False)
     return None
 

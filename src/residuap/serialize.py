@@ -6,14 +6,10 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-import numpy as np
-
-from . import kernels
 from .certify import Certificate
 from .filtration import Filtration
 from .graphs import Graph, GraphOfGroups, PathWord, path_word
-from .groups import (FiniteGroup, Homomorphism, Subgroup, generating_sequence,
-                     require_prime)
+from .groups import FiniteGroup, Homomorphism, Subgroup, require_prime
 
 
 def group_to_obj(G: FiniteGroup) -> dict:
@@ -43,37 +39,6 @@ def hom_to_obj(h: Homomorphism) -> list[int]:
 
 def hom_from_obj(dom: FiniteGroup, cod: FiniteGroup, obj) -> Homomorphism:
     return Homomorphism(dom, cod, obj)
-
-
-def algebra_element_to_obj(el) -> dict:
-    return {"p": el.p, "coeffs": [int(x) for x in el.coeffs]}
-
-
-def algebra_element_from_obj(G: FiniteGroup, obj):
-    from .algebra import AlgebraElement
-    return AlgebraElement(G, obj["p"], obj["coeffs"])
-
-
-def ideal_basis_to_obj(basis) -> dict:
-    return {"p": basis.p, "rows": [list(r) for r in basis.rows]}
-
-
-def ideal_basis_from_obj(G: FiniteGroup, obj):
-    """An ideal basis, checked to span a two-sided ideal: x r and r x lie in
-    the span for every row r and every x in generating_sequence(G), which
-    suffices because G is finite, so words in those x reach every element."""
-    from .algebra import IdealBasis
-    if any(len(r) != G.order for r in obj["rows"]):
-        raise ValueError(f"ideal rows must have {G.order} entries")
-    ideal = IdealBasis(G, obj["p"], obj["rows"])
-    R = ideal.matrix()
-    moved = [R]
-    for x in generating_sequence(G):
-        xi = G.inv[x]
-        moved += [R[:, G.mult[xi, :]], R[:, G.mult[:, xi]]]     # x r and r x
-    if len(kernels.rref_mod_p(np.vstack(moved), ideal.p)) != ideal.dim:
-        raise ValueError("row space is not a two-sided ideal")
-    return ideal
 
 
 def filtration_to_obj(F: Filtration) -> dict:
@@ -147,8 +112,14 @@ def word_to_obj(w: PathWord) -> dict:
 
 
 def word_from_obj(gog: GraphOfGroups, obj: dict) -> PathWord:
-    return path_word(gog, obj["base"], obj["g0"],
-                     [(e, g) for e, g in obj["steps"]])
+    if not isinstance(obj, dict):
+        raise ValueError("a word must be a JSON object")
+    base, g0 = _field(obj, "base", int, "word"), _field(obj, "g0", int, "word")
+    steps = _field(obj, "steps", list, "word")
+    if not all(isinstance(s, list) and len(s) == 2
+               and all(isinstance(x, int) for x in s) for s in steps):
+        raise ValueError("word steps must be [edge, element] pairs of ints")
+    return path_word(gog, base, g0, [tuple(s) for s in steps])
 
 
 def certificate_to_obj(cert: Certificate) -> dict:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +23,13 @@ from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
 def fresh(G: FiniteGroup, name: str) -> FiniteGroup:
     """An independent copy, so a gog can use 'two different' vertex groups."""
     return FiniteGroup(G.mult.copy(), name=name, validate=False)
+
+
+def elab_elem(sp: embed.ElabSpace, vec) -> int:
+    """The element of sp.V whose coordinate row is vec, entries taken mod p."""
+    if len(vec) != sp.dim:
+        raise KeyError(tuple(vec))
+    return int(sp.index[sum(int(x) % sp.p * sp.p ** i for i, x in enumerate(vec))])
 
 
 def chain(G: FiniteGroup, *element_lists) -> Filtration:
@@ -72,9 +81,9 @@ def shift_loop():
     sp = embed.ElabSpace(V27)
     sp9 = embed.ElabSpace(V9)
     Y = graphs.Graph.from_topological(1, [(0, 0)])
-    fe = Homomorphism(V9, V27, [sp.elem((sp9.vec(g)[0], sp9.vec(g)[1], 0))
+    fe = Homomorphism(V9, V27, [elab_elem(sp, (sp9.vec(g)[0], sp9.vec(g)[1], 0))
                                 for g in range(9)])
-    fb = Homomorphism(V9, V27, [sp.elem((sp9.vec(g)[1], 0, sp9.vec(g)[0]))
+    fb = Homomorphism(V9, V27, [elab_elem(sp, (sp9.vec(g)[1], 0, sp9.vec(g)[0]))
                                 for g in range(9)])
     return graphs.GraphOfGroups(Y, [V27], [V9, V9], [fe, fb])
 
@@ -85,7 +94,7 @@ def swap_loop():
     sp9 = embed.ElabSpace(V9)
     Y = graphs.Graph.from_topological(1, [(0, 0)])
     ide = Homomorphism(V9, V9, list(range(9)))
-    swap = Homomorphism(V9, V9, [sp9.elem((sp9.vec(g)[1], sp9.vec(g)[0]))
+    swap = Homomorphism(V9, V9, [elab_elem(sp9, (sp9.vec(g)[1], sp9.vec(g)[0]))
                                  for g in range(9)])
     return graphs.GraphOfGroups(Y, [V9], [V9, V9], [ide, swap])
 
@@ -96,8 +105,8 @@ def axis_swap_loop():
     C3 = catalog.cyclic(3)
     sp9 = embed.ElabSpace(V9)
     Y = graphs.Graph.from_topological(1, [(0, 0)])
-    A_ax = Homomorphism(C3, V9, [sp9.elem((x, 0)) for x in range(3)])
-    B_ax = Homomorphism(C3, V9, [sp9.elem((0, x)) for x in range(3)])
+    A_ax = Homomorphism(C3, V9, [elab_elem(sp9, (x, 0)) for x in range(3)])
+    B_ax = Homomorphism(C3, V9, [elab_elem(sp9, (0, x)) for x in range(3)])
     return graphs.GraphOfGroups(Y, [V9], [C3, C3], [A_ax, B_ax])
 
 
@@ -129,6 +138,113 @@ def nf_test_graphs():
             axis_swap_loop(),
             theta_graph(),
             d8_center_hnn()]
+
+
+# -- closed path words -------------------------------------------------------
+#
+# Test inputs in pi_1(G, T): words in vertex elements and stable letters,
+# turned into closed paths at a base vertex.
+
+@dataclass
+class Letter:
+    """A generator letter of pi_1(G, T): a vertex element or a stable edge."""
+    kind: str            # "g" or "e"
+    vertex: int = 0
+    elem: int = 0
+    edge: int = 0
+
+
+def tree_geodesic(Y: graphs.Graph, tree: frozenset[int], src: int,
+                  dst: int) -> list[int]:
+    """Edge path inside the tree from src to dst."""
+    if src == dst:
+        return []
+    prev: dict[int, tuple[int, int]] = {}
+    seen = {src}
+    frontier = [src]
+    while frontier:
+        new = []
+        for e in sorted(tree):
+            if Y.orig[e] in seen and Y.term[e] not in seen:
+                prev[Y.term[e]] = (Y.orig[e], e)
+                seen.add(Y.term[e])
+                new.append(Y.term[e])
+        if dst in seen:
+            break
+        frontier = new
+        if not new:
+            raise ValueError("tree does not span both vertices")
+    path = []
+    cur = dst
+    while cur != src:
+        v, e = prev[cur]
+        path.append(e)
+        cur = v
+    return list(reversed(path))
+
+
+def word_to_path(gog: graphs.GraphOfGroups, tree: frozenset[int], base: int,
+                 letters: Sequence[Letter]) -> graphs.PathWord:
+    """The canonical closed path at `base` representing a word in pi_1(G, T).
+
+    Tree edges are inserted as geodesics with trivial labels; this realizes
+    the isomorphism of pi_1(G, T) with pi_1(G, base).
+    """
+    Y = gog.graph
+    cur = base
+    ctx_steps: list[tuple[int, int]] = []
+
+    def hop(to_vertex: int):
+        nonlocal cur
+        for e in tree_geodesic(Y, tree, cur, to_vertex):
+            ctx_steps.append((e, 0))
+        cur = to_vertex
+
+    g0 = 0
+    for let in letters:
+        if let.kind == "g":
+            hop(let.vertex)
+            if not ctx_steps:
+                # no movement happened, so the letter lives at the base
+                g0 = gog.vgroups[base].mul(g0, let.elem)
+            else:
+                e, g = ctx_steps[-1]
+                ctx_steps[-1] = (e, gog.vgroups[Y.term[e]].mul(g, let.elem))
+        elif let.kind == "e":
+            hop(Y.orig[let.edge])
+            ctx_steps.append((let.edge, 0))
+            cur = Y.term[let.edge]
+        else:
+            raise ValueError(f"unknown letter kind {let.kind!r}")
+    hop(base)
+    return graphs.path_word(gog, base, g0, ctx_steps)
+
+
+def random_closed_word(gog: graphs.GraphOfGroups, tree: frozenset[int],
+                       base: int, rng: random.Random,
+                       max_letters: int = 6) -> graphs.PathWord:
+    letters: list[Letter] = []
+    nletters = rng.randrange(1, max_letters + 1)
+    non_tree = [e for e in range(gog.graph.ne) if e not in tree]
+    for _ in range(nletters):
+        if non_tree and rng.random() < 0.4:
+            letters.append(Letter("e", edge=rng.choice(non_tree)))
+        else:
+            v = rng.randrange(gog.graph.nv)
+            letters.append(Letter("g", vertex=v,
+                                  elem=rng.randrange(gog.vgroups[v].order)))
+    return word_to_path(gog, tree, base, letters)
+
+
+def evaluate(cert, w: graphs.PathWord) -> int:
+    """Image of a closed path under the morphism of a certify.Certificate."""
+    Y = cert.gog.graph
+    P = cert.target
+    acc = cert.vertex_maps[w.base](w.g0)
+    for e, g in w.steps:
+        acc = P.mul(acc, cert.edge_images[e])
+        acc = P.mul(acc, cert.vertex_maps[Y.term[e]](g))
+    return acc
 
 
 # -- reference homomorphism search --------------------------------------------
@@ -183,24 +299,6 @@ def _reference_search(G: FiniteGroup, H: FiniteGroup, cands, accept):
 
 def _bijective(m: np.ndarray) -> bool:
     return len(set(int(x) for x in m)) == len(m)
-
-
-def reference_homomorphisms(G: FiniteGroup, H: FiniteGroup) -> list[np.ndarray]:
-    oG, oH = G.element_orders(), H.element_orders()
-    return list(_reference_search(
-        G, H, lambda gens: [[h for h in range(H.order) if oG[g] % oH[h] == 0]
-                            for g in gens],
-        lambda m: True))
-
-
-def reference_retract(G: FiniteGroup, H: Subgroup) -> Optional[np.ndarray]:
-    o = G.element_orders()
-    found = _reference_search(
-        G, G, lambda gens: [[h for h in H.elems if o[g] % o[h] == 0]
-                            for g in gens],
-        lambda m: (all(int(x) in H for x in m)
-                   and all(m[h] == h for h in H.elems)))
-    return next(found, None)
 
 
 def _by_order(G: FiniteGroup) -> dict[int, list[int]]:
@@ -489,6 +587,14 @@ def reference_sl2_elements(mod: int) -> list[tuple]:
     return out
 
 
+def level_group(tower, i: int, cap: int = 5000):
+    """G_i of an SL(2, Z/p^k) congruence tower as (Cayley group, elements)."""
+    from residuap.congruence import MatrixGroup
+    mg = MatrixGroup(tower.levels[i - 1], tower.full.mod,
+                     name=f"SL2^{i}(Z/{tower.full.mod})")
+    return mg.as_finite_group(cap=cap)
+
+
 def reference_as_finite_group(elements: Sequence[tuple], mod: int) -> list[list[int]]:
     """The Cayley table of a list of 2x2 matrices mod `mod`, as lists."""
     index = {m: i for i, m in enumerate(elements)}
@@ -634,25 +740,6 @@ def reference_image_closure(spec, p: int, k: int, cap: int):
     return seen
 
 
-def reference_image_table(spec, p: int, k: int):
-    """(elems, table, levels) of congruence.image_filtration: the elements
-    identity first, then sorted; the table cell by cell; level j the
-    elements trivial mod p^j."""
-    mod, n = p ** k, spec.dim
-    elems = sorted(reference_image_closure(spec, p, k, 10 ** 9))
-    ident = next(e for e in elems if e[0] == _ref_identity(n) and not any(e[1]))
-    elems.remove(ident)
-    elems.insert(0, ident)
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[(_ref_mat_mul(ma, mb, mod),
-                     tuple((x + y) % mod for x, y in zip(ta, tb)))]
-              for mb, tb in elems] for ma, ta in elems]
-    levels = [[i for i, (m, t) in enumerate(elems)
-               if _ref_reduce(m, p ** j) == _ref_reduce(ident[0], p ** j)
-               and not any(x % p ** j for x in t)] for j in range(1, k + 1)]
-    return elems, table, levels
-
-
 def reference_t_lattice(t_mats, t_theta, p: int, k: int) -> int:
     """The index congruence._t_intersection_lattice returns.  For cyclic T
     the least multiple from the order of m and the theta condition; for
@@ -699,7 +786,7 @@ def random_partial_automorphism(V, sp, rng, s):
         return vecs
 
     def combine(coeffs, vecs):
-        return sp.elem([sum(c * v[i] for c, v in zip(coeffs, vecs))
+        return elab_elem(sp, [sum(c * v[i] for c, v in zip(coeffs, vecs))
                         for i in range(sp.dim)])
 
     src, dst = frame(), frame()
@@ -869,49 +956,6 @@ def reference_flag_perms(space, basis, matrices) -> list[np.ndarray]:
             arr[g] = space.elem(_reference_from_flag(space, basis, img))
         perms.append(arr)
     return perms
-
-
-def _reference_solve_in_basis(space, basis_rows, vec):
-    p, d = space.p, space.dim
-    k = len(basis_rows)
-    aug = [list(row) + [int(i == j) for j in range(k)]
-           for i, row in enumerate(basis_rows)]
-    target = list(vec) + [0] * k
-    for r in kernels.pybackend.rref_mod_p(aug, p, ncols=d + k):
-        lead = next(j for j, x in enumerate(r[:d]) if x)
-        c = target[lead]
-        if c:
-            target = [(a - c * b) % p for a, b in zip(target, r)]
-    if any(target[:d]):
-        raise AssertionError("vector outside the basis span")
-    return [(-x) % p for x in target[d:]]
-
-
-def reference_complete_partial_linear(space, phi) -> np.ndarray:
-    """A's reduced basis and greedy unit complement sent to phi of that basis
-    and B's greedy unit complement, then one solve per element."""
-    rref = kernels.pybackend.rref_mod_p
-    p, d = space.p, space.dim
-
-    def complement(rows):
-        comp = []
-        for j in range(d):
-            unit = [int(i == j) for i in range(d)]
-            if len(rref(rows + comp + [unit], p, ncols=d)) > len(rows) + len(comp):
-                comp.append(unit)
-        return comp
-
-    a_basis = rref([list(space.vec(a)) for a in phi.A.elems], p, ncols=d)
-    b_basis = [list(space.vec(phi(space.elem(row)))) for row in a_basis]
-    src = a_basis + complement(a_basis)
-    dst = b_basis + complement(rref([list(space.vec(b)) for b in phi.B.elems],
-                                    p, ncols=d))
-    arr = np.empty(space.V.order, dtype=np.int64)
-    for g in range(space.V.order):
-        coeff = _reference_solve_in_basis(space, src, space.vec(g))
-        arr[g] = space.elem([sum(c * row[i] for c, row in zip(coeff, dst)) % p
-                             for i in range(d)])
-    return arr
 
 
 # -- reference power-map classification --------------------------------------------

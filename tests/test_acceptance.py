@@ -13,9 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (axis_swap_loop, c4_star_c4, chain, d8_center_hnn, fresh,
-                     free_product, nf_test_graphs, shift_loop, swap_loop,
-                     theta_graph)
+from helpers import (axis_swap_loop, c4_star_c4, chain, d8_center_hnn,
+                     elab_elem, fresh, free_product, nf_test_graphs,
+                     random_closed_word, shift_loop, swap_loop, theta_graph)
 
 from residuap import catalog, serialize
 from residuap.algebra import (augmentation_ideal_powers, buckley_check,
@@ -33,7 +33,7 @@ from residuap.embed import (Amalgam, ElabSpace, PartialAutomorphism,
 from residuap.filtration import dimension_series, lower_central_series
 from residuap.graphs import (Graph, GraphOfGroups, inverse, maximal_subtree,
                              multiply, NormalFormContext, quotient_gog,
-                             random_closed_word, unfold_graph, unfold_gog)
+                             unfold_graph, unfold_gog)
 from residuap.groups import (FiniteGroup, Homomorphism, Subgroup,
                              subgroup_generated)
 from residuap.smith import Presentation
@@ -112,7 +112,7 @@ def test_criterion_04_section22_examples(tmp_path):
             vec = sp.vec(g)
             img = tuple(sum(mat[i][j] * vec[j] for j in range(2)) % 3
                         for i in range(2))
-            out[g] = sp.elem(img)
+            out[g] = elab_elem(sp, img)
         return [[k, v] for k, v in sorted(out.items())]
 
     f = tmp_path / "transvections.json"

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import c4_star_c4, shift_loop, swap_loop, theta_graph
+from helpers import c4_star_c4, elab_elem, shift_loop, swap_loop, theta_graph
 
 import residuap
 from residuap import catalog, cli, serialize
@@ -75,7 +75,7 @@ def test_gog_certify_exit_codes(capsys, tmp_path):
 def test_embed_flag_exit_codes(capsys, tmp_path):
     V = catalog.elementary_abelian(3, 2)
     sp = ElabSpace(V)
-    swap_map = {g: sp.elem((sp.vec(g)[1], sp.vec(g)[0])) for g in range(9)}
+    swap_map = {g: elab_elem(sp, (sp.vec(g)[1], sp.vec(g)[0])) for g in range(9)}
     f = tmp_path / "swap-f3.json"
     f.write_text(serialize.dumps({
         "group": serialize.group_to_obj(V),
@@ -250,3 +250,80 @@ def test_utorder_of_order_3_to_the_20_returns(tmp_path):
     proc = run_process("congruence", "utorder", "--file", str(f), "--json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"order": 3 ** 20}
+
+
+def _gog_input(build, **fields):
+    return lambda: {"gog": serialize.gog_to_obj(build()), **fields}
+
+
+def _cyclic(n):
+    return serialize.group_to_obj(catalog.cyclic(n))
+
+
+def _c4_amalgam(**changes):
+    return lambda: {"G": _cyclic(4), "H": _cyclic(4), "U": _cyclic(2),
+                    "uG": [0, 2], "uH": [0, 2],
+                    "FG": [[0, 1, 2, 3], [0, 2], [0]],
+                    "FH": [[0, 1, 2, 3], [0, 2], [0]], **changes}
+
+
+def _c4_data(**fields):
+    return lambda: {"group": _cyclic(4), **fields}
+
+
+def _word(word):
+    return _gog_input(shift_loop, word=word)
+
+
+BAD_INPUTS = {
+    # elements outside 0..order-1
+    "quotient-element": (["gog", "quotient"],
+                         _gog_input(c4_star_c4, collection=[[0, 99], [0, 2]])),
+    "quotient-short": (["gog", "quotient"],
+                       _gog_input(c4_star_c4, collection=[[0, 99]])),
+    "cover-element": (["gog", "cover"],
+                      _gog_input(c4_star_c4, collection=[[0, 99], [0, 2]])),
+    "higman-term": (["embed", "higman"],
+                    _c4_amalgam(FG=[[0, 1, 2, 3], [0, 2, 9], [0]])),
+    "flag-key": (["embed", "flag"],
+                 _c4_data(partial_automorphisms=[{"map": [[0, 0], [9, 9]]}])),
+    "inner-key": (["embed", "inner"],
+                  _c4_data(partial_automorphisms=[{"map": [[0, 0], [9, 9]]}])),
+    "fibersum-phi": (["embed", "fibersum"],
+                     lambda: {"A": _cyclic(4), "B": _cyclic(4), "U": _cyclic(2),
+                              "phi": [0, 9], "psi": [0, 2]}),
+    "mapping-torus": (["embed", "mapping-torus"],
+                      _c4_data(automorphisms=[[0, 3, 2, 9]])),
+    # path words, psi and collections of the wrong shape
+    "normal-form-int": (["gog", "normal-form"], _word(5)),
+    "normal-form-base": (["gog", "normal-form"],
+                         _word({"base": 3, "g0": 0, "steps": []})),
+    "normal-form-edge": (["gog", "normal-form"],
+                         _word({"base": 0, "g0": 0, "steps": [[5, 0]]})),
+    "separate-int": (["gog", "separate", "--p", "3"], _word(5)),
+    "separate-base": (["gog", "separate", "--p", "3"],
+                      _word({"base": 3, "g0": 0, "steps": []})),
+    "separate-edge": (["gog", "separate", "--p", "3"],
+                      _word({"base": 0, "g0": 1, "steps": [[5, 0]]})),
+    "unfold-large": (["gog", "unfold"], _gog_input(shift_loop, psi=[0, 7])),
+    "unfold-negative": (["gog", "unfold"], _gog_input(shift_loop, psi=[-5, 0])),
+    "unfold-strings": (["gog", "unfold"],
+                       _gog_input(shift_loop, psi=["a", "b"])),
+    "unfold-null": (["gog", "unfold"], _gog_input(shift_loop, psi=None)),
+    "quotient-int": (["gog", "quotient"], _gog_input(c4_star_c4, collection=5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_with_one_line(capsys, tmp_path, name):
+    """Input that indexes past a table or does not have the shape of a word,
+    psi or collection ends in exit 1 and one diagnostic line, not an
+    IndexError or TypeError traceback."""
+    command, build = BAD_INPUTS[name]
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(build()))
+    capsys.readouterr()
+    assert main([*command[:2], "--file", str(f), *command[2:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

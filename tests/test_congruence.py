@@ -118,7 +118,7 @@ def test_tower_level1_is_uniformly_potent():
     from residuap.filtration import Filtration, classify_potency
     from residuap.groups import Subgroup
     tower = sl2_congruence_tower(3, 3)
-    G1, elems = tower.level_group(1)
+    G1, elems = helpers.level_group(tower, 1)
     index = {m: i for i, m in enumerate(elems)}
     terms = [Subgroup(G1, [index[m] for m in tower.levels[i]], check=False)
              for i in range(0, 3)]
@@ -126,15 +126,6 @@ def test_tower_level1_is_uniformly_potent():
     assert F.is_central_p(3)
     rep = classify_potency(F, 3, 1)
     assert rep.uniformly_p_potent
-
-
-def test_image_filtration_is_central_p():
-    from residuap.congruence import image_filtration
-    spec = zspec(((1,),))
-    for p in (2, 3):
-        G_img, filt, elems = image_filtration(spec, p, 3)
-        assert G_img.order == p ** 3
-        assert filt.is_central_p(p)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -150,7 +141,7 @@ def test_sl2_elements_and_tables_match_reference(p, k):
 
 def test_level_group_table_matches_reference():
     tower = sl2_congruence_tower(3, 3)
-    G1, elems = tower.level_group(1)
+    G1, elems = helpers.level_group(tower, 1)
     assert elems == tower.levels[0] and G1.order == 729
     assert G1.mult.tolist() == helpers.reference_as_finite_group(elems, 27)
 
@@ -274,29 +265,6 @@ def test_exponent_box_branch():
     (trep,) = rep["subgroups"]
     assert [e["intersection_index"] for e in trep["per_k"]] == [3, 9, 27]
     assert trep["level"] == 1
-
-
-@pytest.mark.parametrize("name,p,k", [
-    ("cyclic", 2, 3), ("cyclic", 5, 3), ("box", 3, 2), ("two_generators", 2, 3),
-    ("two_generators", 3, 1), ("heisenberg", 2, 2), ("heisenberg", 3, 1),
-    ("negative_letters", 2, 1), ("negative_letters", 3, 1)])
-def test_image_filtration_matches_reference(name, p, k):
-    from residuap.congruence import image_filtration
-    spec = MATRIX_SPECS[name]
-    G_img, filt, elems = image_filtration(spec, p, k)
-    ref_elems, ref_table, ref_levels = helpers.reference_image_table(spec, p, k)
-    assert elems == ref_elems
-    assert G_img.mult.tolist() == ref_table
-    G1, to_parent, _ = Subgroup(G_img, ref_levels[0], check=False).as_group()
-    assert filt.group.mult.tolist() == G1.mult.tolist()
-    assert [[to_parent[x] for x in t.elems] for t in filt.terms] == ref_levels
-    assert filt.is_central_p(p)
-
-
-def test_image_filtration_cap():
-    from residuap.congruence import image_filtration
-    with pytest.raises(CapExceeded):
-        image_filtration(MATRIX_SPECS["two_generators"], 3, 2, image_cap=5000)
 
 
 @pytest.mark.parametrize("n,p,d,N", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (ELAB_SHAPES, ReferenceElabSpace, c4_amalgam, chain,
-                     elab_group, fresh, reference_all_subspaces,
+                     elab_elem, elab_group, fresh, reference_all_subspaces,
                      reference_amalgam_scan, reference_chief_trace,
                      reference_feasible_witness, reference_flag_extend,
                      reference_flag_perms, reference_predicted_higman_order,
@@ -38,7 +38,7 @@ def total_pa(V, sp, mat):
         vec = sp.vec(g)
         img = tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) % p
                     for i in range(len(vec)))
-        mapping[g] = sp.elem(img)
+        mapping[g] = elab_elem(sp, img)
     return PartialAutomorphism(V, full_subgroup(V), full_subgroup(V), mapping)
 
 
@@ -190,7 +190,7 @@ def test_flag_swap_refuted_and_shift_certified():
     sp3 = ElabSpace(W)
     A = Subgroup(W, sp3.subspace_elems([(1, 0, 0), (0, 1, 0)]))
     B = Subgroup(W, sp3.subspace_elems([(1, 0, 0), (0, 0, 1)]))
-    mapping = {a: sp3.elem((sp3.vec(a)[1], 0, sp3.vec(a)[0])) for a in A.elems}
+    mapping = {a: elab_elem(sp3, (sp3.vec(a)[1], 0, sp3.vec(a)[0])) for a in A.elems}
     shift = PartialAutomorphism(W, A, B, mapping)
     dec = unipotent_flag_extend(W, [shift])
     assert dec.is_yes
@@ -238,7 +238,7 @@ def test_partial_automorphism_preserves():
     axis1 = Subgroup(V, sp.subspace_elems([(1, 0)]))
     axis2 = Subgroup(V, sp.subspace_elems([(0, 1)]))
     swap = PartialAutomorphism(V, axis1, axis2, {
-        a: sp.elem((0, sp.vec(a)[0])) for a in axis1.elems})
+        a: elab_elem(sp, (0, sp.vec(a)[0])) for a in axis1.elems})
     # A & axis1 = axis1 goes to axis2, but B & axis1 is trivial
     assert not swap.preserves(axis1)
     assert swap.preserves(full_subgroup(V))
@@ -286,7 +286,7 @@ def test_certificate_transport_functoriality():
             vec = spV.vec(x)
             img = tuple(sum(emb_mat[i][j] * vec[j] for j in range(d)) % p
                         for i in range(dd))
-            return spW.elem(img)
+            return elab_elem(spW, img)
         A2 = sorted(embed_elem(a) for a in phi.A.elems)
         mapping = {embed_elem(a): embed_elem(phi(a)) for a in phi.A.elems}
         phi2 = PartialAutomorphism(W, Subgroup(W, A2),
@@ -371,7 +371,8 @@ def test_elab_space_matches_reference_coordinates(p, d):
         assert space.basis == ref.basis and space.dim == ref.dim
         assert [space.vec(g) for g in range(G.order)] == \
             [ref.vec(g) for g in range(G.order)]
-        assert [space.elem(ref.vec(g)) for g in range(G.order)] == list(range(G.order))
+        assert [elab_elem(space, ref.vec(g)) for g in range(G.order)] == \
+            list(range(G.order))
         rng = random.Random(p * d)
         for k in range(d + 1):
             vecs = [ref.vec(rng.randrange(G.order)) for _ in range(k)]
@@ -531,7 +532,7 @@ def test_mapping_torus_examples():
     assert mapping_torus_check(C3, [inv])["residually_p"] is False
     V = catalog.elementary_abelian(2, 2)
     sp = ElabSpace(V)
-    tr = np.array([sp.elem(((sp.vec(g)[0] + sp.vec(g)[1]) % 2, sp.vec(g)[1]))
+    tr = np.array([elab_elem(sp, ((sp.vec(g)[0] + sp.vec(g)[1]) % 2, sp.vec(g)[1]))
                    for g in range(4)])
     assert mapping_torus_check(V, [tr])["residually_p"] is True
     H27 = catalog.heisenberg(3)
@@ -545,7 +546,7 @@ def test_mapping_torus_examples():
 def test_mapping_torus_conjugation_invariance():
     V = catalog.elementary_abelian(2, 2)
     sp = ElabSpace(V)
-    tr = np.array([sp.elem(((sp.vec(g)[0] + sp.vec(g)[1]) % 2, sp.vec(g)[1]))
+    tr = np.array([elab_elem(sp, ((sp.vec(g)[0] + sp.vec(g)[1]) % 2, sp.vec(g)[1]))
                    for g in range(4)])
     base = mapping_torus_check(V, [tr])["residually_p"]
     # conjugate by every automorphism of V

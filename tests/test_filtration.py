@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import (chain, fresh, reference_chief_refinement,
+from helpers import (chain, fresh, level_group, reference_chief_refinement,
                      reference_chief_series, reference_induced_power_map,
                      relabel)
 
@@ -12,12 +12,11 @@ from residuap.filtration import (AlignmentError, Filtration, StretchMap,
                                  chief_refinement,
                                  chief_series, classify_potency,
                                  dimension_series, induced_chain,
-                                 LayerMapHypothesisError, lower_central_p_series,
-                                 lower_central_series, power_layer_map,
-                                 retract_trace, stretch)
-from residuap.groups import (Homomorphism, Subgroup, direct_product,
-                             full_subgroup, identity_hom, intersect,
-                             subgroup_generated, trivial_subgroup)
+                                 lower_central_p_series, lower_central_series,
+                                 stretch)
+from residuap.groups import (Homomorphism, Subgroup, full_subgroup,
+                             identity_hom, subgroup_generated,
+                             trivial_subgroup)
 
 
 def test_gamma_p_examples():
@@ -185,7 +184,7 @@ def test_align_filtrations():
     # identical filtrations come back equivalent
     FGs2, FHs2, _, _ = align_filtrations(FG, FG, identity_hom(C4),
                                          identity_hom(C4))
-    assert FGs2.equivalent(FG)
+    assert {t.elems for t in FGs2.terms} == {t.elems for t in FG.terms}
     # non-equivalent induced chains must raise
     V = catalog.klein4()
     FV = chain(V, [0, 1])
@@ -243,7 +242,7 @@ def _potency_filtrations():
                                       for i in range(1, k)]
         out.append((Filtration(G, terms + [trivial_subgroup(G)]), p, k - 1))
     tower = sl2_congruence_tower(3, 3)
-    G1, elems = tower.level_group(1)
+    G1, elems = level_group(tower, 1)
     index = {m: i for i, m in enumerate(elems)}
     out.append((Filtration(G1, [Subgroup(G1, [index[m] for m in tower.levels[i]],
                                          check=False) for i in range(3)]), 3, 1))
@@ -262,29 +261,6 @@ def test_potency_levels_match_reference_power_map(monkeypatch):
         assert (rep.plain, rep.strong) == (want.plain, want.strong)
 
 
-def test_power_layer_map_examples():
-    C9 = catalog.cyclic(9)
-    h = power_layer_map(C9, 3, 1, 1)
-    assert h.dom.order == 3 and h.cod.order == 3 and h.is_injective()
-    H27 = catalog.heisenberg(3)
-    h = power_layer_map(H27, 3, 1, 1)
-    assert set(int(x) for x in h.map) == {0}           # exponent-3: zero map
-    with pytest.raises(LayerMapHypothesisError):
-        power_layer_map(catalog.dihedral(4), 2, 1, 1)
-
-
-def test_retract_trace():
-    C2, C4 = catalog.cyclic(2), catalog.cyclic(4)
-    P, eB, eH = direct_product(C2, C4)
-    H = Subgroup(P, sorted(int(eH.map[i]) for i in range(4)))
-    for series, p in (("gamma_p", 2), ("gamma", None), ("dimension", 2)):
-        rep = retract_trace(P, H, series, p=p)
-        assert rep["ok"]
-    # whole group is trivially a retract of itself
-    rep = retract_trace(C4, full_subgroup(C4), "gamma_p", p=2)
-    assert rep["ok"]
-
-
 def test_semidirect_sigma_decomposition():
     # Sigma(G) = Sigma(H) (Sigma(G) ^ B) for G = B x| H, with Sigma = gamma_n
     import numpy as np
@@ -301,7 +277,7 @@ def test_semidirect_sigma_decomposition():
         sigma_H_in_G = {int(eH.map[x])
                         for x in lower_central_series(C2).term(n).elems}
         rhs = subgroup_generated(G, sorted(sigma_H_in_G) +
-                                 list(intersect(sigma_G, B).elems))
+                                 sorted(set(sigma_G.elems) & set(B.elems)))
         assert sigma_G.elems == rhs.elems
 
 

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from helpers import c4_star_c4, shift_loop
+from helpers import Letter, c4_star_c4, shift_loop, word_to_path
 
 from residuap import catalog, serialize
 from residuap.certify import certify_residually_p
 from residuap.filtration import lower_central_p_series
-from residuap.graphs import Letter, maximal_subtree, word_to_path
+from residuap.graphs import maximal_subtree
 from residuap.groups import Homomorphism, Subgroup, subgroup_generated
 
 
@@ -80,45 +80,6 @@ def test_tampered_certificate_fails():
     obj["vertex_maps"][0][1] = 0      # break injectivity
     with pytest.raises((AssertionError, ValueError)):
         serialize.certificate_from_obj(obj).verify()
-
-
-def test_algebra_serialization_roundtrip():
-    from residuap.algebra import AlgebraElement, augmentation_ideal
-    C4 = catalog.cyclic(4)
-    el = AlgebraElement(C4, 2, [1, 1, 0, 1])
-    back = serialize.algebra_element_from_obj(
-        C4, roundtrip(serialize.algebra_element_to_obj(el)))
-    assert back == el
-    omega = augmentation_ideal(C4, 2)
-    back = serialize.ideal_basis_from_obj(
-        C4, roundtrip(serialize.ideal_basis_to_obj(omega)))
-    assert back.rows == omega.rows
-
-
-def test_ideal_basis_from_obj_rejects_a_non_ideal():
-    from residuap.algebra import augmentation_ideal, augmentation_ideal_powers
-    C4 = catalog.cyclic(4)
-    with pytest.raises(ValueError, match="two-sided ideal"):
-        serialize.ideal_basis_from_obj(C4, {"p": 2, "rows": [[1, 1, 0, 0]]})
-    with pytest.raises(ValueError, match="entries"):
-        serialize.ideal_basis_from_obj(C4, {"p": 2, "rows": [[1, 1, 0]]})
-    # in D8, F_2[D8](1 + x) for the involution x = 1 is a left ideal and not
-    # a right one, and (1 + x)F_2[D8] the other way round
-    D8 = catalog.dihedral(4)
-    one_plus_x = [1, 1, 0, 0, 0, 0, 0, 0]
-    left = [[0] * 8 for _ in range(8)]
-    right = [[0] * 8 for _ in range(8)]
-    for g in range(8):
-        for h in range(8):
-            left[g][D8.mul(g, h)] += one_plus_x[h]
-            right[g][D8.mul(h, g)] += one_plus_x[h]
-    for rows in (left, right):
-        with pytest.raises(ValueError, match="two-sided ideal"):
-            serialize.ideal_basis_from_obj(D8, {"p": 2, "rows": rows})
-    for basis in augmentation_ideal_powers(D8, 2)[0] + [augmentation_ideal(C4, 2)]:
-        back = serialize.ideal_basis_from_obj(
-            basis.group, roundtrip(serialize.ideal_basis_to_obj(basis)))
-        assert back == basis
 
 
 def test_group_to_obj_holds_plain_ints():
