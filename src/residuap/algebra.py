@@ -14,21 +14,25 @@ from . import kernels
 from .filtration import Filtration, dimension_series, lower_central_p_series, \
     lower_central_series
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     generating_sequence, require_p_group, trivial_subgroup)
+                     generating_sequence, require_p_group, require_prime,
+                     trivial_subgroup)
 
 DEFAULT_WREATH_CAP = 4096
 
 
 class IdealBasis:
     """A right ideal of F_p[G] (two-sided where it is built here) as the rows
-    of its reduced echelon basis, which depend only on the row space."""
+    of its reduced echelon basis, which depend only on the row space.  The
+    rows are a tuple of tuples, so a basis kept with its group cannot be
+    changed through a caller."""
 
     __slots__ = ("group", "p", "rows")
 
     def __init__(self, group: FiniteGroup, p: int, rows):
         self.group = group
         self.p = p
-        self.rows = [tuple(r) for r in kernels.rref_mod_p(rows, p, ncols=group.order)]
+        self.rows = tuple(map(tuple, kernels.rref_mod_p(rows, p,
+                                                        ncols=group.order)))
 
     @property
     def dim(self) -> int:
@@ -91,21 +95,27 @@ def augmentation_ideal_powers(G: FiniteGroup, p: int):
     """Bases of omega, omega^2, ... down to zero; returns (bases, dims, d).
 
     d is the nilpotency class of omega: the largest n with omega^n != 0.
+    The bases are computed once per (G, p) and kept with G; each call
+    returns fresh lists.
     """
+    require_prime(p)
     require_p_group(G, p)
-    omega = augmentation_ideal(G, p)
-    bases = []
-    cur = omega
-    while cur.dim > 0:
-        bases.append(cur)
-        cur = cur.multiply(omega)
-    dims = [b.dim for b in bases] + [0]
-    return bases, dims, len(bases)
+    key = ("augmentation_ideal_powers", p)
+    if key not in G._by_p:
+        omega = augmentation_ideal(G, p)
+        bases = []
+        cur = omega
+        while cur.dim > 0:
+            bases.append(cur)
+            cur = cur.multiply(omega)
+        G._by_p[key] = tuple(bases)
+    bases = G._by_p[key]
+    return list(bases), [b.dim for b in bases] + [0], len(bases)
 
 
 def jennings_series(G: FiniteGroup, p: int) -> Filtration:
-    """The filtration {g : 1 - g in omega^n}; must equal the dimension series."""
-    require_p_group(G, p)
+    """The filtration {g : 1 - g in omega^n}; must equal the dimension series,
+    which is checked on every call."""
     bases, _, d = augmentation_ideal_powers(G, p)
     one_minus_g = _one_minus_g(G.order)
     terms = []

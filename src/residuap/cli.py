@@ -126,8 +126,8 @@ def cmd_embed(args) -> int:
         A = serialize.group_from_obj(data["A"])
         B = serialize.group_from_obj(data["B"])
         U = serialize.group_from_obj(data["U"])
-        phi = Homomorphism(U, A, data["phi"])
-        psi = Homomorphism(U, B, data["psi"])
+        phi = Homomorphism(U, A, _indices(data["phi"], "phi"))
+        psi = Homomorphism(U, B, _indices(data["psi"], "psi"))
         S, iA, iB = embed.fiber_sum(A, B, phi, psi)
         return _emit(args, {"order": S.order,
                             "iota_A": serialize.hom_to_obj(iA),
@@ -177,9 +177,10 @@ def cmd_embed(args) -> int:
         with open(args.file) as fh:
             data = json.load(fh)
         G = serialize.group_from_obj(data["group"])
-        autos = [list(map(int, a)) for a in data["automorphisms"]]
         import numpy as np
-        rep = embed.mapping_torus_check(G, [np.asarray(a) for a in autos])
+        rep = embed.mapping_torus_check(
+            G, [np.asarray(_indices(a, "an automorphism"))
+                for a in _list(data["automorphisms"], "automorphisms")])
         code = 0 if rep["residually_p"] else 10
         return _emit(args, {"residually_p": rep["residually_p"],
                             "levels": rep["levels"]}, code)
@@ -190,19 +191,42 @@ def _amalgam_from_obj(data):
     G = serialize.group_from_obj(data["G"])
     H = serialize.group_from_obj(data["H"])
     U = serialize.group_from_obj(data["U"])
-    am = embed.Amalgam(G, H, U, Homomorphism(U, G, data["uG"]),
-                       Homomorphism(U, H, data["uH"]))
-    FG = filtration.Filtration(G, [Subgroup(G, t) for t in data["FG"]])
-    FH = filtration.Filtration(H, [Subgroup(H, t) for t in data["FH"]])
+    am = embed.Amalgam(G, H, U, Homomorphism(U, G, _indices(data["uG"], "uG")),
+                       Homomorphism(U, H, _indices(data["uH"], "uH")))
+    FG = filtration.Filtration(G, [Subgroup(G, _indices(t, "an FG term"))
+                                   for t in _list(data["FG"], "FG")])
+    FH = filtration.Filtration(H, [Subgroup(H, _indices(t, "an FH term"))
+                                   for t in _list(data["FH"], "FH")])
     return am, FG, FH
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _indices(value, what: str) -> list[int]:
+    """A list of element indices read from JSON: a float such as 2.9 is
+    refused, not truncated to 2."""
+    if not all(isinstance(x, int) for x in _list(value, what)):
+        raise ValueError(f"{what} must be a list of integer element indices")
+    return value
 
 
 def _pas_from_obj(V, items):
     out = []
-    for item in items:
-        mapping = {int(k): int(v) for k, v in
-                   (item["map"].items() if isinstance(item["map"], dict)
-                    else item["map"])}
+    for item in _list(items, "partial_automorphisms"):
+        pairs = item.get("map") if isinstance(item, dict) else None
+        if isinstance(pairs, dict):
+            # JSON object keys are strings; int() refuses "2.9"
+            pairs = [[int(k), v] for k, v in pairs.items()]
+        if not (isinstance(pairs, list) and all(
+                isinstance(kv, list) and len(kv) == 2
+                and all(isinstance(x, int) for x in kv) for kv in pairs)):
+            raise ValueError("a partial automorphism needs a \"map\": an "
+                             "object or a list of [element, image] integers")
+        mapping = dict(pairs)
         A = Subgroup(V, sorted(mapping))
         B = Subgroup(V, sorted(mapping.values()))
         out.append(embed.PartialAutomorphism(V, A, B, mapping))

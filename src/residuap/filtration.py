@@ -195,10 +195,18 @@ def dimension_series(G: FiniteGroup, p: int) -> Filtration:
     D_1 = G, D_n = (D_ceil(n/p))^p prod_{i+j=n} [D_i, D_j]
     and cross-checked against Lazard's closed formula
     D_n = prod_{i p^j >= n} gamma_i(G)^(p^j); the two must agree.
-    G must be a p-group: otherwise the series never reaches 1.
+    G must be a p-group: otherwise the series never reaches 1.  The series
+    is computed and cross-checked once per (G, p) and kept with G.
     """
     require_prime(p)
     require_p_group(G, p)
+    key = ("dimension_series", p)
+    if key not in G._by_p:
+        G._by_p[key] = _dimension_series(G, p)
+    return G._by_p[key]
+
+
+def _dimension_series(G: FiniteGroup, p: int) -> Filtration:
     D = [full_subgroup(G)]  # D[k] = D_{k+1}
     n = 2
     while not D[-1].is_trivial():

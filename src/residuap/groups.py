@@ -36,14 +36,20 @@ class FiniteGroup:
     * whether it is abelian, the element orders, ``generating_sequence``;
     * ``chief_series`` and the chain tracer of those series
       (``embed.chief_tracer``);
-    * ``central_p_step(G, T, p)`` per (T.elems, p).
+    * ``central_p_step(G, T, p)`` per (T.elems, p);
+    * ``dimension_series(G, p)`` and ``augmentation_ideal_powers(G, p)``
+      per p, in ``_by_p`` under the keys ("dimension_series", p) and
+      ("augmentation_ideal_powers", p).
 
-    ``copy`` shares these facts with the copy, whose table is equal; only
-    the chief series are re-parented onto it, one Subgroup per distinct term.
+    ``copy`` shares the other facts with the copy, whose table is equal;
+    the chief series are re-parented onto it, one Subgroup per distinct
+    term.  The facts kept per p are not passed on: their subgroups and ideal
+    bases belong to this group, and the copy builds its own.
     """
 
     __slots__ = ("order", "mult", "inv", "name", "_abelian", "_orders",
-                 "_gens", "_chief_series", "_chief_tracer", "_central_steps")
+                 "_gens", "_chief_series", "_chief_tracer", "_central_steps",
+                 "_by_p")
 
     def __init__(self, mult, name: str = "G", validate: bool = True):
         t = np.ascontiguousarray(np.asarray(mult, dtype=np.int64))
@@ -59,6 +65,7 @@ class FiniteGroup:
         self._chief_series: Optional[list] = None
         self._chief_tracer = None
         self._central_steps: dict[tuple, frozenset[int]] = {}
+        self._by_p: dict[tuple[str, int], object] = {}
 
     # -- basic element arithmetic ------------------------------------------
 
@@ -137,9 +144,9 @@ class FiniteGroup:
 
     def copy(self, name: str) -> "FiniteGroup":
         """An independent group on a copy of the table, sharing the facts
-        found so far: the chief series are re-parented, one Subgroup per
-        distinct term; the rest depend only on the table and are never
-        changed, so they are shared as they are."""
+        found so far except those kept per p: the chief series are
+        re-parented, one Subgroup per distinct term; the rest depend only on
+        the table and are never changed, so they are shared as they are."""
         H = FiniteGroup(self.mult.copy(), name=name, validate=False)
         H._abelian = self._abelian
         H._orders, H._gens = self._orders, self._gens

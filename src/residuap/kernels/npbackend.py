@@ -174,9 +174,11 @@ def rref_mod_p(rows, p, ncols=None):
 
     rows is a list of rows or an integer ndarray; every entry is reduced mod
     p first (Python ints of any size included).  Pivots are sought in the
-    first ncols columns.  Each step eliminates only the rows with a nonzero
-    entry in the pivot column, and the sweep stops once every row holds a
-    pivot.
+    first ncols columns; the pivot is the first nonzero entry from the rank
+    down, as in the reference, since with ncols short of the width the
+    columns after ncols depend on that choice.  A pivot entry of 1 needs no
+    scaling.  Each step eliminates only the other rows with a nonzero entry
+    in the pivot column, and the sweep stops once every row holds a pivot.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
         mat = (rows % p).astype(np.int64)
@@ -190,17 +192,20 @@ def rref_mod_p(rows, p, ncols=None):
     for col in range(m):
         if rank == nrows:
             break
-        nz = np.flatnonzero(mat[rank:, col])
-        if nz.size == 0:
+        nonzero = mat[rank:, col] != 0
+        off = int(nonzero.argmax())
+        if not nonzero[off]:
             continue
-        piv = rank + int(nz[0])
+        piv = rank + off
+        lead = int(mat[piv, col])
         if piv != rank:
             mat[[rank, piv]] = mat[[piv, rank]]
-        row = mat[rank] * pow(int(mat[rank, col]), -1, p) % p
-        mat[rank] = row
+        row = mat[rank]
+        if lead != 1:
+            row = mat[rank] = row * pow(lead, -1, p) % p
         hit = np.flatnonzero(mat[:, col])
-        hit = hit[hit != rank]
-        if hit.size:
+        if hit.size > 1:
+            hit = hit[hit != rank]
             mat[hit] = (mat[hit] - np.outer(mat[hit, col], row)) % p
         rank += 1
     return mat[:rank].tolist()

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
+import numpy as np
+
 from .certify import Certificate
 from .filtration import Filtration
 from .graphs import Graph, GraphOfGroups, PathWord, path_word
@@ -19,7 +21,11 @@ def group_to_obj(G: FiniteGroup) -> dict:
 
 
 def group_from_obj(obj: dict) -> FiniteGroup:
-    G = FiniteGroup(obj["mult"], name=obj.get("name", "G"))
+    mult = np.asarray(obj["mult"])
+    if mult.dtype.kind not in "iu":
+        # a float entry such as 2.9 is refused, not truncated to 2
+        raise ValueError("group table entries must be integers")
+    G = FiniteGroup(mult, name=obj.get("name", "G"))
     if G.order != obj["order"]:
         raise ValueError("declared order does not match the table")
     return G

@@ -9,7 +9,8 @@ from residuap import algebra, catalog, embed
 from residuap.algebra import (IdealBasis, augmentation_ideal,
                               augmentation_ideal_powers, buckley_check,
                               jennings_series, wreath, wreath_class_formula)
-from residuap.filtration import (dimension_series, lower_central_p_series,
+from residuap.filtration import (Filtration, dimension_series,
+                                 lower_central_p_series,
                                  lower_central_series)
 from residuap.groups import CapExceeded, FiniteGroup, is_isomorphic
 
@@ -151,6 +152,75 @@ def test_omega_powers_match_reference_product(p, G):
             cur = helpers.reference_ideal_multiply(cur, omega)
         assert [b.rows for b in bases] == ref
         assert dims == [len(r) for r in ref] + [0] and d == len(ref)
+
+
+@pytest.mark.parametrize("p,G", OMEGA_SUITE,
+                         ids=[f"{p}:{G.name}" for p, G in OMEGA_SUITE])
+def test_kept_omega_powers_equal_fresh_ones(p, G, monkeypatch):
+    """The powers kept with a group, on each suite group and on a relabeling
+    of it, have the rows that a new group on the same table computes; a
+    second call, and jennings_series after it, build nothing."""
+    products = []
+    multiply = IdealBasis.multiply
+    monkeypatch.setattr(IdealBasis, "multiply",
+                        lambda I, J: products.append(I) or multiply(I, J))
+    for H in (G, helpers.relabel(G, G.order + 13)):
+        bases, dims, d = augmentation_ideal_powers(H, p)
+        assert all(b.group is H for b in bases)
+        products.clear()
+        again = augmentation_ideal_powers(H, p)
+        assert again == (bases, dims, d) and again[0] is not bases
+        jennings_series(H, p)
+        assert products == []
+        F = helpers.fresh(H, H.name + "~fresh")
+        fbases, fdims, fd = augmentation_ideal_powers(F, p)
+        assert [b.rows for b in fbases] == [b.rows for b in bases]
+        assert (fdims, fd) == (dims, d) and len(products) == d
+
+
+def test_kept_omega_powers_are_returned_in_fresh_lists():
+    G = helpers.fresh(catalog.dihedral(4), "D8~lists")
+    bases, dims, d = augmentation_ideal_powers(G, 2)
+    want = [b.rows for b in bases], list(dims)
+    bases.clear()
+    dims.append(9)
+    bases, dims, _ = augmentation_ideal_powers(G, 2)
+    assert ([b.rows for b in bases], dims) == want
+
+
+def test_jennings_compares_on_every_call():
+    """Only the series are kept: the comparison with the dimension series
+    runs again, so a kept series that differs is caught."""
+    G = helpers.fresh(catalog.dihedral(4), "D8~jen")
+    jennings_series(G, 2)
+    D = dimension_series(G, 2)
+    G._by_p[("dimension_series", 2)] = Filtration(G, D.terms[:1] + D.terms[2:])
+    with pytest.raises(AssertionError, match="differs"):
+        jennings_series(G, 2)
+
+
+def test_copy_builds_its_own_omega_powers():
+    """IdealBasis.multiply needs both factors on one group, so the copy must
+    not be handed the bases of the original."""
+    G = helpers.fresh(catalog.quaternion8(), "Q8~orig")
+    bases, dims, d = augmentation_ideal_powers(G, 2)
+    H = G.copy("Q8'")
+    hbases, hdims, hd = augmentation_ideal_powers(H, 2)
+    assert all(b.group is H for b in hbases)
+    assert [b.rows for b in hbases] == [b.rows for b in bases]
+    assert (hdims, hd) == (dims, d)
+    assert hbases[0].multiply(augmentation_ideal(H, 2)) == hbases[1]
+    assert [T.elems for T in jennings_series(H, 2).terms] == \
+        [T.elems for T in jennings_series(G, 2).terms]
+
+
+def test_kept_omega_powers_still_check_p():
+    C4 = helpers.fresh(catalog.cyclic(4), "C4~kept")
+    augmentation_ideal_powers(C4, 2)
+    for p in (4, 3, 1):
+        for f in (augmentation_ideal_powers, jennings_series):
+            with pytest.raises(ValueError):
+                f(C4, p)
 
 
 def test_multiply_requires_omega():

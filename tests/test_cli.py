@@ -8,7 +8,7 @@ import pytest
 from helpers import c4_star_c4, elab_elem, shift_loop, swap_loop, theta_graph
 
 import residuap
-from residuap import catalog, cli, serialize
+from residuap import algebra, catalog, cli, filtration, serialize
 from residuap.cli import main
 from residuap.embed import ElabSpace
 from residuap.groups import Homomorphism
@@ -37,6 +37,28 @@ def test_filtration_and_algebra(capsys):
     code, out = run(capsys, "algebra", "wreath-class", "--group", "catalog:C3",
                     "--p", "3", "--json")
     assert code == 0 and json.loads(out)["class_gamma"] == 3
+
+
+def test_algebra_jennings_builds_each_omega_power_once(capsys, tmp_path,
+                                                     monkeypatch):
+    """One request builds omega^2, ..., omega^(d+1) once each (the last is
+    zero) and the dimension series once, though jennings_series and the
+    omega class both need them."""
+    f = tmp_path / "d16.json"
+    f.write_text(serialize.dumps(serialize.group_to_obj(catalog.dihedral(8))))
+    products, lazard = [], []
+    multiply = algebra.IdealBasis.multiply
+    monkeypatch.setattr(algebra.IdealBasis, "multiply",
+                        lambda I, J: products.append(I.dim) or multiply(I, J))
+    series = filtration._lazard_series
+    monkeypatch.setattr(filtration, "_lazard_series",
+                        lambda *args: lazard.append(1) or series(*args))
+    code, out = run(capsys, "algebra", "jennings", "--group", str(f),
+                    "--p", "2", "--json")
+    assert code == 0
+    d = json.loads(out)["omega_class"]
+    assert d == 8 and len(products) == d and len(set(products)) == d
+    assert len(lazard) == 1
 
 
 def test_congruence_commands(capsys, tmp_path):
@@ -294,6 +316,28 @@ BAD_INPUTS = {
                               "phi": [0, 9], "psi": [0, 2]}),
     "mapping-torus": (["embed", "mapping-torus"],
                       _c4_data(automorphisms=[[0, 3, 2, 9]])),
+    # element indices that are not integers, which were truncated
+    "higman-float": (["embed", "higman"], _c4_amalgam(uG=[0, 2.9])),
+    "higman-float-term": (["embed", "higman"],
+                          _c4_amalgam(FG=[[0, 1, 2, 3], [0, 2.5], [0]])),
+    "fibersum-float": (["embed", "fibersum"],
+                       lambda: {"A": _cyclic(4), "B": _cyclic(4),
+                                "U": _cyclic(2), "phi": [0, 2.5],
+                                "psi": [0, 2]}),
+    "mapping-torus-float": (["embed", "mapping-torus"],
+                            _c4_data(automorphisms=[[0, 1.5, 2, 3]])),
+    "flag-table-float": (["embed", "flag"], lambda: {
+        "group": {"order": 2, "mult": [[0, 1], [1, 0.5]], "name": "C2"},
+        "partial_automorphisms": []}),
+    # partial automorphisms of the wrong shape
+    "flag-pas-int": (["embed", "flag"], _c4_data(partial_automorphisms=5)),
+    "inner-pas-int": (["embed", "inner"], _c4_data(partial_automorphisms=5)),
+    "flag-map-int": (["embed", "flag"],
+                     _c4_data(partial_automorphisms=[{"map": 5}])),
+    "inner-map-int": (["embed", "inner"],
+                      _c4_data(partial_automorphisms=[{"map": 5}])),
+    "inner-map-float": (["embed", "inner"], _c4_data(
+        partial_automorphisms=[{"map": {"0": 0, "2": 2.5}}])),
     # path words, psi and collections of the wrong shape
     "normal-form-int": (["gog", "normal-form"], _word(5)),
     "normal-form-base": (["gog", "normal-form"],

@@ -402,3 +402,39 @@ def test_kept_central_p_steps_equal_fresh_ones(G):
             assert central_p_step(R, T, p) is kept
             # the copy made before shares what the group keeps
             assert central_p_step(H, Subgroup(H, elems, check=False), p) is kept
+
+
+SERIES_SUITE = [(p, G) for p, bound in ((2, 64), (3, 81))
+                for G in catalog.property_suite(p) if G.order <= bound]
+
+
+@pytest.mark.parametrize("p,G", SERIES_SUITE,
+                         ids=[f"{p}:{G.name}" for p, G in SERIES_SUITE])
+def test_kept_dimension_series_equals_a_fresh_one(p, G, monkeypatch):
+    """The series kept with a group, on each suite group and on a
+    relabeling of it, has the terms that a new group on the same table
+    computes; a second call builds nothing."""
+    built = []
+    lazard = filtration._lazard_series
+    monkeypatch.setattr(filtration, "_lazard_series",
+                        lambda *args: built.append(args[0]) or lazard(*args))
+    for H in (G, relabel(G, seed=G.order + 11)):
+        kept = dimension_series(H, p)
+        assert all(T.parent is H for T in kept.terms)
+        built.clear()
+        assert dimension_series(H, p) is kept and built == []
+        F = fresh(H, H.name + "~fresh")
+        assert [T.elems for T in dimension_series(F, p).terms] == \
+            [T.elems for T in kept.terms]
+        assert built == [F]
+
+
+def test_kept_dimension_series_still_checks_p():
+    C4 = fresh(catalog.cyclic(4), "C4~kept")
+    dimension_series(C4, 2)
+    for p in (4, 3, 1):
+        with pytest.raises(ValueError):
+            dimension_series(C4, p)
+    # the copy computes its own series, on its own subgroups
+    H = C4.copy("C4'")
+    assert all(T.parent is H for T in dimension_series(H, 2).terms)
