@@ -9,6 +9,7 @@ from scratch at any time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,9 +20,9 @@ from .embed import (Amalgam, PartialAutomorphism, higman_embed,
 from .filtration import AlignmentError, lower_central_p_series
 from .graphs import (GogFiltration, Graph, GraphOfGroups, NormalFormContext,
                      PathWord, maximal_subtree)
-from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     direct_product, quotient, require_prime,
-                     subgroup_generated)
+from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
+                     Homomorphism, Subgroup, amalgamated_sum, require_prime,
+                     trivial_group)
 from .results import UNKNOWN, YES, Decision
 from .smith import Presentation, smith_abelianization
 
@@ -31,50 +32,43 @@ from .smith import Presentation, smith_abelianization
 @dataclass
 class ColimitData:
     sigma: FiniteGroup
-    injections: tuple[Homomorphism, ...]    # one per vertex of the subgraph
-    vertices: tuple[int, ...]               # subgraph vertices, in order
+    injections: tuple[Homomorphism, ...]    # one per vertex
 
 
-def colimit_sigma(gog: GraphOfGroups, edges: Optional[Sequence[int]] = None,
-                  vertices: Optional[Sequence[int]] = None) -> ColimitData:
-    """The colimit of a (sub)graph of abelian groups: the quotient of the
-    direct sum of the vertex groups by the edge relations f_e(g) - f_bar(e)(g).
+def colimit_sigma(gog: GraphOfGroups, tree: frozenset[int]) -> ColimitData:
+    """Sigma(G|T) for abelian vertex groups: their sum modulo the relations
+    f_e(g) = f_bar(e)(g) of the tree edges, named "G0xG1x.../N<k>" for the
+    order k of the relation subgroup of the full direct sum."""
+    if not all(G.is_abelian for G in gog.vgroups):
+        raise ValueError("colimits need abelian vertex groups")
+    S, injections = _vertex_sum(gog, tree)
+    S.name += f"/N{math.prod(G.order for G in gog.vgroups) // S.order}"
+    return ColimitData(S, injections)
+
+
+def _vertex_sum(gog: GraphOfGroups, tree: frozenset[int]):
+    """The vertex groups summed one at a time in index order, each along the
+    tree edges back to earlier vertices (an amalgamated_sum per vertex).
+
+    The elements are those of the quotient of the full direct sum (vertex 0
+    major), ordered by their least element, and the sum is named
+    "G0xG1x...".  A step whose direct product would pass DEFAULT_ORDER_CAP
+    raises CapExceeded before its table is built.  Returns (sum, one
+    injection per vertex).
     """
     Y = gog.graph
-    verts = tuple(vertices) if vertices is not None else tuple(range(Y.nv))
-    eset = tuple(edges) if edges is not None else tuple(range(Y.ne))
-    for v in verts:
-        if not gog.vgroups[v].is_abelian:
-            raise ValueError("colimits need abelian vertex groups")
-    pos = {v: i for i, v in enumerate(verts)}
-    total, embeds = _direct_sum([gog.vgroups[v] for v in verts])
-    gens = []
-    for e in eset:
-        if Y.term[e] not in pos or Y.orig[e] not in pos:
-            raise ValueError("edge leaves the chosen vertex set")
-        fe = gog.emaps[e]
-        fb = gog.emaps[Y.bar[e]]
-        for x in range(gog.egroups[e].order):
-            a = embeds[pos[Y.term[e]]](fe(x))
-            b = embeds[pos[Y.term[Y.bar[e]]]](fb(x))
-            gens.append(total.mul(a, total.inverse(b)))
-    K = subgroup_generated(total, gens)
-    S, proj = quotient(total, K)
-    injections = tuple(proj.compose(embeds[pos[v]]) for v in verts)
-    return ColimitData(S, injections, verts)
-
-
-def _direct_sum(groups: Sequence[FiniteGroup]):
-    total = groups[0]
-    embeds = [None] * len(groups)
-    maps = [np.arange(groups[0].order)]
-    for i in range(1, len(groups)):
-        total, eL, eR = direct_product(total, groups[i])
-        maps = [eL.map[m] for m in maps]
-        maps.append(eR.map)
-    embeds = [Homomorphism(groups[i], total, maps[i], check=False)
-              for i in range(len(groups))]
-    return total, embeds
+    S, maps = trivial_group(), []
+    for v, G in enumerate(gog.vgroups):
+        if S.order * G.order > DEFAULT_ORDER_CAP:
+            raise CapExceeded(f"vertex sum step of order {S.order * G.order} "
+                              f"exceeds cap {DEFAULT_ORDER_CAP}")
+        pairs = [(maps[Y.orig[e]](gog.emaps[Y.bar[e]](x)), gog.emaps[e](x))
+                 for e in tree if Y.term[e] == v and Y.orig[e] < v
+                 for x in range(gog.egroups[e].order)]
+        S, iota_S, iota_v = amalgamated_sum(S, G, pairs)
+        maps = [iota_S.compose(m) for m in maps] + [iota_v]
+    S.name = "x".join(G.name for G in gog.vgroups)
+    return S, tuple(maps)
 
 
 # -- partial abelianization -------------------------------------------------------
@@ -100,7 +94,7 @@ def partial_abelianization(gog: GraphOfGroups,
                            tree: frozenset[int]) -> PartialAbelianization:
     """Sigma(G|T) together with phi_e = f_bar(e) o f_e^{-1} for non-tree edges,
     realized as partial automorphisms of Sigma."""
-    col = colimit_sigma(gog, edges=tuple(sorted(tree)))
+    col = colimit_sigma(gog, tree)
     oriented = orientation(gog.graph, tree)
     pas = _edge_partial_automorphisms(gog, oriented, col.sigma, col.injections)
     return PartialAbelianization(gog, tree, oriented, col, pas)
@@ -176,7 +170,8 @@ def certify_residually_p(gog: GraphOfGroups, p: int,
 
     Pipeline: abelian vertex groups go through partial abelianization and the
     flag method; the general case runs the reduction pipeline along the
-    lower central p-filtrations when they form a compatible collection.
+    lower central p-filtrations when they form a compatible collection.  A
+    cap met on the free-product or abelian branch gives unknown.
     """
     require_prime(p)
     Y = gog.graph
@@ -184,10 +179,13 @@ def certify_residually_p(gog: GraphOfGroups, p: int,
         if not gog.vgroups[v].is_p_group(p):
             raise ValueError("vertex groups must be p-groups")
     tree = tree if tree is not None else maximal_subtree(Y, 0)
-    if all(gog.egroups[e].order == 1 for e in range(Y.ne)):
-        return _certify_trivial_edges(gog, p, tree)
-    if all(gog.vgroups[v].is_abelian for v in range(Y.nv)):
-        return _certify_abelian(gog, p, tree, cap)
+    try:
+        if all(gog.egroups[e].order == 1 for e in range(Y.ne)):
+            return _certify_trivial_edges(gog, p, tree)
+        if all(gog.vgroups[v].is_abelian for v in range(Y.nv)):
+            return _certify_abelian(gog, p, tree, cap)
+    except CapExceeded as exc:
+        return Decision(UNKNOWN, reason=str(exc))
     gfilt = _gamma_gog_filtration(gog, p)
     if gfilt is None:
         return Decision(UNKNOWN, reason="lower central p-filtrations are not "
@@ -199,10 +197,8 @@ def _certify_trivial_edges(gog: GraphOfGroups, p: int,
                            tree: frozenset[int]) -> Decision:
     """Free-product shape: the direct product of the vertex groups certifies,
     with all stable letters mapped to the identity."""
-    total, embeds = _direct_sum(list(gog.vgroups))
-    if not total.is_p_group(p):
-        raise ValueError("vertex groups must be p-groups")
-    cert = Certificate(gog, tree, total, tuple(embeds),
+    total, embeds = _vertex_sum(gog, tree)
+    cert = Certificate(gog, tree, total, embeds,
                        tuple(0 for _ in range(gog.graph.ne)), p)
     cert.verify()
     return Decision(YES, certificate=cert)
@@ -400,7 +396,7 @@ def homology_fiber_sum_check(gog: GraphOfGroups,
     for v in range(Y.nv):
         if not gog.vgroups[v].is_abelian:
             raise ValueError("the check needs abelian vertex groups")
-    col = colimit_sigma(gog, edges=tuple(sorted(tree)))
+    col = colimit_sigma(gog, tree)
     non_tree = orientation(Y, tree)
     hyp = True
     for e in non_tree:

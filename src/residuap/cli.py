@@ -13,8 +13,7 @@ import sys
 
 from . import algebra, catalog, certify, congruence, embed, filtration, graphs
 from . import serialize
-from .groups import (FiniteGroup, Homomorphism, Subgroup, full_subgroup,
-                     trivial_subgroup)
+from .groups import FiniteGroup, Subgroup, full_subgroup, trivial_subgroup
 from .results import Decision
 from .smith import Presentation, smith_abelianization
 
@@ -126,8 +125,8 @@ def cmd_embed(args) -> int:
         A = serialize.group_from_obj(data["A"])
         B = serialize.group_from_obj(data["B"])
         U = serialize.group_from_obj(data["U"])
-        phi = Homomorphism(U, A, _indices(data["phi"], "phi"))
-        psi = Homomorphism(U, B, _indices(data["psi"], "psi"))
+        phi = serialize.hom_from_obj(U, A, data["phi"])
+        psi = serialize.hom_from_obj(U, B, data["psi"])
         S, iA, iB = embed.fiber_sum(A, B, phi, psi)
         return _emit(args, {"order": S.order,
                             "iota_A": serialize.hom_to_obj(iA),
@@ -177,9 +176,8 @@ def cmd_embed(args) -> int:
         with open(args.file) as fh:
             data = json.load(fh)
         G = serialize.group_from_obj(data["group"])
-        import numpy as np
         rep = embed.mapping_torus_check(
-            G, [np.asarray(_indices(a, "an automorphism"))
+            G, [serialize.hom_from_obj(G, G, a).map
                 for a in _list(data["automorphisms"], "automorphisms")])
         code = 0 if rep["residually_p"] else 10
         return _emit(args, {"residually_p": rep["residually_p"],
@@ -191,11 +189,11 @@ def _amalgam_from_obj(data):
     G = serialize.group_from_obj(data["G"])
     H = serialize.group_from_obj(data["H"])
     U = serialize.group_from_obj(data["U"])
-    am = embed.Amalgam(G, H, U, Homomorphism(U, G, _indices(data["uG"], "uG")),
-                       Homomorphism(U, H, _indices(data["uH"], "uH")))
-    FG = filtration.Filtration(G, [Subgroup(G, _indices(t, "an FG term"))
+    am = embed.Amalgam(G, H, U, serialize.hom_from_obj(U, G, data["uG"]),
+                       serialize.hom_from_obj(U, H, data["uH"]))
+    FG = filtration.Filtration(G, [serialize.subgroup_from_obj(G, t)
                                    for t in _list(data["FG"], "FG")])
-    FH = filtration.Filtration(H, [Subgroup(H, _indices(t, "an FH term"))
+    FH = filtration.Filtration(H, [serialize.subgroup_from_obj(H, t)
                                    for t in _list(data["FH"], "FH")])
     return am, FG, FH
 
@@ -203,14 +201,6 @@ def _amalgam_from_obj(data):
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list")
-    return value
-
-
-def _indices(value, what: str) -> list[int]:
-    """A list of element indices read from JSON: a float such as 2.9 is
-    refused, not truncated to 2."""
-    if not all(isinstance(x, int) for x in _list(value, what)):
-        raise ValueError(f"{what} must be a list of integer element indices")
     return value
 
 
@@ -245,7 +235,7 @@ def cmd_gog(args) -> int:
         return _emit(args, {"normal_form": serialize.word_to_obj(nf),
                             "trivial": nf == ctx.identity(w.base)})
     if args.what == "sigma":
-        col = certify.colimit_sigma(gog, edges=tuple(sorted(tree)))
+        col = certify.colimit_sigma(gog, tree)
         return _emit(args, {"order": col.sigma.order,
                             "injective": [i.is_injective()
                                           for i in col.injections]})
@@ -295,12 +285,11 @@ def cmd_gog(args) -> int:
 def _collection(gog, data) -> list[Subgroup]:
     """The subgroups of a gog file's "collection": one element list per vertex."""
     coll = data["collection"]
-    if not (isinstance(coll, list) and len(coll) == gog.graph.nv and all(
-            isinstance(c, list) and all(isinstance(x, int) for x in c)
-            for c in coll)):
+    if not (isinstance(coll, list) and len(coll) == gog.graph.nv):
         raise ValueError(f"collection must be a list of {gog.graph.nv} lists "
                          f"of element indices")
-    return [Subgroup(gog.vgroups[v], c) for v, c in enumerate(coll)]
+    return [serialize.subgroup_from_obj(gog.vgroups[v], c)
+            for v, c in enumerate(coll)]
 
 
 def cmd_congruence(args) -> int:

@@ -19,11 +19,12 @@ from .filtration import (Filtration, StretchMap, align_filtrations,
                          aligned_slots, central_p_step, chief_series,
                          induced_chain, lower_central_p_series, stretch)
 from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     all_subgroups, automorphisms, direct_product,
+                     all_subgroups, amalgamated_sum, automorphisms,
                      find_isomorphism, full_subgroup, generating_sequence,
-                     identity_hom, is_p_power, permutation_closure,
-                     permutation_group, quotient, right_coset_reps,
-                     semidirect_product, subgroup_generated, trivial_subgroup)
+                     identity_hom, induced_hom, is_p_power,
+                     permutation_closure, permutation_group, quotient,
+                     right_coset_reps, semidirect_product, trivial_group,
+                     trivial_subgroup)
 from .results import NO, UNKNOWN, YES, Decision
 
 DEFAULT_HIGMAN_CAP = 4096
@@ -85,12 +86,8 @@ def fiber_sum(A: FiniteGroup, B: FiniteGroup, phi: Homomorphism,
     if not (phi.is_injective() and psi.is_injective()):
         raise ValueError("fiber sum identifications must be injective")
     U = phi.dom
-    D, eA, eB = direct_product(A, B)
-    gens = [D.mul(eA(phi(u)), D.inverse(eB(psi(u)))) for u in range(U.order)]
-    K = subgroup_generated(D, gens)
-    S, proj = quotient(D, K)
-    iota_A = proj.compose(eA)
-    iota_B = proj.compose(eB)
+    S, iota_A, iota_B = amalgamated_sum(
+        A, B, [(phi(u), psi(u)) for u in range(U.order)])
     if not (iota_A.is_injective() and iota_B.is_injective()):
         raise AssertionError("fiber sum embeddings failed to be injective")
     ia = {int(iota_A.map[a]) for a in range(A.order)}
@@ -214,7 +211,7 @@ def _higman_rec(G, H, U, uG, uH, FG, FH, p, cap):
     both FG and FH uniformly.
     """
     if G.order == 1 and H.order == 1:
-        W = _trivial_group()
+        W = trivial_group()
         hom = Homomorphism(G, W, [0], check=False)
         return (W, hom, Homomorphism(H, W, [0], check=False),
                 Filtration(W, [full_subgroup(W)], check=False),
@@ -249,8 +246,11 @@ def _higman_rec(G, H, U, uG, uH, FG, FH, p, cap):
     Gq, projG = quotient(G, X)
     Hq, projH = quotient(H, Y)
     Uq, projU = quotient(U, Vsub_U)
-    uGq = _induced_embedding(projU, projG, uG, Uq, Gq)
-    uHq = _induced_embedding(projU, projH, uH, Uq, Hq)
+    uGq = induced_hom(uG, projU, projG)
+    uHq = induced_hom(uH, projU, projH)
+    if not (uGq.is_injective() and uHq.is_injective()):
+        raise AssertionError("induced embedding on the factor amalgam "
+                             "not injective")
     FGq = Filtration(Gq, [_push_subgroup(projG, FG.term(i)) for i in range(1, n + 1)],
                      check=False)
     FHq = Filtration(Hq, [_push_subgroup(projH, FH.term(i)) for i in range(1, n + 1)],
@@ -267,8 +267,8 @@ def _higman_rec(G, H, U, uG, uH, FG, FH, p, cap):
     m = FK.length()
     wp = wreath(T, K, cap=cap)
     W = wp.group
-    alpha = _tower_embedding(G, U, uG, theta, wp, X, iX, fromX, K, p)
-    betaH = _tower_embedding(H, U, uH, phiH, wp, Y, iY, fromY, K, p)
+    alpha = _tower_embedding(G, uG, theta, wp, X, iX, fromX, K)
+    betaH = _tower_embedding(H, uH, phiH, wp, Y, iY, fromY, K)
     FW = _tower_filtration(wp, FK, p)
     # the assembled stretch on the lifted inputs: identity through n_new, the
     # last nontrivial term repeated through the tower, trivial at the end
@@ -277,10 +277,6 @@ def _higman_rec(G, H, U, uG, uH, FG, FH, p, cap):
         raise AssertionError("tower filtration shorter than the input chain")
     sm_step = StretchMap(tuple(range(1, n_new + 1)) + (total,))
     return W, alpha, betaH, FW, sm_step.compose(sm_q)
-
-
-def _trivial_group() -> FiniteGroup:
-    return FiniteGroup(np.zeros((1, 1), dtype=np.int64), name="1", validate=False)
 
 
 def _check_central_elab(G: FiniteGroup, X: Subgroup, p: int):
@@ -295,51 +291,26 @@ def _push_subgroup(proj: Homomorphism, sub: Subgroup) -> Subgroup:
                     check=False)
 
 
-def _induced_embedding(projU, projV, u_emb, Uq, Vq) -> Homomorphism:
-    """The embedding U/V -> G/X induced by u_emb: U -> G."""
-    arr = [0] * Uq.order
-    # quotient representatives are minimal indices; map each rep through
-    reps = {}
-    for u in range(projU.dom.order):
-        q = int(projU.map[u])
-        if q not in reps:
-            reps[q] = u
-    for q, u in reps.items():
-        arr[q] = int(projV.map[u_emb(u)])
-    hom = Homomorphism(Uq, Vq, arr)
-    if not hom.is_injective():
-        raise AssertionError("induced embedding on the factor amalgam not injective")
-    return hom
-
-
-def _tower_embedding(G, U, u_emb, theta, wp: WreathProduct, X: Subgroup,
-                     iX: Homomorphism, fromX, K: FiniteGroup, p: int) -> Homomorphism:
+def _tower_embedding(G, u_emb, theta, wp: WreathProduct, X: Subgroup,
+                     iX: Homomorphism, fromX, K: FiniteGroup) -> Homomorphism:
     """Standard embedding G -> T wr K from the shared countermap on U.
 
     theta: G -> K has kernel X; u_emb: U -> G; iX embeds X's group into T.
     """
-    thetaU_img = sorted({int(theta.map[u_emb(u)]) for u in range(U.order)})
     # countermap for theta|U: minimal U-index preimage per value, minimal
     # right coset representatives; both choices are shared by the two sides
+    thetaU_img, pre_u = np.unique(theta.map[u_emb.map], return_index=True)
+    min_pre_u = dict(zip(thetaU_img.tolist(), pre_u.tolist()))
     repU = right_coset_reps(K, thetaU_img)
-    min_pre_u: dict[int, int] = {}
-    for u in range(U.order):
-        v = int(theta.map[u_emb(u)])
-        if v not in min_pre_u:
-            min_pre_u[v] = u
     counter_u = {}
     for k in range(K.order):
         s = repU[k]
         v = int(K.mult[k, K.inverse(s)])
         counter_u[k] = u_emb(min_pre_u[v])
     # per right-coset-of-theta(G) correction mu, constant on theta(U)-cosets
-    img_g = sorted(set(int(x) for x in theta.map))
+    img_g, pre_g = np.unique(theta.map, return_index=True)
+    min_pre_g = dict(zip(img_g.tolist(), pre_g.tolist()))
     repG = right_coset_reps(K, img_g)
-    min_pre_g: dict[int, int] = {}
-    for g in range(G.order):
-        v = int(theta.map[g])
-        if v not in min_pre_g:
-            min_pre_g[v] = g
     mu = {}
     for k in range(K.order):
         c_big = repG[k]          # minimal element of the theta(G)-coset
@@ -988,22 +959,16 @@ def layerwise_inner_extension(G: FiniteGroup, F: Filtration,
         if not Ln.is_elementary_abelian():
             return Decision(UNKNOWN, reason=f"layer {n} is not elementary abelian")
         space = ElabSpace(Ln)
-        from_parent = {g: i for i, g in enumerate(to_parent)}
         layer_pas = []
         for phi in pas:
-            mapping = {}
-            for a in phi.A.elems:
-                if a in F.term(n):
-                    src_q = int(proj.map[from_parent[a]])
-                    dst_q = int(proj.map[from_parent[phi(a)]])
-                    if src_q in mapping and mapping[src_q] != dst_q:
-                        return Decision(UNKNOWN,
-                                        reason="induced layer map not well defined")
-                    mapping[src_q] = dst_q
-            dom = sorted(mapping)
-            cod = sorted(set(mapping.values()))
+            mapping = _layer_map(proj, to_parent, [
+                (a, phi(a)) for a in phi.A.elems if a in F.term(n)])
+            if mapping is None:
+                return Decision(UNKNOWN,
+                                reason="induced layer map not well defined")
             layer_pas.append(PartialAutomorphism(
-                Ln, Subgroup(Ln, dom, check=False), Subgroup(Ln, cod, check=False),
+                Ln, Subgroup(Ln, sorted(mapping), check=False),
+                Subgroup(Ln, sorted(set(mapping.values())), check=False),
                 mapping))
         res = unipotent_flag_extend(Ln, layer_pas)
         if res.is_no:
@@ -1022,6 +987,20 @@ def layerwise_inner_extension(G: FiniteGroup, F: Filtration,
     refined = Filtration(G, chain, check=False)
     then = inner_extension_with_chain(G, pas, refined, p, aut_cap, size_cap)
     return then
+
+
+def _layer_map(proj: Homomorphism, to_parent: Sequence[int], pairs):
+    """The map of a filtration layer F_n / F_n+1 induced by x -> y for the
+    pairs (x, y) of elements of F_n, as {class of x: class of y}; None when
+    two x of one class go to different classes.  proj and to_parent are as
+    returned by Filtration.layer."""
+    from_parent = {g: i for i, g in enumerate(to_parent)}
+    mapping: dict[int, int] = {}
+    for x, y in pairs:
+        q = int(proj.map[from_parent[y]])
+        if mapping.setdefault(int(proj.map[from_parent[x]]), q) != q:
+            return None
+    return mapping
 
 
 def inner_extension_with_chain(G, pas, chain: Filtration, p: int,
@@ -1059,21 +1038,14 @@ def mapping_torus_check(G: FiniteGroup, autos: Sequence[np.ndarray]) -> dict:
     report = {"p": p, "levels": [], "residually_p": None}
     for n in range(1, (gp.length() or 1) + 1):
         Ln, proj, to_parent = gp.layer(n)
-        from_parent = {g: i for i, g in enumerate(to_parent)}
         induced = []
         for a in autos:
-            arr = np.empty(Ln.order, dtype=np.int64)
-            seen = {}
-            for i, g in enumerate(to_parent):
-                img = int(a[g])
-                arr_val = int(proj.map[from_parent[img]])
-                q = int(proj.map[i])
-                if q in seen and seen[q] != arr_val:
-                    raise AssertionError("automorphism does not preserve the layer")
-                seen[q] = arr_val
-            for q, v in seen.items():
-                arr[q] = v
-            induced.append(arr)
+            mapping = _layer_map(proj, to_parent,
+                                 [(g, int(a[g])) for g in to_parent])
+            if mapping is None:
+                raise AssertionError("automorphism does not preserve the layer")
+            induced.append(np.array([mapping[q] for q in range(Ln.order)],
+                                    dtype=np.int64))
         closure = permutation_closure(Ln, induced)
         is_p = is_p_power(len(closure), p)
         report["levels"].append({"n": n, "induced_order": len(closure),

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import (FiniteGroup, Homomorphism, Subgroup, quotient,
-                     right_coset_reps, subgroup_generated)
+from .groups import (FiniteGroup, Homomorphism, Subgroup, induced_hom,
+                     quotient, right_coset_reps, subgroup_generated)
 
 
 class Graph:
@@ -350,17 +350,7 @@ def quotient_gog(gog: GraphOfGroups, subs: Sequence[Subgroup]):
             eproj[f] = proje
     for e in range(Y.ne):
         # induced injective map G_e/H_e -> G_v/H_v
-        Qe, proje = eq[e], eproj[e]
-        v = Y.term[e]
-        arr = [0] * Qe.order
-        reps = {}
-        for x in range(gog.egroups[e].order):
-            q = int(proje.map[x])
-            if q not in reps:
-                reps[q] = x
-        for q, x in reps.items():
-            arr[q] = int(vproj[v].map[gog.emaps[e](x)])
-        emq[e] = Homomorphism(Qe, vq[v], arr)
+        emq[e] = induced_hom(gog.emaps[e], eproj[e], vproj[Y.term[e]])
         if not emq[e].is_injective():
             raise AssertionError("quotient edge map not injective "
                                  "(compatibility should prevent this)")

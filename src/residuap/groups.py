@@ -292,6 +292,11 @@ class Subgroup:
         return f"Subgroup(order={len(self.elems)} of {self.parent.name})"
 
 
+def trivial_group() -> FiniteGroup:
+    return FiniteGroup(np.zeros((1, 1), dtype=np.int64), name="1",
+                       validate=False)
+
+
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, (0,), check=False)
 
@@ -405,6 +410,16 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     return Q, proj
 
 
+def induced_hom(f: Homomorphism, src: Homomorphism,
+                dst: Homomorphism) -> Homomorphism:
+    """The map src.cod -> dst.cod induced by f: src.dom -> dst.dom for
+    surjective src, read at the least preimage of each class under src.  It
+    is checked to be a homomorphism; it is well defined when f sends the
+    kernel of src into the kernel of dst."""
+    _, least = np.unique(src.map, return_index=True)
+    return Homomorphism(src.cod, dst.cod, dst.map[f.map[least]])
+
+
 def right_coset_reps(G: FiniteGroup, elems: Sequence[int]) -> list[int]:
     """Minimal right-coset representatives of the subgroup S with the given
     elements: rep[g] = min(S g) for every g in G."""
@@ -430,6 +445,22 @@ def direct_product(G: FiniteGroup, H: FiniteGroup,
     eg = Homomorphism(G, P, np.arange(n) * m, check=False)
     eh = Homomorphism(H, P, np.arange(m), check=False)
     return P, eg, eh
+
+
+def amalgamated_sum(A: FiniteGroup, B: FiniteGroup,
+                    pairs: Iterable[tuple[int, int]],
+                    ) -> tuple[FiniteGroup, Homomorphism, Homomorphism]:
+    """(A x B) / <a b^-1 : (a, b) in pairs>, which needs the a b^-1 to
+    generate a normal subgroup (always so for abelian A and B).
+
+    Its elements are the cosets of direct_product(A, B), ordered by their
+    least element.  Returns (sum, iota_A, iota_B).
+    """
+    D, eA, eB = direct_product(A, B)
+    K = subgroup_generated(D, [D.mul(eA(a), D.inverse(eB(b)))
+                               for a, b in pairs])
+    S, proj = quotient(D, K)
+    return S, proj.compose(eA), proj.compose(eB)
 
 
 class GroupAction:

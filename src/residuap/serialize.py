@@ -36,6 +36,9 @@ def subgroup_to_obj(S: Subgroup) -> list[int]:
 
 
 def subgroup_from_obj(G: FiniteGroup, obj) -> Subgroup:
+    if not _all_indices(obj, G.order):
+        raise ValueError(f"a subgroup of {G.name} must list element indices "
+                         f"0..{G.order - 1}")
     return Subgroup(G, obj)
 
 
@@ -44,6 +47,9 @@ def hom_to_obj(h: Homomorphism) -> list[int]:
 
 
 def hom_from_obj(dom: FiniteGroup, cod: FiniteGroup, obj) -> Homomorphism:
+    if not _all_indices(obj, cod.order):
+        raise ValueError(f"a map into {cod.name} must list element indices "
+                         f"0..{cod.order - 1}")
     return Homomorphism(dom, cod, obj)
 
 
@@ -53,8 +59,9 @@ def filtration_to_obj(F: Filtration) -> dict:
 
 
 def filtration_from_obj(obj: dict) -> Filtration:
-    G = group_from_obj(obj["group"])
-    return Filtration(G, [Subgroup(G, t) for t in obj["terms"]])
+    G = group_from_obj(_field(obj, "group", dict, "filtration"))
+    return Filtration(G, [subgroup_from_obj(G, t) for t in
+                          _field(obj, "terms", list, "filtration")])
 
 
 def graph_to_obj(Y: Graph) -> dict:
@@ -155,7 +162,7 @@ def certificate_from_obj(obj: dict) -> Certificate:
     if not _all_indices(edge_images, target.order):
         raise ValueError("certificate edge images must be target elements")
     tree = _spanning_tree(Y, _field(obj, "tree", list))
-    vmaps = tuple(Homomorphism(gog.vgroups[v], target, vertex_maps[v])
+    vmaps = tuple(hom_from_obj(gog.vgroups[v], target, vertex_maps[v])
                   for v in range(Y.nv))
     return Certificate(gog, tree, target, vmaps, tuple(edge_images), p)
 
@@ -181,8 +188,12 @@ def _list_field(obj: dict, key: str, item: type,
     return xs
 
 
-def _all_indices(xs: list, n: int) -> bool:
-    return all(isinstance(x, int) and 0 <= x < n for x in xs)
+def _all_indices(xs, n: int) -> bool:
+    """Whether xs is a list of element indices 0..n-1: the one index check
+    of the JSON readers, so that a float such as 2.9 is refused, not
+    truncated to 2."""
+    return isinstance(xs, list) and all(
+        isinstance(x, int) and 0 <= x < n for x in xs)
 
 
 def _spanning_tree(Y: Graph, edges: list) -> frozenset[int]:

@@ -14,10 +14,10 @@ from residuap import algebra, catalog, embed, graphs, kernels
 from residuap.filtration import (Filtration, align_filtrations,
                                  induced_chain)
 from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                             all_subgroups, automorphisms, find_isomorphism,
-                             full_subgroup, generating_sequence,
-                             normal_closure, subgroup_generated,
-                             trivial_subgroup)
+                             all_subgroups, automorphisms, direct_product,
+                             find_isomorphism, full_subgroup,
+                             generating_sequence, normal_closure, quotient,
+                             subgroup_generated, trivial_subgroup)
 
 
 def fresh(G: FiniteGroup, name: str) -> FiniteGroup:
@@ -66,12 +66,15 @@ def c4_star_c4():
     return graphs.GraphOfGroups(Y, [C4, C4b], [C2, C2], [f0, f1])
 
 
-def free_product(G: FiniteGroup, H: FiniteGroup):
+def free_product(*groups: FiniteGroup):
+    """The free product of the groups as a path of vertices 0 - 1 - 2 ...
+    joined by trivial edge groups."""
     triv = catalog.cyclic(1)
-    Y = graphs.Graph.from_topological(2, [(0, 1)])
-    return graphs.GraphOfGroups(Y, [G, H], [triv, triv],
-                                [Homomorphism(triv, H, [0]),
-                                 Homomorphism(triv, G, [0])])
+    n = len(groups)
+    Y = graphs.Graph.from_topological(n, [(i, i + 1) for i in range(n - 1)])
+    return graphs.GraphOfGroups(
+        Y, groups, [triv] * Y.ne,
+        [Homomorphism(triv, groups[Y.term[e]], [0]) for e in range(Y.ne)])
 
 
 def shift_loop():
@@ -1100,6 +1103,37 @@ def reference_quotient(G: FiniteGroup, N: Subgroup) -> tuple[np.ndarray, np.ndar
     proj = np.array([index_of[int(rep[g])] for g in range(G.order)],
                     dtype=np.int64)
     return table, proj
+
+
+# -- reference colimit ------------------------------------------------------------
+#
+# Sigma(G|T) as certify.colimit_sigma built it before it summed one vertex
+# at a time: the full direct sum of the vertex groups in one table, then
+# the quotient by the relations of the given edges.
+
+def reference_direct_sum(groups: Sequence[FiniteGroup]):
+    """The direct product of the groups, group 0 major, as (table, name,
+    one embedding index array per group)."""
+    total, maps = groups[0], [np.arange(groups[0].order)]
+    for G in groups[1:]:
+        total, eL, eR = direct_product(total, G)
+        maps = [eL.map[m] for m in maps] + [eR.map]
+    return total, maps
+
+
+def reference_colimit_sigma(gog: graphs.GraphOfGroups, edges):
+    """(Sigma, one injection index array per vertex) for abelian vertex
+    groups, from the full direct sum."""
+    Y = gog.graph
+    total, maps = reference_direct_sum(gog.vgroups)
+    gens = []
+    for e in edges:
+        for x in range(gog.egroups[e].order):
+            a = int(maps[Y.term[e]][gog.emaps[e](x)])
+            b = int(maps[Y.orig[e]][gog.emaps[Y.bar[e]](x)])
+            gens.append(total.mul(a, total.inverse(b)))
+    S, proj = quotient(total, subgroup_generated(total, gens))
+    return S, [proj.map[m] for m in maps]
 
 
 # -- reference Higman tower prediction ------------------------------------------------

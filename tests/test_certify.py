@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import (Letter, axis_swap_loop, c4_star_c4, chain, d8_center_hnn,
-                     evaluate, fresh, free_product, shift_loop, swap_loop,
-                     theta_graph, word_to_path)
+                     elab_elem, evaluate, fresh, free_product,
+                     reference_colimit_sigma, reference_direct_sum,
+                     shift_loop, swap_loop, theta_graph, word_to_path)
 
-from residuap import catalog
+from residuap import catalog, certify, embed, groups
 from residuap.certify import (Certificate, certify_residually_p,
                               colimit_sigma, homology_fiber_sum_check,
-                              partial_abelianization, reduction_certify,
-                              separating_level)
+                              orientation, partial_abelianization,
+                              reduction_certify, separating_level)
+from residuap.embed import ElabSpace
 from residuap.filtration import lower_central_p_series
 from residuap.graphs import (GogFiltration, Graph, GraphOfGroups,
                              NormalFormContext, maximal_subtree, unfold_gog)
@@ -20,7 +24,7 @@ from residuap.results import NO, UNKNOWN, YES
 
 def test_colimit_examples():
     gog = c4_star_c4()
-    col = colimit_sigma(gog)
+    col = colimit_sigma(gog, maximal_subtree(gog.graph, 0))
     assert col.sigma.order == 8
     assert abelian_invariants(col.sigma) == [2, 4]
     assert all(i.is_injective() for i in col.injections)
@@ -32,7 +36,7 @@ def test_colimit_examples():
     tg = GraphOfGroups(Y, [V, Vb], [C3, C3],
                        [Homomorphism(C3, Vb, [0, 1, 2]),
                         Homomorphism(C3, V, [0, 1, 2])])
-    col = colimit_sigma(tg)
+    col = colimit_sigma(tg, maximal_subtree(tg.graph, 0))
     assert col.sigma.order == 27 and col.sigma.exponent() == 3
     # path of three C4's glued over C2's: order 16 abelian, injective iotas
     C4 = catalog.cyclic(4)
@@ -43,7 +47,7 @@ def test_colimit_examples():
         Y3, [C4, C4b, C4c], [C2, C2, C2, C2],
         [Homomorphism(C2, C4b, [0, 2]), Homomorphism(C2, C4, [0, 2]),
          Homomorphism(C2, C4c, [0, 2]), Homomorphism(C2, C4b, [0, 2])])
-    col = colimit_sigma(path_gog)
+    col = colimit_sigma(path_gog, maximal_subtree(path_gog.graph, 0))
     assert col.sigma.order == 16
     assert all(i.is_injective() for i in col.injections)
 
@@ -72,14 +76,103 @@ def test_certify_c4_star_c4():
 
 
 def test_certify_free_products():
-    for G, H in ((catalog.cyclic(3), fresh(catalog.cyclic(3), "C3b")),
-                 (catalog.dihedral(4), fresh(catalog.dihedral(4), "D8b"))):
-        p = G.prime()
-        gog = free_product(G, H)
+    D8 = catalog.dihedral(4)
+    for factors in ((catalog.cyclic(3), fresh(catalog.cyclic(3), "C3b")),
+                    (D8, fresh(D8, "D8b")),
+                    (D8, catalog.quaternion8(), catalog.cyclic(2))):
+        p = factors[0].prime()
+        gog = free_product(*factors)
         dec = certify_residually_p(gog, p)
         assert dec.is_yes
         dec.certificate.verify()
-        assert dec.certificate.target.order == G.order * H.order
+        # the target is the direct product, built the old way in one table
+        total, maps = reference_direct_sum(factors)
+        P = dec.certificate.target
+        assert P.name == total.name and np.array_equal(P.mult, total.mult)
+        assert all(np.array_equal(psi.map, m)
+                   for psi, m in zip(dec.certificate.vertex_maps, maps))
+
+
+def _forbid_tables_above_cap(monkeypatch):
+    """Make direct_product fail, before it allocates, on any table of order
+    above DEFAULT_ORDER_CAP, in every module that holds it by name."""
+    real = groups.direct_product
+
+    def guarded(G, H, name=None):
+        assert G.order * H.order <= groups.DEFAULT_ORDER_CAP, \
+            f"a direct product of order {G.order * H.order} was built"
+        return real(G, H, name)
+
+    for module in (groups, certify, embed, catalog):
+        if hasattr(module, "direct_product"):
+            monkeypatch.setattr(module, "direct_product", guarded)
+
+
+def test_five_vertex_free_product_stops_at_the_cap(monkeypatch):
+    # the direct product of five F_2^3 has order 32768: an 8 GiB table
+    _forbid_tables_above_cap(monkeypatch)
+    E8 = catalog.elementary_abelian(2, 3)
+    gog = free_product(*(fresh(E8, f"E{i}") for i in range(5)))
+    dec = certify_residually_p(gog, 2)
+    assert dec.status == UNKNOWN
+    assert dec.reason == "vertex sum step of order 32768 exceeds cap 4096"
+
+
+def _unfold_along_cn(gog: GraphOfGroups, n: int) -> GraphOfGroups:
+    """The unfolding of gog along psi = a generator of C_n on every
+    non-tree edge."""
+    Y = gog.graph
+    tree = maximal_subtree(Y, 0)
+    psi = [0] * Y.ne
+    for e in orientation(Y, tree):
+        psi[e], psi[Y.bar[e]] = 1, n - 1
+    return unfold_gog(gog, tree, psi, catalog.cyclic(n))[0]
+
+
+def test_unfoldings_of_a_loop_over_f2_cubed_sum_within_the_cap(monkeypatch):
+    # the stable letter acts by a matrix of order 7, so the C_n unfolding is
+    # residually 2 exactly when 7 divides n; Sigma has order 8 each time,
+    # while the full direct sum has order 8^n (8 GiB of table at n = 5)
+    _forbid_tables_above_cap(monkeypatch)
+    E8 = catalog.elementary_abelian(2, 3)
+    sp = ElabSpace(E8)
+    M = ((0, 1, 0), (0, 0, 1), (1, 1, 0))
+    A = [elab_elem(sp, [sum(a * x for a, x in zip(row, sp.vec(g)))
+                        for row in M]) for g in range(8)]
+    loop = GraphOfGroups(Graph.from_topological(1, [(0, 0)]), [E8], [E8, E8],
+                         [Homomorphism(E8, E8, list(range(8))),
+                          Homomorphism(E8, E8, A)])
+    assert certify_residually_p(_unfold_along_cn(loop, 5), 2).is_no
+    dec = certify_residually_p(_unfold_along_cn(loop, 7), 2)
+    assert dec.is_yes and dec.certificate.target.order == 8
+    dec.certificate.verify()
+
+
+def _colimit_inputs():
+    """The helper gogs over abelian groups, and the C2 and C3 unfoldings of
+    those with a non-tree edge whose full direct sum has order <= 4096."""
+    gogs = [c4_star_c4(), shift_loop(), swap_loop(), axis_swap_loop(),
+            theta_graph(),
+            free_product(catalog.cyclic(3), fresh(catalog.cyclic(3), "C3b"))]
+    for gog in gogs[1:5]:
+        for n in (2, 3):
+            cover = _unfold_along_cn(gog, n)
+            if math.prod(G.order for G in cover.vgroups) <= 4096:
+                gogs.append(cover)
+    return gogs
+
+
+def test_colimit_matches_the_direct_sum_reference():
+    inputs = _colimit_inputs()
+    assert len(inputs) == 13
+    for gog in inputs:
+        tree = maximal_subtree(gog.graph, 0)
+        col = colimit_sigma(gog, tree)
+        S, maps = reference_colimit_sigma(gog, sorted(tree))
+        assert col.sigma.name == S.name
+        assert np.array_equal(col.sigma.mult, S.mult)
+        assert all(np.array_equal(i.map, m)
+                   for i, m in zip(col.injections, maps))
 
 
 def test_certify_shift_loop_yes_swap_loop_no():
@@ -252,7 +345,7 @@ def test_colimit_loop_with_trivial_edge_group():
     Y = Graph.from_topological(1, [(0, 0)])
     f = Homomorphism(triv, A, [0])
     gog = GraphOfGroups(Y, [A], [triv, triv], [f, f])
-    col = colimit_sigma(gog)
+    col = colimit_sigma(gog, maximal_subtree(gog.graph, 0))
     assert col.sigma.order == 8 and col.injections[0].is_injective()
 
 

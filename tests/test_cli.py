@@ -220,6 +220,7 @@ CERTIFIABLE = {"shift": (shift_loop, "3"), "c4": (c4_star_c4, "2"),
     ("shift", "tree", lambda xs: "ab"),
     ("shift", "tree", lambda xs: None),
     ("shift", "vertex_maps", lambda xs: 5),
+    ("c4", "vertex_maps", lambda xs: [[x + 0.4 for x in m] for m in xs]),
     ("shift", "p", lambda xs: "x"),
     ("shift", "gog", lambda xs: 5),
     ("shift", "target", lambda xs: []),
@@ -229,9 +230,9 @@ CERTIFIABLE = {"shift": (shift_loop, "3"), "c4": (c4_star_c4, "2"),
     ("shift", "gog", lambda gog: {**gog, "egroup_of_edge": [7, 7]}),
 ], ids=["edges-short", "edges-long", "edge-out-of-range", "vertices-short",
         "tree-empty", "tree-out-of-range", "tree-repeated", "tree-not-bar-closed",
-        "tree-string", "tree-null", "vertex-maps-int", "p-string", "gog-int",
-        "target-list", "top-level-array", "gog-graph-int", "gog-vgroups-int",
-        "gog-egroup-out-of-range"])
+        "tree-string", "tree-null", "vertex-maps-int", "vertex-maps-float",
+        "p-string", "gog-int", "target-list", "top-level-array",
+        "gog-graph-int", "gog-vgroups-int", "gog-egroup-out-of-range"])
 def test_verify_rejects_malformed_certificate(capsys, tmp_path, source, field,
                                               change):
     build, p = CERTIFIABLE[source]

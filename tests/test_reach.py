@@ -14,8 +14,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # name -> why it stays although nothing in src or perfbench calls it yet
 KEEP = {
-    "serialize.subgroup_from_obj": "read by the verify routes of ROADMAP item 2",
-    "serialize.hom_from_obj": "read by the verify routes of ROADMAP item 2",
     "serialize.filtration_from_obj": "read by the verify routes of ROADMAP item 2",
 }
 

@@ -35,6 +35,19 @@ def test_subgroup_and_hom_roundtrip():
     assert back == h
 
 
+@pytest.mark.parametrize("read", [
+    lambda C4: serialize.subgroup_from_obj(C4, [0, 2.5]),
+    lambda C4: serialize.hom_from_obj(catalog.cyclic(2), C4, [0, 2.5]),
+    lambda C4: serialize.filtration_from_obj(
+        {"group": serialize.group_to_obj(C4),
+         "terms": [[0, 1, 2, 3], [0, 2.5], [0]]}),
+], ids=["subgroup", "hom", "filtration"])
+def test_readers_refuse_non_integer_indices(read):
+    # 2.5 was read as element 2
+    with pytest.raises(ValueError, match="element indices"):
+        read(catalog.cyclic(4))
+
+
 def test_filtration_roundtrip():
     F = lower_central_p_series(catalog.dihedral(4), 2)
     obj = roundtrip(serialize.filtration_to_obj(F))
