@@ -13,11 +13,9 @@ import numpy as np
 from . import kernels
 from .filtration import Filtration, dimension_series, lower_central_p_series, \
     lower_central_series
-from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     generating_sequence, require_p_group, require_prime,
-                     trivial_subgroup)
-
-DEFAULT_WREATH_CAP = 4096
+from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
+                     Homomorphism, Subgroup, generating_sequence,
+                     require_p_group, require_prime, trivial_subgroup)
 
 
 class IdealBasis:
@@ -179,7 +177,7 @@ class WreathProduct:
         return digits
 
 
-def wreath(X: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_WREATH_CAP) -> WreathProduct:
+def wreath(X: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> WreathProduct:
     """Build X wr H with multiplication (h1,f1)(h2,f2) = (h1 h2, f1^h2 f2),
     where f^h(k) = f(hk)."""
     nx, nh = X.order, H.order
@@ -225,7 +223,7 @@ def _power_group(X: FiniteGroup, n: int) -> tuple[FiniteGroup, np.ndarray]:
 # -- Buckley-type identities ----------------------------------------------------
 
 def buckley_check(p: int, H: FiniteGroup, n_max: int,
-                  cap: int = DEFAULT_WREATH_CAP) -> dict:
+                  cap: int = DEFAULT_ORDER_CAP) -> dict:
     """For W = F_p wr H, verify for 0 <= n <= n_max the chain of equalities
 
         D^p_{n+1}(W) ^ base = gamma^p_{n+1}(W) ^ base
@@ -286,7 +284,7 @@ def _base_vectors_of_ideal(wp: WreathProduct, ideal: IdealBasis) -> frozenset:
 
 
 def wreath_class_formula(p: int, H: FiniteGroup,
-                         cap: int = DEFAULT_WREATH_CAP) -> dict:
+                         cap: int = DEFAULT_ORDER_CAP) -> dict:
     """Nilpotency class of F_p wr H, via the gamma series and via Jennings."""
     from .catalog import cyclic
     wp = wreath(cyclic(p), H, cap=cap)

@@ -6,12 +6,13 @@ products, explicit semidirect data); nothing is read from disk.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupAction, direct_product,
-                     semidirect_product)
+from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup, GroupAction,
+                     direct_product, semidirect_product)
 
 
 @lru_cache(maxsize=None)
@@ -141,18 +142,33 @@ _BUILDERS = {
 
 
 def by_name(name: str) -> FiniteGroup:
-    """Resolve a catalog name like 'C4', 'C2^3', 'D8', 'Heis27', 'C4xC2'."""
+    """Resolve a catalog name like 'C4', 'C2^3', 'D8', 'Heis27', 'C4xC2'.
+
+    The order of a 'C' name is read from the name, and a name of order above
+    DEFAULT_ORDER_CAP raises CapExceeded before any table is built."""
     key = name.strip()
     if key in _BUILDERS:
         return _BUILDERS[key]()
-    if key.startswith("C") and "^" in key:
-        p, r = key[1:].split("^")
-        return elementary_abelian(int(p), int(r))
-    if key.startswith("C") and "x" in key:
-        return abelian(*[int(part[1:]) for part in key.split("x")])
-    if key.startswith("C"):
-        return cyclic(int(key[1:]))
-    raise ValueError(f"unknown catalog group {name!r}")
+    if not key.startswith("C"):
+        raise ValueError(f"unknown catalog group {name!r}")
+    if "^" in key:
+        p, r = (int(t) for t in key[1:].split("^"))
+        if p < 2 or r < 1:
+            raise ValueError(f"catalog group {name!r} needs p >= 2 and r >= 1")
+        factors = itertools.repeat(p, r)
+    else:
+        factors = [int(part[1:]) for part in key.split("x")]
+    order = 1
+    for n in factors:
+        order *= n
+        if order > DEFAULT_ORDER_CAP:
+            raise CapExceeded(f"catalog group {key} exceeds order cap "
+                              f"{DEFAULT_ORDER_CAP}")
+    if "^" in key:
+        return elementary_abelian(p, r)
+    if "x" in key:
+        return abelian(*factors)
+    return cyclic(factors[0])
 
 
 def property_suite(p: int) -> list[FiniteGroup]:

@@ -15,16 +15,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .embed import (Amalgam, PartialAutomorphism, higman_embed,
-                    inner_extension, layerwise_inner_extension)
-from .filtration import AlignmentError, lower_central_p_series
+from .embed import (Amalgam, InnerExtension, PartialAutomorphism,
+                    higman_embed, layerwise_inner_extension)
+from .filtration import AlignmentError, Filtration, lower_central_p_series
 from .graphs import (GogFiltration, Graph, GraphOfGroups, NormalFormContext,
                      PathWord, maximal_subtree)
 from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
-                     Homomorphism, Subgroup, amalgamated_sum, require_prime,
-                     trivial_group)
+                     Homomorphism, Subgroup, amalgamated_sum,
+                     generating_sequence, require_prime, trivial_group)
 from .results import UNKNOWN, YES, Decision
 from .smith import Presentation, smith_abelianization
+
+# the most levels compatible_gamma_collection builds before giving up
+GAMMA_COLLECTION_DEPTH = 24
 
 
 # -- colimits of graphs of abelian groups ----------------------------------------
@@ -165,7 +168,7 @@ class Certificate:
 
 def certify_residually_p(gog: GraphOfGroups, p: int,
                          tree: Optional[frozenset[int]] = None,
-                         cap: int = 4096) -> Decision:
+                         cap: int = DEFAULT_ORDER_CAP) -> Decision:
     """A certificate that pi_1(G, T) is residually p, a refutation, or unknown.
 
     Pipeline: abelian vertex groups go through partial abelianization and the
@@ -181,7 +184,7 @@ def certify_residually_p(gog: GraphOfGroups, p: int,
     tree = tree if tree is not None else maximal_subtree(Y, 0)
     try:
         if all(gog.egroups[e].order == 1 for e in range(Y.ne)):
-            return _certify_trivial_edges(gog, p, tree)
+            return _certified(gog, tree, *_vertex_sum(gog, tree), p)
         if all(gog.vgroups[v].is_abelian for v in range(Y.nv)):
             return _certify_abelian(gog, p, tree, cap)
     except CapExceeded as exc:
@@ -193,17 +196,6 @@ def certify_residually_p(gog: GraphOfGroups, p: int,
     return reduction_certify(gog, gfilt, tree, p, cap=cap)
 
 
-def _certify_trivial_edges(gog: GraphOfGroups, p: int,
-                           tree: frozenset[int]) -> Decision:
-    """Free-product shape: the direct product of the vertex groups certifies,
-    with all stable letters mapped to the identity."""
-    total, embeds = _vertex_sum(gog, tree)
-    cert = Certificate(gog, tree, total, embeds,
-                       tuple(0 for _ in range(gog.graph.ne)), p)
-    cert.verify()
-    return Decision(YES, certificate=cert)
-
-
 def _gamma_gog_filtration(gog: GraphOfGroups, p: int) -> Optional[GogFiltration]:
     filts = tuple(lower_central_p_series(gog.vgroups[v], p)
                   for v in range(gog.graph.nv))
@@ -213,8 +205,8 @@ def _gamma_gog_filtration(gog: GraphOfGroups, p: int) -> Optional[GogFiltration]
         return compatible_gamma_collection(gog, p)
 
 
-def compatible_gamma_collection(gog: GraphOfGroups, p: int,
-                                max_depth: int = 24) -> Optional[GogFiltration]:
+def compatible_gamma_collection(gog: GraphOfGroups,
+                                p: int) -> Optional[GogFiltration]:
     """The fastest compatible central-p filtration of the graph of groups.
 
     Level by level, start from the gamma^p step of the current terms and
@@ -224,11 +216,10 @@ def compatible_gamma_collection(gog: GraphOfGroups, p: int,
     above the trivial subgroup, which the caller reports as unknown.
     """
     from . import kernels
-    from .filtration import Filtration
     from .groups import full_subgroup, subgroup_generated
     Y = gog.graph
     levels = [[full_subgroup(gog.vgroups[v]) for v in range(Y.nv)]]
-    for _ in range(max_depth):
+    for _ in range(GAMMA_COLLECTION_DEPTH):
         cur = levels[-1]
         nxt = []
         for v in range(Y.nv):
@@ -275,43 +266,18 @@ def compatible_gamma_collection(gog: GraphOfGroups, p: int,
 
 def _certify_abelian(gog: GraphOfGroups, p: int, tree: frozenset[int],
                      cap: int) -> Decision:
-    pab = partial_abelianization(gog, tree)
-    sigma = pab.colimit.sigma
-    for inj in pab.colimit.injections:
-        if not inj.is_injective():
-            return Decision(UNKNOWN,
-                            reason="a vertex group does not embed into Sigma")
-    if not pab.pas:
-        cert = Certificate(gog, tree, sigma, pab.colimit.injections,
-                           tuple(0 for _ in range(gog.graph.ne)), p)
-        cert.verify()
-        return Decision(YES, certificate=cert)
-    inner = _inner_for_sigma(sigma, pab.pas, p, cap)
-    if not inner.is_yes:
-        return inner
-    ext = inner.certificate
-    Q = ext.Hp
-    vmaps = tuple(ext.embedding.compose(inj) for inj in pab.colimit.injections)
-    edge_images = [0] * gog.graph.ne
-    for e, t in zip(pab.oriented, ext.conjugators):
-        edge_images[e] = t
-        edge_images[gog.graph.bar[e]] = Q.inverse(t)
-    cert = Certificate(gog, tree, Q, vmaps, tuple(edge_images), p)
-    cert.verify()
-    return Decision(YES, certificate=cert)
-
-
-def _inner_for_sigma(sigma: FiniteGroup, pas, p: int, cap: int) -> Decision:
-    if sigma.is_elementary_abelian():
-        return inner_extension(sigma, pas, size_cap=cap)
-    # abelian but not elementary abelian: go through the gamma^p layers
-    F = lower_central_p_series(sigma, p)
-    return layerwise_inner_extension(sigma, F, pas, size_cap=cap)
+    col = colimit_sigma(gog, tree)
+    if not all(inj.is_injective() for inj in col.injections):
+        return Decision(UNKNOWN,
+                        reason="a vertex group does not embed into Sigma")
+    return _extend_to_certificate(gog, tree, col.sigma,
+                                  lower_central_p_series(col.sigma, p),
+                                  col.injections, p, cap, "Sigma")
 
 
 def reduction_certify(gog: GraphOfGroups, gfilt: GogFiltration,
                       tree: Optional[frozenset[int]], p: int,
-                      cap: int = 4096) -> Decision:
+                      cap: int = DEFAULT_ORDER_CAP) -> Decision:
     """The reduction pipeline: iterated amalgamation along the tree, then
     layerwise inner extensions for the non-tree edges."""
     Y = gog.graph
@@ -327,28 +293,46 @@ def reduction_certify(gog: GraphOfGroups, gfilt: GogFiltration,
         P, FP, psis = _tree_tower(gog, gfilt, tree, p, cap)
     except (CapExceeded, AlignmentError, ValueError) as exc:
         return Decision(UNKNOWN, reason=f"tree amalgamation failed: {exc}")
-    oriented = orientation(Y, tree)
+    return _extend_to_certificate(gog, tree, P, FP, psis, p, cap, "tower")
+
+
+def _extend_to_certificate(gog: GraphOfGroups, tree: frozenset[int],
+                           P: FiniteGroup, FP: Filtration,
+                           maps: Sequence[Homomorphism],
+                           p: int, cap: int, what: str) -> Decision:
+    """The step shared by both branches once the tree is amalgamated into P
+    (by maps, one per vertex): the non-tree edges become partial
+    automorphisms of P, which layerwise_inner_extension makes inner along
+    FP.  Unknown, naming ``what``, when FP is not invariant under them."""
+    oriented = orientation(gog.graph, tree)
     if not oriented:
-        cert = Certificate(gog, tree, P, tuple(psis),
-                           tuple(0 for _ in range(Y.ne)), p)
-        cert.verify()
-        return Decision(YES, certificate=cert)
-    # non-tree edges become partial automorphisms of P
-    pas = _edge_partial_automorphisms(gog, oriented, P, psis)
+        return _certified(gog, tree, P, maps, p)
+    pas = _edge_partial_automorphisms(gog, oriented, P, maps)
     if not all(phi.preserves(term) for term in FP.terms for phi in pas):
-        return Decision(UNKNOWN, reason="tower filtration is not "
+        return Decision(UNKNOWN, reason=f"{what} filtration is not "
                                         "invariant under an edge map")
     ext = layerwise_inner_extension(P, FP, pas, size_cap=cap)
     if not ext.is_yes:
         return ext
-    cert_ext = ext.certificate
-    Q = cert_ext.Hp
-    vmaps = tuple(cert_ext.embedding.compose(psi) for psi in psis)
-    edge_images = [0] * Y.ne
-    for e, t in zip(oriented, cert_ext.conjugators):
-        edge_images[e] = t
-        edge_images[Y.bar[e]] = Q.inverse(t)
-    cert = Certificate(gog, tree, Q, vmaps, tuple(edge_images), p)
+    return _certified(gog, tree, P, maps, p, oriented, ext.certificate)
+
+
+def _certified(gog: GraphOfGroups, tree: frozenset[int], P: FiniteGroup,
+               maps: Sequence[Homomorphism], p: int,
+               oriented: Sequence[int] = (),
+               ext: Optional[InnerExtension] = None) -> Decision:
+    """The verified certificate with target P, the given vertex maps and
+    every edge mapped to the identity; with an inner extension ext of P
+    realizing the oriented edges, the target is ext.Hp, the maps go through
+    its embedding and each oriented edge maps to its conjugator."""
+    edge_images = [0] * gog.graph.ne
+    if ext is not None:
+        P = ext.Hp
+        maps = [ext.embedding.compose(m) for m in maps]
+        for e, t in zip(oriented, ext.conjugators):
+            edge_images[e] = t
+            edge_images[gog.graph.bar[e]] = P.inverse(t)
+    cert = Certificate(gog, tree, P, tuple(maps), tuple(edge_images), p)
     cert.verify()
     return Decision(YES, certificate=cert)
 
@@ -421,13 +405,16 @@ def homology_fiber_sum_check(gog: GraphOfGroups,
             return None
         return offs[v] + x - 1
 
+    # [x][s] = [xs] for s in a generating sequence S presents G_v: x -> [x]
+    # is then a morphism, by induction on words in S (which generate G_v as
+    # a monoid, G_v being finite)
     rels = []
     for v in range(Y.nv):
         Gv = gog.vgroups[v]
         for x in range(1, Gv.order):
-            for y in range(1, Gv.order):
-                z = Gv.mul(x, y)
-                rel = [gen_of(v, x) + 1, gen_of(v, y) + 1]
+            for s in generating_sequence(Gv):
+                z = Gv.mul(x, s)
+                rel = [gen_of(v, x) + 1, gen_of(v, s) + 1]
                 if z != 0:
                     rel.append(-(gen_of(v, z) + 1))
                 rels.append(tuple(rel))

@@ -13,7 +13,8 @@ import sys
 
 from . import algebra, catalog, certify, congruence, embed, filtration, graphs
 from . import serialize
-from .groups import FiniteGroup, Subgroup, full_subgroup, trivial_subgroup
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, full_subgroup,
+                     trivial_subgroup)
 from .results import Decision
 from .smith import Presentation, smith_abelianization
 
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DEFAULTS = {"json": False, "cap_wreath": 4096}
+_DEFAULTS = {"json": False, "cap_wreath": DEFAULT_ORDER_CAP}
 _PARSER = build_parser()
 
 

@@ -18,16 +18,19 @@ from .algebra import WreathProduct, wreath
 from .filtration import (Filtration, StretchMap, align_filtrations,
                          aligned_slots, central_p_step, chief_series,
                          induced_chain, lower_central_p_series, stretch)
-from .groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                     all_subgroups, amalgamated_sum, automorphisms,
-                     find_isomorphism, full_subgroup, generating_sequence,
-                     identity_hom, induced_hom, is_p_power,
-                     permutation_closure, permutation_group, quotient,
-                     right_coset_reps, semidirect_product, trivial_group,
-                     trivial_subgroup)
+from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
+                     Homomorphism, Subgroup, all_subgroups, amalgamated_sum,
+                     automorphisms, find_isomorphism, full_subgroup,
+                     generating_sequence, identity_hom, induced_hom,
+                     is_p_power, permutation_closure, permutation_group,
+                     quotient, right_coset_reps, semidirect_product,
+                     trivial_group, trivial_subgroup)
 from .results import NO, UNKNOWN, YES, Decision
 
-DEFAULT_HIGMAN_CAP = 4096
+# the largest G whose automorphisms are searched for layer-trivial extensions
+AUT_SEARCH_CAP = 64
+# the largest dimension of F_p^d whose complete flags are searched
+FLAG_DIM_CAP = 6
 
 
 @dataclass
@@ -170,7 +173,7 @@ def _predict(iG: list[int], iH: list[int], cU: list[int]) -> int:
 
 
 def higman_embed(am: Amalgam, FG: Filtration, FH: Filtration,
-                 cap: int = DEFAULT_HIGMAN_CAP, verify: bool = True) -> HigmanResult:
+                 cap: int = DEFAULT_ORDER_CAP, verify: bool = True) -> HigmanResult:
     """Strong embedding of a p-group amalgam into a p-group W, with a central
     p-filtration of W inducing compatible stretchings of the inputs.
 
@@ -527,7 +530,7 @@ def _central_p_subchains(G: FiniteGroup, series: Sequence[Subgroup], p: int):
     return out
 
 
-def feasible_witness(am: Amalgam, witness, p: int, cap: int = DEFAULT_HIGMAN_CAP):
+def feasible_witness(am: Amalgam, witness, p: int, cap: int = DEFAULT_ORDER_CAP):
     """Cheapest aligned central-p pair derived from a chief witness pair.
 
     Scans subchains of the witness chief series (still inducing equal chains
@@ -750,14 +753,14 @@ def _all_subspaces(space: ElabSpace) -> dict[int, list[tuple[int, ...]]]:
     return by_dim
 
 
-def unipotent_flag_extend(V: FiniteGroup, pas: Sequence[PartialAutomorphism],
-                          dim_cap: int = 6) -> Decision:
+def unipotent_flag_extend(V: FiniteGroup,
+                          pas: Sequence[PartialAutomorphism]) -> Decision:
     """A complete flag invariant under every partial automorphism with trivial
     layer action, plus unitriangular extensions; exhaustive, so 'no' is proof.
     """
     space = ElabSpace(V)
     d = space.dim
-    if d > dim_cap:
+    if d > FLAG_DIM_CAP:
         return Decision(UNKNOWN, reason=f"dimension {d} beyond flag search cap")
     for phi in pas:
         if phi.group is not V:
@@ -839,7 +842,7 @@ class InnerExtension:
 
 
 def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
-                    aut_cap: int = 64, size_cap: int = DEFAULT_HIGMAN_CAP) -> Decision:
+                    size_cap: int = DEFAULT_ORDER_CAP) -> Decision:
     """A p-group Hp >= G in which every phi_i becomes inner, or a proof of
     absence, or unknown-at-depth.
 
@@ -875,17 +878,16 @@ def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
     if witness is None:
         return Decision(NO, reason="no invariant chief filtration with "
                                    "trivial layer action")
-    return _extend_in_stabilizer(G, pas, witness, p, aut_cap, size_cap,
+    return _extend_in_stabilizer(G, pas, witness, p, size_cap,
                                  "no layer-trivial extension of a partial "
                                  "automorphism in Aut(G)")
 
 
-def _extend_in_stabilizer(G, pas, series, p, aut_cap, size_cap,
-                          missing: str) -> Decision:
+def _extend_in_stabilizer(G, pas, series, p, size_cap, missing: str) -> Decision:
     """Extend each phi by the first automorphism of G (in sorted order) that
     stabilizes series and acts trivially on its layers, then realize the
     extensions; unknown with reason ``missing`` when some phi has none."""
-    if G.order > aut_cap:
+    if G.order > AUT_SEARCH_CAP:
         return Decision(UNKNOWN, reason="automorphism search beyond cap")
     try:
         auts = automorphisms(G)
@@ -931,14 +933,15 @@ def _realize_semidirect(G, pas, perms, p, size_cap) -> Decision:
 
 def layerwise_inner_extension(G: FiniteGroup, F: Filtration,
                               pas: Sequence[PartialAutomorphism],
-                              aut_cap: int = 64,
-                              size_cap: int = DEFAULT_HIGMAN_CAP) -> Decision:
+                              size_cap: int = DEFAULT_ORDER_CAP) -> Decision:
     """Assemble per-layer flag certificates along a phi-invariant central
     filtration into a global inner-extension certificate.
 
-    Each layer must be elementary abelian (true for central p-filtrations);
-    a layer refutation propagates to a definite 'no' only when the layer
-    search is complete, otherwise 'unknown'.
+    Elementary abelian G goes to inner_extension, whose flag search covers
+    every flag.  Otherwise each layer must be elementary abelian (true for
+    central p-filtrations); a layer refutation propagates to a definite 'no'
+    only when the layer search is complete, otherwise 'unknown'.  The chain
+    of lifted flags is realized in the automorphisms of G that stabilize it.
     """
     p = G.prime()
     if p is None and G.order > 1:
@@ -949,16 +952,16 @@ def layerwise_inner_extension(G: FiniteGroup, F: Filtration,
         raise ValueError("the filtration must have finite length")
     if not all(phi.preserves(term) for term in F.terms for phi in pas):
         raise ValueError("filtration is not phi-invariant")
-    # build the refinement of F through per-layer flags
+    if G.is_elementary_abelian():
+        return inner_extension(G, pas, size_cap=size_cap)
+    # refine F through per-layer flags
     chain: list[Subgroup] = [F.term(1)]
-    nlevels = F.length()
-    for n in range(1, nlevels + 1):
+    for n in range(1, F.length() + 1):
         Ln, proj, to_parent = F.layer(n)
         if Ln.order == 1:
             continue
         if not Ln.is_elementary_abelian():
             return Decision(UNKNOWN, reason=f"layer {n} is not elementary abelian")
-        space = ElabSpace(Ln)
         layer_pas = []
         for phi in pas:
             mapping = _layer_map(proj, to_parent, [
@@ -977,16 +980,18 @@ def layerwise_inner_extension(G: FiniteGroup, F: Filtration,
             return res
         cert: FlagCertificate = res.certificate
         # lift the flag to subgroups between F_n and F_{n+1}
-        d = space.dim
-        for k in range(d - 1, 0, -1):
-            sub_elems = set(space.subspace_elems(cert.basis[:k]))
+        for k in range(cert.space.dim - 1, 0, -1):
+            sub_elems = set(cert.space.subspace_elems(cert.basis[:k]))
             lifted = sorted({to_parent[i] for i in range(len(to_parent))
                              if int(proj.map[i]) in sub_elems})
             chain.append(Subgroup(G, lifted, check=False))
         chain.append(F.term(n + 1))
-    refined = Filtration(G, chain, check=False)
-    then = inner_extension_with_chain(G, pas, refined, p, aut_cap, size_cap)
-    return then
+    if not all(phi.preserves(upper, lower)
+               for upper, lower in zip(chain, chain[1:]) for phi in pas):
+        return Decision(UNKNOWN, reason="assembled chain fails the trivial-"
+                                        "action criterion")
+    return _extend_in_stabilizer(G, pas, chain, p, size_cap,
+                                 "no chain-unipotent extension found")
 
 
 def _layer_map(proj: Homomorphism, to_parent: Sequence[int], pairs):
@@ -1001,21 +1006,6 @@ def _layer_map(proj: Homomorphism, to_parent: Sequence[int], pairs):
         if mapping.setdefault(int(proj.map[from_parent[x]]), q) != q:
             return None
     return mapping
-
-
-def inner_extension_with_chain(G, pas, chain: Filtration, p: int,
-                               aut_cap: int, size_cap: int) -> Decision:
-    """Realize conjugators for a given invariant chain with trivial action."""
-    series = list(chain.terms)
-    if not all(phi.preserves(upper, lower)
-               for upper, lower in zip(series, series[1:]) for phi in pas):
-        return Decision(UNKNOWN, reason="assembled chain fails the trivial-"
-                                        "action criterion")
-    if G.is_elementary_abelian():
-        return inner_extension(G, pas, aut_cap=aut_cap, size_cap=size_cap)
-    return _extend_in_stabilizer(
-        G, pas, [Subgroup(G, t.elems, check=False) for t in series], p,
-        aut_cap, size_cap, "no chain-unipotent extension found")
 
 
 # -- mapping tori -----------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from residuap import algebra, catalog, embed, graphs, kernels
+from residuap import algebra, catalog, certify, embed, graphs, groups, kernels
 from residuap.filtration import (Filtration, align_filtrations,
                                  induced_chain)
 from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
@@ -75,6 +75,57 @@ def free_product(*groups: FiniteGroup):
     return graphs.GraphOfGroups(
         Y, groups, [triv] * Y.ne,
         [Homomorphism(triv, groups[Y.term[e]], [0]) for e in range(Y.ne)])
+
+
+def forbid_tables_above_cap(monkeypatch):
+    """Make direct_product, in every module that holds it by name, and
+    catalog.cyclic fail, before they allocate, on any table of order above
+    DEFAULT_ORDER_CAP."""
+    cap = groups.DEFAULT_ORDER_CAP
+    product, cyclic = groups.direct_product, catalog.cyclic
+
+    def guarded_product(G, H, name=None):
+        assert G.order * H.order <= cap, \
+            f"a direct product of order {G.order * H.order} was built"
+        return product(G, H, name)
+
+    def guarded_cyclic(n):
+        assert n <= cap, f"a cyclic group of order {n} was built"
+        return cyclic(n)
+
+    for module in (groups, certify, embed, catalog):
+        if hasattr(module, "direct_product"):
+            monkeypatch.setattr(module, "direct_product", guarded_product)
+    monkeypatch.setattr(catalog, "cyclic", guarded_cyclic)
+
+
+def random_hnn_loop(G: FiniteGroup, rng: random.Random) -> graphs.GraphOfGroups:
+    """A loop over G whose edge group is a random proper subgroup U: f_e is
+    the inclusion of U, and f_bar(e) maps U onto a random subgroup of G
+    isomorphic to U through find_isomorphism."""
+    subs = [S for S in all_subgroups(G) if len(S) < G.order]
+    U = rng.choice(subs)
+    UG, to_parent, _ = U.as_group("U")
+    onto = []
+    for S in subs:
+        SG, s_parent, _ = S.as_group()
+        iso = find_isomorphism(UG, SG)
+        if iso is not None:
+            onto.append([s_parent[int(y)] for y in iso.map])
+    Y = graphs.Graph.from_topological(1, [(0, 0)])
+    return graphs.GraphOfGroups(Y, [G], [UG, UG],
+                                [Homomorphism(UG, G, to_parent),
+                                 Homomorphism(UG, G, rng.choice(onto))])
+
+
+def c4xc2_loop():
+    """Loop over C4 x C2 = <x> x <y> whose edge C2 maps to x^2 and to y.
+    Gamma^p of C4 x C2 is <x^2>, which the edge map x^2 -> y does not keep."""
+    G = catalog.abelian(4, 2)           # x = (1, 0) is 2, y = (0, 1) is 1
+    C2 = catalog.cyclic(2)
+    Y = graphs.Graph.from_topological(1, [(0, 0)])
+    return graphs.GraphOfGroups(Y, [G], [C2, C2], [Homomorphism(C2, G, [0, 4]),
+                                                   Homomorphism(C2, G, [0, 1])])
 
 
 def shift_loop():

@@ -1,12 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from helpers import (Letter, axis_swap_loop, c4_star_c4, chain, d8_center_hnn,
-                     elab_elem, evaluate, fresh, free_product,
-                     reference_colimit_sigma, reference_direct_sum,
-                     shift_loop, swap_loop, theta_graph, word_to_path)
+                     elab_elem, evaluate, forbid_tables_above_cap, fresh,
+                     free_product, random_hnn_loop, reference_colimit_sigma,
+                     reference_direct_sum, shift_loop, swap_loop, theta_graph,
+                     word_to_path)
 
 from residuap import catalog, certify, embed, groups
 from residuap.certify import (Certificate, certify_residually_p,
@@ -93,24 +95,9 @@ def test_certify_free_products():
                    for psi, m in zip(dec.certificate.vertex_maps, maps))
 
 
-def _forbid_tables_above_cap(monkeypatch):
-    """Make direct_product fail, before it allocates, on any table of order
-    above DEFAULT_ORDER_CAP, in every module that holds it by name."""
-    real = groups.direct_product
-
-    def guarded(G, H, name=None):
-        assert G.order * H.order <= groups.DEFAULT_ORDER_CAP, \
-            f"a direct product of order {G.order * H.order} was built"
-        return real(G, H, name)
-
-    for module in (groups, certify, embed, catalog):
-        if hasattr(module, "direct_product"):
-            monkeypatch.setattr(module, "direct_product", guarded)
-
-
 def test_five_vertex_free_product_stops_at_the_cap(monkeypatch):
     # the direct product of five F_2^3 has order 32768: an 8 GiB table
-    _forbid_tables_above_cap(monkeypatch)
+    forbid_tables_above_cap(monkeypatch)
     E8 = catalog.elementary_abelian(2, 3)
     gog = free_product(*(fresh(E8, f"E{i}") for i in range(5)))
     dec = certify_residually_p(gog, 2)
@@ -133,7 +120,7 @@ def test_unfoldings_of_a_loop_over_f2_cubed_sum_within_the_cap(monkeypatch):
     # the stable letter acts by a matrix of order 7, so the C_n unfolding is
     # residually 2 exactly when 7 divides n; Sigma has order 8 each time,
     # while the full direct sum has order 8^n (8 GiB of table at n = 5)
-    _forbid_tables_above_cap(monkeypatch)
+    forbid_tables_above_cap(monkeypatch)
     E8 = catalog.elementary_abelian(2, 3)
     sp = ElabSpace(E8)
     M = ((0, 1, 0), (0, 0, 1), (1, 1, 0))
@@ -272,6 +259,25 @@ def test_homology_fiber_sum_examples():
     # swap loop: hypothesis fails, reported but not an error
     r = homology_fiber_sum_check(swap_loop())
     assert r["hypothesis"] is False and r["match"] is None
+
+
+def test_homology_presents_vertex_groups_by_generators(monkeypatch):
+    # loop over F_3^3 with the identity: one relator [x][s] = [xs] per
+    # nonzero x and s in generating_sequence, and one row per nonzero edge
+    # element; all (|G| - 1)^2 products would give 676 + 26 rows
+    G = catalog.elementary_abelian(3, 3)
+    ide = Homomorphism(G, G, list(range(27)))
+    loop = GraphOfGroups(Graph.from_topological(1, [(0, 0)]), [G], [G, G],
+                         [ide, ide])
+    counts, real = [], certify.smith_abelianization
+
+    def recording(pres):
+        counts.append(len(pres.relators))
+        return real(pres)
+    monkeypatch.setattr(certify, "smith_abelianization", recording)
+    r = homology_fiber_sum_check(loop)
+    assert counts == [26 * len(groups.generating_sequence(G)) + 26] == [104]
+    assert r["match"] and r["H1_free_rank"] == 1 and r["H1_torsion"] == [3, 3, 3]
 
 
 def test_separating_level():
@@ -421,20 +427,32 @@ def test_separating_level_single_position_variant():
         assert single is not None and single <= full
 
 
+@pytest.mark.parametrize("name", ["C4xC2", "C8xC2", "C4xC2xC2", "C9xC3"])
+def test_hnn_loops_over_abelian_groups_give_a_decision(name):
+    G = catalog.by_name(name)
+    rng = random.Random(f"hnn-loops:{name}")
+    for _ in range(12):
+        dec = certify_residually_p(random_hnn_loop(G, rng), G.prime())
+        assert dec.status in (YES, NO, UNKNOWN)
+        if dec.is_yes:
+            dec.certificate.verify()
+
+
 def test_sigma_coordinates_are_built_once(monkeypatch):
     from residuap import certify, embed
     built, sigmas = [], []
-    init, inner = embed.ElabSpace.__init__, certify._inner_for_sigma
+    init, colimit = embed.ElabSpace.__init__, certify.colimit_sigma
 
     def counting_init(self, V):
         built.append(V)
         init(self, V)
 
-    def recording_inner(sigma, *args):
-        sigmas.append(sigma)
-        return inner(sigma, *args)
+    def recording_colimit(*args):
+        col = colimit(*args)
+        sigmas.append(col.sigma)
+        return col
     monkeypatch.setattr(embed.ElabSpace, "__init__", counting_init)
-    monkeypatch.setattr(certify, "_inner_for_sigma", recording_inner)
+    monkeypatch.setattr(certify, "colimit_sigma", recording_colimit)
     assert certify_residually_p(shift_loop(), 3).is_yes
     (sigma,) = sigmas
     assert sum(V is sigma for V in built) == 1

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from helpers import c4_star_c4, elab_elem, shift_loop, swap_loop, theta_graph
+from helpers import (c4_star_c4, c4xc2_loop, elab_elem,
+                     forbid_tables_above_cap, shift_loop, swap_loop,
+                     theta_graph)
 
 import residuap
 from residuap import algebra, catalog, cli, filtration, serialize
@@ -92,6 +94,24 @@ def test_gog_certify_exit_codes(capsys, tmp_path):
     code, out = run(capsys, "gog", "certify", "--file", str(neg), "--p", "3",
                     "--json")
     assert code == 10
+
+
+def test_gog_certify_sigma_filtration_not_invariant_exits_20(capsys, tmp_path):
+    f = tmp_path / "c4xc2.json"
+    f.write_text(serialize.dumps({"gog": serialize.gog_to_obj(c4xc2_loop())}))
+    code = main(["gog", "certify", "--file", str(f), "--p", "2"])
+    captured = capsys.readouterr()
+    assert code == 20 and captured.err == ""
+    assert captured.out == ("status: unknown\nreason: Sigma filtration is not "
+                            "invariant under an edge map\n")
+
+
+def test_catalog_name_above_the_cap_exits_1(capsys, monkeypatch):
+    forbid_tables_above_cap(monkeypatch)
+    assert main(["group", "--group", "catalog:C100000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: CapExceeded: catalog group C100000 exceeds order " \
+                  "cap 4096\n"
 
 
 def test_embed_flag_exit_codes(capsys, tmp_path):

@@ -12,7 +12,7 @@ from residuap.groups import (CapExceeded, FiniteGroup, GroupAction,
 
 import numpy as np
 
-from helpers import (fresh, reference_as_group_table,
+from helpers import (forbid_tables_above_cap, fresh, reference_as_group_table,
                      reference_automorphisms, reference_isomorphism,
                      reference_quotient, relabel)
 
@@ -30,6 +30,21 @@ def test_catalog_tables_are_groups(name):
     # validation is exhaustive for these orders
     FiniteGroup(G.mult, validate=True)
     assert G.mul(0, 1) == 1 and G.mul(1, 0) == 1
+
+
+@pytest.mark.parametrize("name", ["C100000", "C2^13", "C2^14", "C64xC128",
+                                  "C2^1000000000"])
+def test_catalog_refuses_orders_above_the_cap(monkeypatch, name):
+    # the order is read from the name, so no table is built
+    forbid_tables_above_cap(monkeypatch)
+    with pytest.raises(CapExceeded, match="exceeds order cap 4096"):
+        catalog.by_name(name)
+
+
+@pytest.mark.parametrize("name", ["C2^0", "C3^-1", "C1^5"])
+def test_catalog_refuses_powers_of_rank_below_1_or_p_below_2(name):
+    with pytest.raises(ValueError, match="needs p >= 2 and r >= 1"):
+        catalog.by_name(name)
 
 
 def test_subgroup_generated_examples():
