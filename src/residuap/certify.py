@@ -17,12 +17,15 @@ import numpy as np
 
 from .embed import (Amalgam, InnerExtension, PartialAutomorphism,
                     higman_embed, layerwise_inner_extension)
-from .filtration import AlignmentError, Filtration, lower_central_p_series
+from .filtration import (AlignmentError, Filtration, central_p_step,
+                         lower_central_p_series)
 from .graphs import (GogFiltration, Graph, GraphOfGroups, NormalFormContext,
                      PathWord, maximal_subtree)
 from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
-                     Homomorphism, Subgroup, amalgamated_sum,
-                     generating_sequence, require_prime, trivial_group)
+                     Homomorphism, Subgroup, abelian_invariants,
+                     amalgamated_sum, full_subgroup, generating_sequence,
+                     normal_closure, require_prime, subgroup_generated,
+                     trivial_group)
 from .results import UNKNOWN, YES, Decision
 from .smith import Presentation, smith_abelianization
 
@@ -189,45 +192,32 @@ def certify_residually_p(gog: GraphOfGroups, p: int,
             return _certify_abelian(gog, p, tree, cap)
     except CapExceeded as exc:
         return Decision(UNKNOWN, reason=str(exc))
-    gfilt = _gamma_gog_filtration(gog, p)
+    gfilt = compatible_gamma_collection(gog, p)
     if gfilt is None:
         return Decision(UNKNOWN, reason="lower central p-filtrations are not "
                                         "a compatible collection")
     return reduction_certify(gog, gfilt, tree, p, cap=cap)
 
 
-def _gamma_gog_filtration(gog: GraphOfGroups, p: int) -> Optional[GogFiltration]:
-    filts = tuple(lower_central_p_series(gog.vgroups[v], p)
-                  for v in range(gog.graph.nv))
-    try:
-        return GogFiltration(gog, filts)
-    except ValueError:
-        return compatible_gamma_collection(gog, p)
-
-
 def compatible_gamma_collection(gog: GraphOfGroups,
                                 p: int) -> Optional[GogFiltration]:
     """The fastest compatible central-p filtration of the graph of groups.
 
-    Level by level, start from the gamma^p step of the current terms and
-    enlarge along the edges until every edge pulls back equally from both
-    ends (a monotone fixpoint in a finite lattice, so this terminates and
-    stays descending and central-p).  Returns None when the chain stabilizes
-    above the trivial subgroup, which the caller reports as unknown.
+    Level by level, start from the gamma^p step of the current terms (the
+    step of lower_central_p_series) and enlarge along the edges until every
+    edge pulls back equally from both ends (a monotone fixpoint in a finite
+    lattice, so this terminates and stays descending).  When the gamma^p
+    series already form a compatible collection, the levels are their
+    terms.  Returns None when the chain stabilizes above the trivial
+    subgroup or is not central-p (an enlarged term that is not normal),
+    which the caller reports as unknown.
     """
-    from . import kernels
-    from .groups import full_subgroup, subgroup_generated
     Y = gog.graph
-    levels = [[full_subgroup(gog.vgroups[v]) for v in range(Y.nv)]]
+    levels = [[full_subgroup(G) for G in gog.vgroups]]
     for _ in range(GAMMA_COLLECTION_DEPTH):
         cur = levels[-1]
-        nxt = []
-        for v in range(Y.nv):
-            G = gog.vgroups[v]
-            gens = kernels.commutators(G.mult, G.inv, range(G.order),
-                                       cur[v].elems)
-            gens += kernels.powers(G.mult, cur[v].elems, p)
-            nxt.append(subgroup_generated(G, gens))
+        nxt = [normal_closure(G, central_p_step(G, T, p))
+               for G, T in zip(gog.vgroups, cur)]
         changed = True
         while changed:
             changed = False
@@ -257,11 +247,9 @@ def compatible_gamma_collection(gog: GraphOfGroups,
         return None
     filts = tuple(Filtration(gog.vgroups[v], [lev[v] for lev in levels],
                              check=False) for v in range(Y.nv))
-    gf = GogFiltration(gog, filts)
-    for v in range(Y.nv):
-        if not filts[v].is_central_p(p):
-            return None
-    return gf
+    if not all(F.is_central_p(p) for F in filts):
+        return None
+    return GogFiltration(gog, filts)
 
 
 def _certify_abelian(gog: GraphOfGroups, p: int, tree: frozenset[int],
@@ -435,7 +423,6 @@ def homology_fiber_sum_check(gog: GraphOfGroups,
                 rels.append(tuple(rel))
     pres = Presentation(ngens, tuple(rels))
     ab = smith_abelianization(pres)
-    from .groups import abelian_invariants
     sig_inv = abelian_invariants(col.sigma)
     expected_rank = len(non_tree)
     match = (ab.free_rank == expected_rank

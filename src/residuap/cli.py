@@ -25,12 +25,21 @@ def _load_group(spec: str) -> FiniteGroup:
     if spec.startswith("catalog:"):
         name = spec.split(":", 1)[1]
         override = os.environ.get("RESIDUAP_CATALOG")
-        if override:
-            with open(os.path.join(override, name + ".json")) as fh:
-                return serialize.group_from_obj(json.load(fh))
-        return catalog.by_name(name)
-    with open(spec) as fh:
-        return serialize.group_from_obj(json.load(fh))
+        if not override:
+            return catalog.by_name(name)
+        spec = os.path.join(override, name + ".json")
+    return serialize.group_from_obj(_read_object(spec))
+
+
+def _read_object(path) -> dict:
+    """The JSON object in the file at path (a command's --file)."""
+    if path is None:
+        raise ValueError("this command needs --file")
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return data
 
 
 def _emit(args, payload: dict, code: int = 0) -> int:
@@ -121,8 +130,7 @@ def cmd_algebra(args) -> int:
 
 def cmd_embed(args) -> int:
     if args.what == "fibersum":
-        with open(args.file) as fh:
-            data = json.load(fh)
+        data = _read_object(args.file)
         A = serialize.group_from_obj(data["A"])
         B = serialize.group_from_obj(data["B"])
         U = serialize.group_from_obj(data["U"])
@@ -133,8 +141,7 @@ def cmd_embed(args) -> int:
                             "iota_A": serialize.hom_to_obj(iA),
                             "iota_B": serialize.hom_to_obj(iB)})
     if args.what == "higman":
-        with open(args.file) as fh:
-            data = json.load(fh)
+        data = _read_object(args.file)
         am, FG, FH = _amalgam_from_obj(data)
         try:
             res = embed.higman_embed(am, FG, FH, cap=args.cap_wreath)
@@ -151,8 +158,7 @@ def cmd_embed(args) -> int:
                     "beta": serialize.hom_to_obj(res.embedding.beta)}))
         return _emit(args, payload)
     if args.what == "flag":
-        with open(args.file) as fh:
-            data = json.load(fh)
+        data = _read_object(args.file)
         V = serialize.group_from_obj(data["group"])
         pas = _pas_from_obj(V, data["partial_automorphisms"])
         dec = embed.unipotent_flag_extend(V, pas)
@@ -163,8 +169,7 @@ def cmd_embed(args) -> int:
                                  for m in dec.certificate.matrices]
         return _decision_exit(args, dec, extra)
     if args.what == "inner":
-        with open(args.file) as fh:
-            data = json.load(fh)
+        data = _read_object(args.file)
         V = serialize.group_from_obj(data["group"])
         pas = _pas_from_obj(V, data["partial_automorphisms"])
         dec = embed.inner_extension(V, pas)
@@ -174,8 +179,7 @@ def cmd_embed(args) -> int:
             extra["conjugators"] = list(dec.certificate.conjugators)
         return _decision_exit(args, dec, extra)
     if args.what == "mapping-torus":
-        with open(args.file) as fh:
-            data = json.load(fh)
+        data = _read_object(args.file)
         G = serialize.group_from_obj(data["group"])
         rep = embed.mapping_torus_check(
             G, [serialize.hom_from_obj(G, G, a).map
@@ -225,8 +229,7 @@ def _pas_from_obj(V, items):
 
 
 def cmd_gog(args) -> int:
-    with open(args.file) as fh:
-        data = json.load(fh)
+    data = _read_object(args.file)
     gog = serialize.gog_from_obj(data["gog"] if "gog" in data else data)
     tree = graphs.maximal_subtree(gog.graph, 0)
     if args.what == "normal-form":
@@ -309,31 +312,42 @@ def cmd_congruence(args) -> int:
         rep = congruence.power_map_injectivity(p, k)
         return _emit(args, rep, 0 if rep["all_injective"] else EXIT_ERROR)
     if args.what == "utorder":
-        with open(args.file) as fh:
-            data = json.load(fh)
-        order = congruence.unitriangular_order(data["n"], data["p"], data["d"],
-                                               data["N"])
+        data = _read_object(args.file)
+        order = congruence.unitriangular_order(
+            _ints(data, "n"), _ints(data, "p"), _ints(data, "d"),
+            _ints(data, "N", 2))
         return _emit(args, {"order": order})
     if args.what == "smith":
-        with open(args.file) as fh:
-            data = json.load(fh)
-        pres = Presentation(data["ngens"], tuple(tuple(r) for r in data["relators"]))
+        data = _read_object(args.file)
+        pres = Presentation(_ints(data, "ngens"), _ints(data, "relators", 2))
         ab = smith_abelianization(pres)
         return _emit(args, {"free_rank": ab.free_rank,
                             "torsion": list(ab.torsion)})
     if args.what == "matrixfilt":
-        with open(args.file) as fh:
-            data = json.load(fh)
+        data = _read_object(args.file)
         spec = congruence.MatrixGroupSpec(
-            generators=tuple(tuple(tuple(row) for row in g)
-                             for g in data["generators"]),
-            presentation=Presentation(data["ngens"],
-                                      tuple(tuple(r) for r in data["relators"])),
-            subgroups=tuple(congruence.TSpec(tuple(tuple(w) for w in t))
-                            for t in data.get("subgroups", [])))
+            generators=_ints(data, "generators", 3),
+            presentation=Presentation(_ints(data, "ngens"),
+                                      _ints(data, "relators", 2)),
+            subgroups=tuple(map(congruence.TSpec, _ints(data, "subgroups", 3)
+                                if "subgroups" in data else ())))
         rep = congruence.matrix_p_filtration(spec, args.p, args.kmax)
         return _emit(args, rep)
     raise ValueError(f"unknown congruence operation {args.what!r}")
+
+
+def _ints(data: dict, key: str, depth: int = 0):
+    """data[key] as an integer (depth 0) or as tuples of integers nested
+    depth deep; any other value is refused, as serialize._field refuses a
+    field of the wrong type."""
+    def read(x, d):
+        if d == 0 and isinstance(x, int):
+            return x
+        if d > 0 and isinstance(x, list):
+            return tuple(read(y, d - 1) for y in x)
+        raise ValueError(f"congruence field {key!r} must be " + (
+            "an integer" if depth == 0 else f"integer lists nested {depth} deep"))
+    return read(data[key], depth)
 
 
 def _parse_pk(text: str) -> tuple[int, int]:
@@ -342,10 +356,7 @@ def _parse_pk(text: str) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
-    with open(args.file) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a certificate must be a JSON object")
+    data = _read_object(args.file)
     kind = data.get("kind")
     if kind == "residually-p-certificate":
         cert = serialize.certificate_from_obj(data)
@@ -438,7 +449,7 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (ValueError, KeyError) as exc:

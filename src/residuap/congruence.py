@@ -250,6 +250,8 @@ def unitriangular_order(n: int, p: int, d: int, N: Sequence[Sequence[int]]) -> i
         raise ValueError("the lemma requires p >= n")
     mod = p ** d
     N = [list(map(int, row)) for row in N]
+    if len(N) != n or any(len(row) != n for row in N):
+        raise ValueError("N must be an n x n matrix")
     for i in range(n):
         for j in range(0, i + 1):
             if N[i][j] % mod:

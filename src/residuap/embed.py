@@ -697,6 +697,12 @@ class PartialAutomorphism:
         return lower is None or all(
             G.mul(self.mapping[a], G.inverse(a)) in lower for a in au)
 
+    def preserves_chain(self, chain) -> bool:
+        """preserves(upper, lower) for each consecutive pair of chain: phi
+        keeps every term and acts trivially on every layer."""
+        return all(self.preserves(upper, lower)
+                   for upper, lower in zip(chain, chain[1:]))
+
 
 @dataclass
 class FlagCertificate:
@@ -871,8 +877,7 @@ def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
     # general p-group: chief filtrations satisfying the invariance criterion
     witness = None
     for ser in chief_series(G):
-        if all(phi.preserves(upper, lower)
-               for upper, lower in zip(ser, ser[1:]) for phi in pas):
+        if all(phi.preserves_chain(ser) for phi in pas):
             witness = ser
             break
     if witness is None:
@@ -885,34 +890,27 @@ def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
 
 def _extend_in_stabilizer(G, pas, series, p, size_cap, missing: str) -> Decision:
     """Extend each phi by the first automorphism of G (in sorted order) that
-    stabilizes series and acts trivially on its layers, then realize the
-    extensions; unknown with reason ``missing`` when some phi has none."""
+    restricts to phi and, as a partial automorphism on all of G, preserves
+    the chain series; then realize the extensions.  Unknown with reason
+    ``missing`` when some phi has none."""
     if G.order > AUT_SEARCH_CAP:
         return Decision(UNKNOWN, reason="automorphism search beyond cap")
     try:
         auts = automorphisms(G)
     except CapExceeded as exc:
         return Decision(UNKNOWN, reason=str(exc))
-    stab = [a for a in auts if _stabilizes_chain(G, a, series)]
+    full = full_subgroup(G)
     perms = []
     for phi in pas:
-        found = next((a for a in stab
-                      if all(int(a[x]) == phi(x) for x in phi.A.elems)), None)
+        found = next((a for a in auts
+                      if all(int(a[x]) == phi(x) for x in phi.A.elems)
+                      and PartialAutomorphism(G, full, full, dict(
+                          enumerate(a.tolist()))).preserves_chain(series)),
+                     None)
         if found is None:
             return Decision(UNKNOWN, reason=missing)
         perms.append(found)
     return _realize_semidirect(G, pas, perms, p, size_cap)
-
-
-def _stabilizes_chain(G, perm, series) -> bool:
-    for upper, lower in zip(series, series[1:]):
-        for x in upper.elems:
-            y = int(perm[x])
-            if y not in upper:
-                return False
-            if G.mul(y, G.inverse(x)) not in lower:
-                return False
-    return True
 
 
 def _realize_semidirect(G, pas, perms, p, size_cap) -> Decision:
@@ -986,8 +984,7 @@ def layerwise_inner_extension(G: FiniteGroup, F: Filtration,
                              if int(proj.map[i]) in sub_elems})
             chain.append(Subgroup(G, lifted, check=False))
         chain.append(F.term(n + 1))
-    if not all(phi.preserves(upper, lower)
-               for upper, lower in zip(chain, chain[1:]) for phi in pas):
+    if not all(phi.preserves_chain(chain) for phi in pas):
         return Decision(UNKNOWN, reason="assembled chain fails the trivial-"
                                         "action criterion")
     return _extend_in_stabilizer(G, pas, chain, p, size_cap,

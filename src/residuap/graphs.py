@@ -153,40 +153,6 @@ def path_word(gog: GraphOfGroups, base: int, g0: int,
     return PathWord(base, g0, tuple((int(e), int(g)) for e, g in steps))
 
 
-def multiply(gog: GraphOfGroups, a: PathWord, b: PathWord) -> PathWord:
-    if a.end(gog) != b.base:
-        raise ValueError("paths are not composable")
-    if not b.steps:
-        if not a.steps:
-            return PathWord(a.base, gog.vgroups[a.base].mul(a.g0, b.g0), ())
-        steps = list(a.steps)
-        e, g = steps[-1]
-        steps[-1] = (e, gog.vgroups[gog.graph.term[e]].mul(g, b.g0))
-        return PathWord(a.base, a.g0, tuple(steps))
-    if not a.steps:
-        return PathWord(a.base, gog.vgroups[a.base].mul(a.g0, b.g0), b.steps)
-    steps = list(a.steps)
-    e, g = steps[-1]
-    mid = gog.vgroups[gog.graph.term[e]].mul(g, b.g0)
-    steps[-1] = (e, mid)
-    return PathWord(a.base, a.g0, tuple(steps) + b.steps)
-
-
-def inverse(gog: GraphOfGroups, a: PathWord) -> PathWord:
-    if not a.steps:
-        return PathWord(a.base, gog.vgroups[a.base].inverse(a.g0), ())
-    Y = gog.graph
-    g0 = gog.vgroups[a.end(gog)].inverse(a.steps[-1][1])
-    steps = []
-    items = [(None, a.g0)] + list(a.steps)
-    for i in range(len(a.steps), 0, -1):
-        e, _ = items[i]
-        prev_g = items[i - 1][1]
-        v = Y.orig[e]
-        steps.append((Y.bar[e], gog.vgroups[v].inverse(prev_g)))
-    return PathWord(a.end(gog), g0, tuple(steps))
-
-
 def _transversal(gog: GraphOfGroups, e: int):
     """Right-coset data for f_e(G_e) <= G_{term(e)} with minimal-index reps.
 

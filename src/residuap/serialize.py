@@ -21,6 +21,8 @@ def group_to_obj(G: FiniteGroup) -> dict:
 
 
 def group_from_obj(obj: dict) -> FiniteGroup:
+    if not isinstance(obj, dict):
+        raise ValueError("a group must be a JSON object")
     mult = np.asarray(obj["mult"])
     if mult.dtype.kind not in "iu":
         # a float entry such as 2.9 is refused, not truncated to 2
@@ -215,7 +217,3 @@ def _spanning_tree(Y: Graph, edges: list) -> frozenset[int]:
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def loads(text: str) -> Any:
-    return json.loads(text)

@@ -12,7 +12,8 @@ import numpy as np
 
 from residuap import algebra, catalog, certify, embed, graphs, groups, kernels
 from residuap.filtration import (Filtration, align_filtrations,
-                                 induced_chain)
+                                 induced_chain, lower_central_p_series)
+from residuap.graphs import GraphOfGroups, PathWord
 from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
                              all_subgroups, automorphisms, direct_product,
                              find_isomorphism, full_subgroup,
@@ -99,23 +100,42 @@ def forbid_tables_above_cap(monkeypatch):
     monkeypatch.setattr(catalog, "cyclic", guarded_cyclic)
 
 
-def random_hnn_loop(G: FiniteGroup, rng: random.Random) -> graphs.GraphOfGroups:
-    """A loop over G whose edge group is a random proper subgroup U: f_e is
-    the inclusion of U, and f_bar(e) maps U onto a random subgroup of G
-    isomorphic to U through find_isomorphism."""
-    subs = [S for S in all_subgroups(G) if len(S) < G.order]
-    U = rng.choice(subs)
+def _random_edge(G: FiniteGroup, H: FiniteGroup, rng: random.Random):
+    """A random proper subgroup U of G as a group of its own, its inclusion
+    into G, and a map of U onto a random proper subgroup of H isomorphic to
+    U through find_isomorphism (None when H has none)."""
+    U = rng.choice([S for S in all_subgroups(G) if len(S) < G.order])
     UG, to_parent, _ = U.as_group("U")
     onto = []
-    for S in subs:
+    for S in all_subgroups(H):
+        if len(S) == H.order:
+            continue
         SG, s_parent, _ = S.as_group()
         iso = find_isomorphism(UG, SG)
         if iso is not None:
             onto.append([s_parent[int(y)] for y in iso.map])
+    return (UG, Homomorphism(UG, G, to_parent),
+            Homomorphism(UG, H, rng.choice(onto)) if onto else None)
+
+
+def random_hnn_loop(G: FiniteGroup, rng: random.Random) -> graphs.GraphOfGroups:
+    """A loop over G whose edge group is a random proper subgroup U: f_e is
+    the inclusion of U, and f_bar(e) maps U onto a random subgroup of G
+    isomorphic to U through find_isomorphism."""
+    UG, into, onto = _random_edge(G, G, rng)
     Y = graphs.Graph.from_topological(1, [(0, 0)])
-    return graphs.GraphOfGroups(Y, [G], [UG, UG],
-                                [Homomorphism(UG, G, to_parent),
-                                 Homomorphism(UG, G, rng.choice(onto))])
+    return graphs.GraphOfGroups(Y, [G], [UG, UG], [into, onto])
+
+
+def random_amalgam(G: FiniteGroup, H: FiniteGroup,
+                   rng: random.Random) -> Optional[graphs.GraphOfGroups]:
+    """G and H amalgamated along a random proper subgroup U of G, mapped onto
+    a random subgroup of H isomorphic to U; None when H has none."""
+    UG, into, onto = _random_edge(G, H, rng)
+    if onto is None:
+        return None
+    Y = graphs.Graph.from_topological(2, [(0, 1)])
+    return graphs.GraphOfGroups(Y, [G, H], [UG, UG], [onto, into])
 
 
 def c4xc2_loop():
@@ -192,6 +212,44 @@ def nf_test_graphs():
             axis_swap_loop(),
             theta_graph(),
             d8_center_hnn()]
+
+
+# -- products of path words --------------------------------------------------
+
+def multiply(gog: GraphOfGroups, a: PathWord, b: PathWord) -> PathWord:
+    """The path a followed by the path b."""
+    if a.end(gog) != b.base:
+        raise ValueError("paths are not composable")
+    if not b.steps:
+        if not a.steps:
+            return PathWord(a.base, gog.vgroups[a.base].mul(a.g0, b.g0), ())
+        steps = list(a.steps)
+        e, g = steps[-1]
+        steps[-1] = (e, gog.vgroups[gog.graph.term[e]].mul(g, b.g0))
+        return PathWord(a.base, a.g0, tuple(steps))
+    if not a.steps:
+        return PathWord(a.base, gog.vgroups[a.base].mul(a.g0, b.g0), b.steps)
+    steps = list(a.steps)
+    e, g = steps[-1]
+    mid = gog.vgroups[gog.graph.term[e]].mul(g, b.g0)
+    steps[-1] = (e, mid)
+    return PathWord(a.base, a.g0, tuple(steps) + b.steps)
+
+
+def inverse(gog: GraphOfGroups, a: PathWord) -> PathWord:
+    """The path a walked backwards, with inverted elements."""
+    if not a.steps:
+        return PathWord(a.base, gog.vgroups[a.base].inverse(a.g0), ())
+    Y = gog.graph
+    g0 = gog.vgroups[a.end(gog)].inverse(a.steps[-1][1])
+    steps = []
+    items = [(None, a.g0)] + list(a.steps)
+    for i in range(len(a.steps), 0, -1):
+        e, _ = items[i]
+        prev_g = items[i - 1][1]
+        v = Y.orig[e]
+        steps.append((Y.bar[e], gog.vgroups[v].inverse(prev_g)))
+    return PathWord(a.end(gog), g0, tuple(steps))
 
 
 # -- closed path words -------------------------------------------------------
@@ -1232,3 +1290,99 @@ def reference_feasible_witness(am, witness, p: int, cap: int):
             if pred <= cap and (best is None or pred < best[2]):
                 best = (FG, FH, pred)
     return best
+
+
+# -- reference gamma^p collection and stabilizer choice ------------------------
+#
+# certify.certify_residually_p used to try the gamma^p series of the vertex
+# groups first and fall back to compatible_gamma_collection when they were
+# not a compatible collection; the fallback's level step was the subgroup
+# generated by [x, t] for every x in G and the t^p.  embed's
+# _extend_in_stabilizer used to keep the automorphisms that stabilize the
+# chain with trivial layer action (a loop of its own) before taking, for each
+# phi, the first one that restricts to phi.
+
+def reference_gamma_gog_filtration(gog: graphs.GraphOfGroups,
+                                   p: int) -> Optional[graphs.GogFiltration]:
+    filts = tuple(lower_central_p_series(G, p) for G in gog.vgroups)
+    try:
+        return graphs.GogFiltration(gog, filts)
+    except ValueError:
+        return reference_compatible_gamma_collection(gog, p)
+
+
+def reference_compatible_gamma_collection(gog: graphs.GraphOfGroups,
+                                          p: int) -> Optional[graphs.GogFiltration]:
+    Y = gog.graph
+    levels = [[full_subgroup(gog.vgroups[v]) for v in range(Y.nv)]]
+    for _ in range(certify.GAMMA_COLLECTION_DEPTH):
+        cur = levels[-1]
+        nxt = []
+        for v in range(Y.nv):
+            G = gog.vgroups[v]
+            gens = kernels.commutators(G.mult, G.inv, range(G.order),
+                                       cur[v].elems)
+            gens += kernels.powers(G.mult, cur[v].elems, p)
+            nxt.append(subgroup_generated(G, gens))
+        changed = True
+        while changed:
+            changed = False
+            for e in range(Y.ne):
+                vt, vo = Y.term[e], Y.term[Y.bar[e]]
+                A = gog.emaps[e].preimage(nxt[vt])
+                B = gog.emaps[Y.bar[e]].preimage(nxt[vo])
+                if A.elems == B.elems:
+                    continue
+                C = subgroup_generated(gog.egroups[e], sorted(A._set | B._set))
+                new_t = subgroup_generated(gog.vgroups[vt], list(nxt[vt].elems)
+                                           + [gog.emaps[e](x) for x in C.elems])
+                new_o = subgroup_generated(gog.vgroups[vo], list(nxt[vo].elems)
+                                           + [gog.emaps[Y.bar[e]](x)
+                                              for x in C.elems])
+                if new_t.elems != nxt[vt].elems or new_o.elems != nxt[vo].elems:
+                    nxt[vt], nxt[vo] = new_t, new_o
+                    changed = True
+        if [s.elems for s in nxt] == [s.elems for s in cur]:
+            return None
+        levels.append(nxt)
+        if all(s.is_trivial() for s in nxt):
+            break
+    else:
+        return None
+    filts = tuple(Filtration(gog.vgroups[v], [lev[v] for lev in levels],
+                             check=False) for v in range(Y.nv))
+    gf = graphs.GogFiltration(gog, filts)
+    if not all(F.is_central_p(p) for F in filts):
+        return None
+    return gf
+
+
+def _reference_stabilizes_chain(G: FiniteGroup, perm, series) -> bool:
+    for upper, lower in zip(series, series[1:]):
+        for x in upper.elems:
+            y = int(perm[x])
+            if y not in upper:
+                return False
+            if G.mul(y, G.inverse(x)) not in lower:
+                return False
+    return True
+
+
+def reference_stabilizer_choice(G: FiniteGroup, auts, pas, series) -> list:
+    """For each phi, the first of the automorphisms auts of G (sorted) that
+    stabilizes series with trivial layer action and restricts to phi, or
+    None."""
+    stab = [a for a in auts if _reference_stabilizes_chain(G, a, series)]
+    return [next((a for a in stab
+                  if all(int(a[x]) == phi(x) for x in phi.A.elems)), None)
+            for phi in pas]
+
+
+def random_restricted_automorphism(G: FiniteGroup, auts,
+                                   rng: random.Random) -> embed.PartialAutomorphism:
+    """A random automorphism among auts, restricted to a random subgroup."""
+    a = rng.choice(auts)
+    U = rng.choice(all_subgroups(G))
+    mapping = {x: int(a[x]) for x in U.elems}
+    return embed.PartialAutomorphism(G, U, Subgroup(G, sorted(mapping.values())),
+                                     mapping)

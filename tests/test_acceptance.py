@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from helpers import (axis_swap_loop, c4_star_c4, chain, d8_center_hnn,
-                     elab_elem, fresh, free_product, nf_test_graphs,
-                     random_closed_word, shift_loop, swap_loop, theta_graph)
+                     elab_elem, fresh, free_product, inverse, multiply,
+                     nf_test_graphs, random_closed_word, shift_loop, swap_loop,
+                     theta_graph)
 
 from residuap import catalog, serialize
 from residuap.algebra import (augmentation_ideal_powers, buckley_check,
@@ -31,9 +32,9 @@ from residuap.embed import (Amalgam, ElabSpace, PartialAutomorphism,
                             feasible_witness, higman_embed,
                             scan_amalgam_object, unipotent_flag_extend)
 from residuap.filtration import dimension_series, lower_central_series
-from residuap.graphs import (Graph, GraphOfGroups, inverse, maximal_subtree,
-                             multiply, NormalFormContext, quotient_gog,
-                             unfold_graph, unfold_gog)
+from residuap.graphs import (Graph, GraphOfGroups, maximal_subtree,
+                             NormalFormContext, quotient_gog, unfold_graph,
+                             unfold_gog)
 from residuap.groups import (FiniteGroup, Homomorphism, Subgroup,
                              subgroup_generated)
 from residuap.smith import Presentation

@@ -6,9 +6,10 @@ import pytest
 
 from helpers import (Letter, axis_swap_loop, c4_star_c4, chain, d8_center_hnn,
                      elab_elem, evaluate, forbid_tables_above_cap, fresh,
-                     free_product, random_hnn_loop, reference_colimit_sigma,
-                     reference_direct_sum, shift_loop, swap_loop, theta_graph,
-                     word_to_path)
+                     free_product, random_amalgam, random_hnn_loop,
+                     reference_colimit_sigma, reference_direct_sum,
+                     reference_gamma_gog_filtration, shift_loop, swap_loop,
+                     theta_graph, word_to_path)
 
 from residuap import catalog, certify, embed, groups
 from residuap.certify import (Certificate, certify_residually_p,
@@ -409,6 +410,47 @@ def test_compatible_gamma_collection_properties():
         gp = lower_central_p_series(gog.vgroups[v], 2)
         for n in range(1, len(F.terms) + 1):
             assert set(gp.term(n).elems) <= set(F.term(n).elems)
+
+
+GAMMA_REFERENCE_GROUPS = {
+    2: ["C4", "C2^2", "C8", "C4xC2", "C2^3", "D8", "Q8", "C4xC4", "D16",
+        "SD16"],
+    3: ["C9", "C3^2", "C9xC3", "Heis27", "C9:C3"]}
+
+
+def test_gamma_collection_matches_the_two_route_reference():
+    """compatible_gamma_collection against the gamma^p series with the old
+    fallback (helpers.reference_gamma_gog_filtration) on seeded amalgams and
+    HNN loops: None on the same inputs, else the same terms at every level
+    up to the deeper of the two.  Some inputs have gamma^p series that are
+    not compatible, and on some of those the result is None."""
+    rng = random.Random("gamma-collection-reference")
+    seen = set()
+    for k in range(120):
+        p = 2 if k % 4 < 2 else 3
+        names = GAMMA_REFERENCE_GROUPS[p]
+        G = catalog.by_name(rng.choice(names))
+        gog = (random_hnn_loop(G, rng) if k % 2 else
+               random_amalgam(G, catalog.by_name(rng.choice(names)), rng))
+        if gog is None:
+            continue
+        ref = reference_gamma_gog_filtration(gog, p)
+        new = certify.compatible_gamma_collection(gog, p)
+        try:
+            GogFiltration(gog, tuple(lower_central_p_series(G, p)
+                                     for G in gog.vgroups))
+            fast = True
+        except ValueError:
+            fast = False
+        seen.add((fast, new is None))
+        assert (ref is None) == (new is None)
+        if new is None:
+            continue
+        depth = max(ref.depth(), new.depth())
+        for Fr, Fn in zip(ref.filtrations, new.filtrations):
+            assert [Fr.term(n).elems for n in range(1, depth + 1)] == \
+                [Fn.term(n).elems for n in range(1, depth + 1)]
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_separating_level_single_position_variant():

@@ -376,6 +376,25 @@ BAD_INPUTS = {
                        _gog_input(shift_loop, psi=["a", "b"])),
     "unfold-null": (["gog", "unfold"], _gog_input(shift_loop, psi=None)),
     "quotient-int": (["gog", "quotient"], _gog_input(c4_star_c4, collection=5)),
+    # a file that holds a JSON list, not an object
+    **{f"{what}-top-level-list": ([command, what], lambda: [1])
+       for command, what in [("embed", "fibersum"), ("embed", "higman"),
+                             ("embed", "flag"), ("embed", "inner"),
+                             ("embed", "mapping-torus"),
+                             ("congruence", "utorder"),
+                             ("congruence", "smith"),
+                             ("congruence", "matrixfilt")]},
+    "flag-group-list": (["embed", "flag"],
+                        lambda: {"group": [1], "partial_automorphisms": []}),
+    # congruence fields of the wrong type or shape
+    "utorder-n-string": (["congruence", "utorder"], lambda: {
+        "n": "3", "p": 3, "d": 2, "N": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]}),
+    "utorder-N-short": (["congruence", "utorder"],
+                        lambda: {"n": 3, "p": 3, "d": 2, "N": [[0, 1, 0]]}),
+    "smith-relator-int": (["congruence", "smith"],
+                          lambda: {"ngens": 2, "relators": [1]}),
+    "matrixfilt-generator-int": (["congruence", "matrixfilt"], lambda: {
+        "generators": [1], "ngens": 1, "relators": []}),
 }
 
 
@@ -392,3 +411,24 @@ def test_bad_input_exits_1_with_one_line(capsys, tmp_path, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _one_error_line(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--file"], ["gog", "certify", "--file"],
+    ["embed", "flag", "--file"], ["congruence", "smith", "--file"],
+    ["group", "--group"]], ids=lambda command: "-".join(command[:-1]))
+def test_a_directory_as_input_exits_1_with_one_line(capsys, tmp_path, command):
+    _one_error_line(capsys, [*command, str(tmp_path)])
+
+
+@pytest.mark.parametrize("what", ["utorder", "smith", "matrixfilt"])
+def test_congruence_without_a_file_exits_1_with_one_line(capsys, what):
+    _one_error_line(capsys, ["congruence", what])

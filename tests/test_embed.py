@@ -9,7 +9,9 @@ from helpers import (ELAB_SHAPES, ReferenceElabSpace, c4_amalgam, chain,
                      reference_amalgam_scan, reference_chief_trace,
                      reference_feasible_witness, reference_flag_extend,
                      reference_flag_perms, reference_predicted_higman_order,
-                     random_partial_automorphism, seeded_partial_automorphisms,
+                     random_partial_automorphism,
+                     random_restricted_automorphism,
+                     reference_stabilizer_choice, seeded_partial_automorphisms,
                      relabel)
 
 from residuap import catalog, embed
@@ -24,11 +26,12 @@ from residuap.embed import (Amalgam, ElabSpace, FlagCertificate,
                             unipotent_flag_extend)
 from residuap.filtration import (AlignmentError, Filtration, chief_series,
                                  lower_central_p_series)
-from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
-                             abelian_invariants, direct_product, full_subgroup,
+from residuap.groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
+                             Homomorphism, Subgroup, abelian_invariants,
+                             automorphisms, direct_product, full_subgroup,
                              identity_hom, is_isomorphic, subgroup_generated,
                              trivial_subgroup)
-from residuap.results import NO, UNKNOWN, YES
+from residuap.results import NO, UNKNOWN, YES, Decision
 
 
 def total_pa(V, sp, mat):
@@ -211,9 +214,47 @@ def test_inner_extension_identity_and_general_group():
     mapping = {0: 0, 2: 6, 4: 4, 6: 2}
     pa = PartialAutomorphism(D8, R, R, mapping)
     dec = inner_extension(D8, [pa])
-    assert dec.status in (YES, NO, UNKNOWN)
-    if dec.is_yes:
-        dec.certificate.verify(D8, [pa], 2)
+    assert dec.is_yes and dec.certificate.Hp.order == 16
+    assert dec.certificate.conjugators == (1,)
+    dec.certificate.verify(D8, [pa], 2)
+
+
+@pytest.mark.parametrize("name", ["C4xC2", "C4xC4", "C8xC2", "C4xC2xC2",
+                                  "D8", "Q8", "D16", "SD16", "Heis27",
+                                  "C9:C3", "C9xC3"])
+def test_stabilizer_choice_matches_the_chain_filter_reference(monkeypatch,
+                                                              name):
+    """_extend_in_stabilizer extends each phi by the automorphism that the
+    old filter (helpers.reference_stabilizer_choice) picks, along the first
+    chief series and the gamma^p series; with reason "missing" when the
+    reference has none for some phi."""
+    G = catalog.by_name(name)
+    p = G.prime()
+    auts = automorphisms(G)
+    chosen = []
+    monkeypatch.setattr(embed, "automorphisms", lambda H: auts)
+    monkeypatch.setattr(embed, "_realize_semidirect",
+                        lambda H, pas, perms, p, cap:
+                        chosen.append(perms) or Decision(YES))
+    rng = random.Random(f"stabilizer-choice:{name}")
+    outcomes = set()
+    for series in (chief_series(G)[0], lower_central_p_series(G, p).terms):
+        for k in range(12):
+            pas = [random_restricted_automorphism(G, auts, rng)
+                   for _ in range(1 + k % 2)]
+            chosen.clear()
+            dec = embed._extend_in_stabilizer(G, pas, series, p,
+                                              DEFAULT_ORDER_CAP, "missing")
+            ref = reference_stabilizer_choice(G, auts, pas, series)
+            if any(a is None for a in ref):
+                assert (dec.status, dec.reason, chosen) == \
+                    (UNKNOWN, "missing", [])
+            else:
+                assert dec.is_yes and [[list(a) for a in perms]
+                                       for perms in chosen] == \
+                    [[list(a) for a in ref]]
+            outcomes.add(dec.status)
+    assert YES in outcomes
 
 
 def test_layerwise_inner_extension():

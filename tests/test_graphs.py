@@ -3,15 +3,15 @@ import random
 import pytest
 
 from helpers import (Letter, axis_swap_loop, c4_star_c4, d8_center_hnn, fresh,
-                     free_product, nf_test_graphs, random_closed_word,
-                     theta_graph, tree_geodesic, word_to_path)
+                     free_product, inverse, multiply, nf_test_graphs,
+                     random_closed_word, theta_graph, tree_geodesic,
+                     word_to_path)
 
 from residuap import catalog
 from residuap.filtration import lower_central_p_series
 from residuap.graphs import (GogFiltration, Graph, GraphOfGroups,
-                             NormalFormContext, common_cover, inverse,
-                             maximal_subtree, multiply, path_word,
-                             quotient_gog, unfold_gog, unfold_graph)
+                             NormalFormContext, common_cover, maximal_subtree,
+                             path_word, quotient_gog, unfold_gog, unfold_graph)
 from residuap.groups import Homomorphism, Subgroup, subgroup_generated
 
 

@@ -1,16 +1,26 @@
 """Every public function, class and method of src is reached from src or
 perfbench, not only from the tests.
 
-A definition counts as reached when its name appears, as a name or as an
-attribute, somewhere in src or perfbench outside its own body.  The
-methods that perfbench/spans.py times by name (its METHODS table) count as
-reached too.  What the tests alone need belongs in tests/helpers.py.
+A top-level function or class counts as reached when, somewhere in src or
+perfbench outside its own body, its name appears
+  - as a bare name in its own module,
+  - in an import from its module (``from .graphs import quotient_gog``), or
+  - as an attribute whose base is not a stdlib or numpy module
+    (``json.loads`` does not reach ``serialize.loads``) and whose name is not
+    also the name of a method of a src class (``I.multiply(J)`` does not
+    reach ``graphs.multiply``).
+A method counts as reached when its name appears, as a name or as an
+attribute, anywhere in src or perfbench outside its own body.  The methods
+that perfbench/spans.py times by name (its METHODS table) count as reached
+too.  What the tests alone need belongs in tests/helpers.py.
 """
 
 import ast
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+FOREIGN = set(sys.stdlib_module_names) | {"numpy"}
 
 # name -> why it stays although nothing in src or perfbench calls it yet
 KEEP = {
@@ -18,34 +28,64 @@ KEEP = {
 }
 
 
+def _src_files():
+    return sorted((ROOT / "src" / "residuap").rglob("*.py"))
+
+
 def _definitions():
-    """(module.name or module.Class.name, file, node) for every public
-    top-level def and class of src, and every public method of those
+    """(module.name or module.Class.name, file, node, is_method) for every
+    public top-level def and class of src, and every public method of those
     classes."""
-    for path in sorted((ROOT / "src" / "residuap").rglob("*.py")):
+    for path in _src_files():
         module = path.stem
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):
-                yield f"{module}.{node.name}", path, node
+                yield f"{module}.{node.name}", path, node, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) \
                             and not item.name.startswith("_"):
-                        yield f"{module}.{node.name}.{item.name}", path, item
+                        yield (f"{module}.{node.name}.{item.name}", path, item,
+                               True)
+
+
+def _method_names() -> set[str]:
+    """The name of every method of every src class."""
+    return {item.name for path in _src_files()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)}
 
 
 def _references():
-    """(name, file, line) for every name and attribute in src and perfbench."""
-    paths = sorted((ROOT / "src").rglob("*.py")) + \
-        sorted((ROOT / "perfbench").rglob("*.py"))
+    """(kind, name, file, line, module) for every name, attribute and
+    imported name in src and perfbench: kind is "name", "attr" (module
+    None, or the stdlib or numpy module its base names) or "import" (module
+    the last component of the module imported from)."""
+    paths = _src_files() + sorted((ROOT / "perfbench").rglob("*.py"))
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    aliases[a.asname or a.name.split(".")[0]] = \
+                        a.name.split(".")[0]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                yield node.id, path, node.lineno
+                yield "name", node.id, path, node.lineno, None
             elif isinstance(node, ast.Attribute):
-                yield node.attr, path, node.lineno
+                base = node.value
+                foreign = (aliases.get(base.id)
+                           if isinstance(base, ast.Name) else None)
+                yield ("attr", node.attr, path, node.lineno,
+                       foreign if foreign in FOREIGN else None)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                for a in node.names:
+                    yield ("import", a.name, path, node.lineno,
+                           node.module.split(".")[-1])
 
 
 def _timed_methods():
@@ -59,17 +99,31 @@ def _timed_methods():
     raise AssertionError("perfbench/spans.py has no METHODS table")
 
 
+def _reaches(ref, path, node, is_method, methods) -> bool:
+    kind, _, where, line, module = ref
+    if where == path and node.lineno <= line <= node.end_lineno:
+        return False
+    if is_method:
+        return kind != "import"
+    if kind == "name":
+        return where == path
+    if kind == "import":
+        return module == path.stem
+    return module is None and node.name not in methods
+
+
 def test_every_public_definition_is_reached():
     refs: dict[str, list] = {}
-    for name, path, line in _references():
-        refs.setdefault(name, []).append((path, line))
+    for ref in _references():
+        refs.setdefault(ref[1], []).append(ref)
     timed = _timed_methods()
+    methods = _method_names()
     unreached = set()
-    for qualname, path, node in _definitions():
+    for qualname, path, node, is_method in _definitions():
         if qualname.split(".", 1)[1] in timed:
             continue
-        if not any(not (where == path and node.lineno <= line <= node.end_lineno)
-                   for where, line in refs.get(node.name, ())):
+        if not any(_reaches(ref, path, node, is_method, methods)
+                   for ref in refs.get(node.name, ())):
             unreached.add(qualname)
     assert sorted(unreached - set(KEEP)) == [], \
         "reached only from tests: move to tests/helpers.py or delete"
