@@ -400,9 +400,10 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_exits_1_with_one_line(capsys, tmp_path, name):
-    """Input that indexes past a table or does not have the shape of a word,
-    psi or collection ends in exit 1 and one diagnostic line, not an
-    IndexError or TypeError traceback."""
+    """Input that indexes past a table, is not a JSON object, or does not
+    have the shape of a word, psi, collection or congruence field ends in
+    exit 1 and one diagnostic line, not an IndexError or TypeError
+    traceback."""
     command, build = BAD_INPUTS[name]
     f = tmp_path / "input.json"
     f.write_text(json.dumps(build()))
