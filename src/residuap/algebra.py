@@ -29,8 +29,7 @@ class IdealBasis:
     def __init__(self, group: FiniteGroup, p: int, rows):
         self.group = group
         self.p = p
-        self.rows = tuple(map(tuple, kernels.rref_mod_p(rows, p,
-                                                        ncols=group.order)))
+        self.rows = tuple(map(tuple, kernels.rref_mod_p(rows, p)))
 
     @property
     def dim(self) -> int:

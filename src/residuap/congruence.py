@@ -292,6 +292,8 @@ class MatrixGroupSpec:
     subgroups: tuple[TSpec, ...] = ()
 
     def __post_init__(self):
+        if not self.generators:
+            raise ValueError("a matrix group needs at least one generator")
         n = len(self.generators[0])
         for g in self.generators:
             if len(g) != n or any(len(r) != n for r in g):
@@ -303,6 +305,11 @@ class MatrixGroupSpec:
         for rel in self.presentation.relators:
             if (_eval_word_int(self.generators, rel) != np.eye(n, dtype=object)).any():
                 raise ValueError("a relator does not evaluate to the identity")
+        for T in self.subgroups:
+            for word in T.words:
+                for letter in word:
+                    if letter == 0 or abs(letter) > len(self.generators):
+                        raise ValueError(f"subgroup letter {letter} out of range")
 
     @property
     def dim(self) -> int:

@@ -625,14 +625,16 @@ class ElabSpace:
         return self.index[self.coords @ M % self.p @ self._weights]
 
     def inverse(self, B) -> np.ndarray:
-        """B^-1 over F_p for an invertible d x d matrix: one reduction of [B | I]."""
+        """B^-1 over F_p for an invertible d x d matrix: one reduction of
+        [B | I], which is [I | B^-1] exactly when B is invertible."""
         d = self.dim
-        aug = np.hstack([np.asarray(B, dtype=np.int64).reshape(d, d),
-                         np.eye(d, dtype=np.int64)])
-        red = kernels.rref_mod_p(aug, self.p, ncols=d)
-        if len(red) < d:
+        eye = np.eye(d, dtype=np.int64)
+        aug = np.hstack([np.asarray(B, dtype=np.int64).reshape(d, d), eye])
+        red = np.array(kernels.rref_mod_p(aug, self.p),
+                       dtype=np.int64).reshape(d, 2 * d)
+        if not np.array_equal(red[:, :d], eye):
             raise AssertionError("singular basis matrix")
-        return np.array(red, dtype=np.int64).reshape(d, 2 * d)[:, d:]
+        return red[:, d:]
 
     def unit_completion(self, rows) -> list[int]:
         """The least-index greedy completion of the span of rows: e_j is taken

@@ -169,43 +169,113 @@ def is_homomorphism(mult_dom, mult_cod, mapping):
     return bool(np.array_equal(m[td], tc[m[:, None], m[None, :]]))
 
 
-def rref_mod_p(rows, p, ncols=None):
+def _pack(mat, p, w):
+    """Each row of mat (entries in [0, p)) as one Python int, entry j in the
+    w bits from bit j * w."""
+    if p == 2:
+        data = np.packbits(mat, axis=1, bitorder="little")
+        nb = data.shape[1]
+    elif w <= 64:
+        nb = mat.shape[1] * w // 8
+        data = mat.astype("<u8").view(np.uint8).reshape(*mat.shape, 8)[..., :w // 8]
+    else:
+        mat = mat.tolist() if isinstance(mat, np.ndarray) else mat
+        return [int.from_bytes(b"".join(x.to_bytes(w // 8, "little") for x in r),
+                               "little") for r in mat]
+    data = data.tobytes()
+    return [int.from_bytes(data[i:i + nb], "little")
+            for i in range(0, len(data), nb)]
+
+
+def _unpack(vs, ncols, p, w):
+    """The rows packed by _pack, as lists of Python ints."""
+    nb = -(-ncols * w // 8)
+    data = b"".join(v.to_bytes(nb, "little") for v in vs)
+    if p == 2:
+        buf = np.frombuffer(data, dtype=np.uint8).reshape(len(vs), nb)
+        return np.unpackbits(buf, axis=1, count=ncols, bitorder="little").tolist()
+    wb = w // 8
+    if w <= 64:
+        out = np.zeros((len(vs), ncols, 8), dtype=np.uint8)
+        out[..., :wb] = np.frombuffer(data, dtype=np.uint8).reshape(len(vs), ncols, wb)
+        return out.view("<u8").reshape(len(vs), ncols).tolist()
+    return [[int.from_bytes(data[i:i + wb], "little")
+             for i in range(j, j + nb, wb)] for j in range(0, len(data), nb)]
+
+
+def rref_mod_p(rows, p):
     """Reduced row echelon form over F_p; returns the nonzero rows as lists.
 
     rows is a list of rows or an integer ndarray; every entry is reduced mod
-    p first (Python ints of any size included).  Pivots are sought in the
-    first ncols columns; the pivot is the first nonzero entry from the rank
-    down, as in the reference, since with ncols short of the width the
-    columns after ncols depend on that choice.  A pivot entry of 1 needs no
-    scaling.  Each step eliminates only the other rows with a nonzero entry
-    in the pivot column, and the sweep stops once every row holds a pivot.
+    p first (Python ints of any size included).  Each row is packed into one
+    Python int with entry j in the w bits from bit j * w, so a row step is a
+    few big-int operations: v ^= b at p = 2 (w = 1), and at odd p
+    v += (p - e) * b followed by a reduction of every field at once.  There
+    each field holds at most p (p - 1) after a step; with s the bit length of
+    p^2 (p - 1) and m = 2^s // p + 1, (x * m) >> s is exactly x // p for such
+    x, and x * m needs at most s + bitlen(p) bits, the field width rounded up
+    to whole bytes.  So the low bitlen(p - 1) bits of each field of
+    (v * m) >> s hold the quotients, and v - p * quotients is v mod p.
+
+    Rows enter a basis keyed by leading column one at a time, each reduced
+    against it until it is zero or leads a new column; a back-substitution
+    then clears every pivot column from the other basis rows.  The reduced
+    echelon form of a row space is unique, so the result does not depend on
+    the order of the rows or of the steps.
     """
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
-        mat = (rows % p).astype(np.int64)
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and p < 1 << 63:
+        mat = rows % p
     else:
-        mat = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64)
-    if mat.size == 0:
+        mat = [[int(x) % p for x in r] for r in rows]
+        if p < 1 << 63:
+            mat = np.array(mat, dtype=np.int64)
+    if not len(mat) or not len(mat[0]):
         return []
-    nrows = mat.shape[0]
-    m = ncols if ncols is not None else mat.shape[1]
-    rank = 0
-    for col in range(m):
-        if rank == nrows:
+    ncols = len(mat[0])
+    if p == 2:
+        w = 1
+    else:
+        s = (p * p * (p - 1)).bit_length()
+        m = (1 << s) // p + 1
+        w = -(-(s + p.bit_length()) // 8) * 8
+        qmask = int.from_bytes(((1 << (p - 1).bit_length()) - 1)
+                               .to_bytes(w // 8, "little") * ncols, "little")
+    fmask = (1 << w) - 1
+    basis = {}                 # leading column -> row whose leading entry is 1
+    for v in _pack(mat, p, w):
+        while v:
+            col = ((v & -v).bit_length() - 1) // w
+            b = basis.get(col)
+            if p == 2:
+                if b is None:
+                    basis[col] = v
+                    break
+                v ^= b
+                continue
+            e = (v >> col * w) & fmask
+            if b is None:
+                if e != 1:
+                    v *= pow(e, -1, p)
+                    v -= p * (((v * m) >> s) & qmask)
+                basis[col] = v
+                break
+            v += (p - e) * b
+            v -= p * (((v * m) >> s) & qmask)
+        if len(basis) == ncols:
             break
-        nonzero = mat[rank:, col] != 0
-        off = int(nonzero.argmax())
-        if not nonzero[off]:
-            continue
-        piv = rank + off
-        lead = int(mat[piv, col])
-        if piv != rank:
-            mat[[rank, piv]] = mat[[piv, rank]]
-        row = mat[rank]
-        if lead != 1:
-            row = mat[rank] = row * pow(lead, -1, p) % p
-        hit = np.flatnonzero(mat[:, col])
-        if hit.size > 1:
-            hit = hit[hit != rank]
-            mat[hit] = (mat[hit] - np.outer(mat[hit, col], row)) % p
-        rank += 1
-    return mat[:rank].tolist()
+    cols = sorted(basis)
+    done = 0                   # the fields of the pivot columns reduced so far
+    for col in reversed(cols):
+        v = basis[col]
+        hit = v & done
+        while hit:
+            c = ((hit & -hit).bit_length() - 1) // w
+            if p == 2:
+                v ^= basis[c]
+            else:
+                v += (p - ((v >> c * w) & fmask)) * basis[c]
+                v -= p * (((v * m) >> s) & qmask)
+            hit = v & done
+        basis[col] = v
+        done |= fmask << col * w
+    return _unpack([basis[c] for c in cols], ncols, p, w)

@@ -176,14 +176,13 @@ def is_homomorphism(mult_dom, mult_cod, mapping):
     return True
 
 
-def rref_mod_p(rows, p, ncols=None):
+def rref_mod_p(rows, p):
     """Reduced row echelon form over F_p; returns list of nonzero rows.
-    Pivots (the first nonzero row from the rank down, swapped up) are sought
-    in the first ncols columns; row operations act on whole rows."""
+    The pivot of each column is the first nonzero row from the rank down,
+    swapped up."""
     mat = [[int(x) % p for x in r] for r in rows]
-    m = ncols if ncols is not None else (len(mat[0]) if mat else 0)
     rank = 0
-    for col in range(m):
+    for col in range(len(mat[0]) if mat else 0):
         piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue

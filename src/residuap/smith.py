@@ -142,6 +142,8 @@ class Presentation:
     relators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.ngens < 0:
+            raise ValueError(f"ngens must be nonnegative, not {self.ngens}")
         for rel in self.relators:
             for letter in rel:
                 if letter == 0 or abs(letter) > self.ngens:

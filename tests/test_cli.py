@@ -395,6 +395,14 @@ BAD_INPUTS = {
                           lambda: {"ngens": 2, "relators": [1]}),
     "matrixfilt-generator-int": (["congruence", "matrixfilt"], lambda: {
         "generators": [1], "ngens": 1, "relators": []}),
+    # well-typed congruence fields out of range
+    "matrixfilt-no-generators": (["congruence", "matrixfilt"], lambda: {
+        "generators": [], "ngens": 0, "relators": []}),
+    "matrixfilt-subgroup-letter": (["congruence", "matrixfilt"], lambda: {
+        "generators": [[[1]]], "ngens": 1, "relators": [],
+        "subgroups": [[[5]]]}),
+    "smith-negative-ngens": (["congruence", "smith"],
+                             lambda: {"ngens": -1, "relators": []}),
 }
 
 

@@ -455,6 +455,23 @@ def test_linear_extension_rejects_inconsistent_pairs():
         space.inverse([(1, 1), (2, 2)])
 
 
+def test_inverse_refuses_singular_matrices():
+    """[B | I] reduces to d rows whether or not B is invertible; a singular B
+    shows only in the left block, which is then not the identity."""
+    rng = random.Random(5)
+    for p, d in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2)):
+        space = ElabSpace(catalog.elementary_abelian(p, d))
+        # zero, a repeated row, and a row that is a combination of the others
+        for B in ([[0] * d] * d, [[1] * d] * d,
+                  [[rng.randrange(p) for _ in range(d)] for _ in range(d - 1)]):
+            if len(B) < d:
+                B = B + [[sum(r[j] for r in B) % p for j in range(d)]]
+            with pytest.raises(AssertionError, match="singular basis matrix"):
+                space.inverse(B)
+        B = np.eye(d, dtype=np.int64) + np.triu(np.ones((d, d), dtype=np.int64), 1)
+        assert (B @ space.inverse(B) % p == np.eye(d, dtype=np.int64)).all()
+
+
 def test_perm_on_the_trivial_group():
     space = ElabSpace(catalog.cyclic(1))
     assert space.perm(()).tolist() == [0]

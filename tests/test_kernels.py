@@ -7,7 +7,7 @@ import pytest
 
 from helpers import reference_closure
 
-from residuap import catalog
+from residuap import algebra, catalog
 from residuap.groups import FiniteGroup
 from residuap.kernels import npbackend, pybackend
 
@@ -74,15 +74,9 @@ def test_rref_agrees_and_is_canonical():
     rng = random.Random(3)
     for p in (2, 3, 5, 7, 4093):
         for rows in _rref_cases(rng, p):
-            ncols = len(rows[0])
             a = npbackend.rref_mod_p(rows, p)
             b = pybackend.rref_mod_p(rows, p)
             assert a == b
-            # pivots in the first k columns, the rest an augmented part
-            for k in range(ncols):
-                assert npbackend.rref_mod_p(rows, p, ncols=k) == \
-                    pybackend.rref_mod_p(rows, p, ncols=k)
-            assert npbackend.rref_mod_p(rows, p, ncols=ncols) == a
             assert npbackend.rref_mod_p(np.array(rows, dtype=np.int64), p) == a
             assert all(type(x) is int for r in a for x in r)
             # entries outside [0, p): the same classes, shifted by multiples of p
@@ -92,14 +86,14 @@ def test_rref_agrees_and_is_canonical():
             huge = [[x + p * (2 ** 64 + rng.randrange(9)) for x in r] for r in rows]
             assert npbackend.rref_mod_p(huge, p) == a == pybackend.rref_mod_p(huge, p)
             # canonical: re-reducing is a fixed point
-            assert npbackend.rref_mod_p(a, p, ncols=ncols) == a
+            assert npbackend.rref_mod_p(a, p) == a
 
 
 def test_rref_applies_row_operations_to_augmented_columns():
     rows = [[1, 1, 1, 0], [0, 1, 0, 1]]
     want = [[1, 0, 1, 1], [0, 1, 0, 1]]
-    assert pybackend.rref_mod_p(rows, 2, ncols=2) == want
-    assert npbackend.rref_mod_p(rows, 2, ncols=2) == want
+    assert pybackend.rref_mod_p(rows, 2) == want
+    assert npbackend.rref_mod_p(rows, 2) == want
 
 
 def test_rref_reduces_unsigned_and_empty_input():
@@ -110,6 +104,63 @@ def test_rref_reduces_unsigned_and_empty_input():
     assert npbackend.rref_mod_p([], 3) == []
     assert npbackend.rref_mod_p(np.zeros((0, 4), dtype=np.int64), 3) == []
     assert npbackend.rref_mod_p([[0, 0, 0]], 3) == []
+
+
+@pytest.mark.parametrize("p", [4294967291, 2 ** 61 - 1])
+def test_rref_is_exact_at_large_primes(p):
+    """Products of two entries pass 64 bits here, so an int64 elimination
+    overflows."""
+    rng = random.Random(p % 1009)
+    for _ in range(20):
+        rows = [[rng.randrange(p) for _ in range(5)] for _ in range(4)]
+        want = pybackend.rref_mod_p(rows, p)
+        assert npbackend.rref_mod_p(rows, p) == want
+        assert npbackend.rref_mod_p(np.array(rows, dtype=np.int64), p) == want
+
+
+def _rank_below(rng, p, nrows, ncols, rank):
+    """A random nrows x ncols matrix whose rows span a rank-dimensional space,
+    its entries shifted by multiples of p."""
+    mat = rng.integers(0, p, (nrows, rank)) @ rng.integers(0, p, (rank, ncols)) % p
+    return mat + p * rng.integers(-2, 3, mat.shape)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 4093, 8191])
+def test_packed_rref_matches_reference(p):
+    """Widths on both sides of a byte and of a 64-bit word, short and tall
+    matrices, dense, sparse and of rank below their width (a tall dense
+    matrix is of full rank, as its sparse form is already)."""
+    rng = np.random.default_rng(p)
+    shapes = [(nrows, ncols) for ncols in (1, 7, 8, 9, 63, 64, 65, 200)
+              for nrows in (1, 6, 13)] + [(400, 64), (400, 81)]
+    for nrows, ncols in shapes:
+        dense = rng.integers(0, p, (nrows, ncols))
+        sparse = dense * (rng.random((nrows, ncols)) < 0.1)
+        low = _rank_below(rng, p, nrows, ncols, max(1, min(nrows, ncols) - 5))
+        for mat in (dense, sparse, low)[nrows > ncols:]:
+            want = pybackend.rref_mod_p(mat.tolist(), p)
+            assert npbackend.rref_mod_p(mat, p) == want
+            assert npbackend.rref_mod_p(mat.tolist(), p) == want
+
+
+def test_omega_chains_match_reference(monkeypatch):
+    """The augmentation-ideal powers of the property suites, reduced by the
+    packed kernel and by the reference, are the same bases."""
+    def chains():
+        out = {}
+        for p, bound in ((2, 64), (3, 81)):
+            for G in catalog.property_suite(p):
+                if G.order <= bound:
+                    H = FiniteGroup(G.mult, name=G.name, validate=False)
+                    bases, dims, d = algebra.augmentation_ideal_powers(H, p)
+                    out[p, G.name] = [b.rows for b in bases], dims, d
+        return out
+
+    got = chains()
+    assert ((3, "C3^4") in got and
+            got[2, "C2^6"][1] == [63, 57, 42, 22, 7, 1, 0])
+    monkeypatch.setattr(algebra.kernels, "rref_mod_p", pybackend.rref_mod_p)
+    assert chains() == got
 
 
 def test_validate_rejects_bad_tables():
