@@ -221,8 +221,7 @@ def _power_group(X: FiniteGroup, n: int) -> tuple[FiniteGroup, np.ndarray]:
 
 # -- Buckley-type identities ----------------------------------------------------
 
-def buckley_check(p: int, H: FiniteGroup, n_max: int,
-                  cap: int = DEFAULT_ORDER_CAP) -> dict:
+def buckley_check(p: int, H: FiniteGroup, n_max: int) -> dict:
     """For W = F_p wr H, verify for 0 <= n <= n_max the chain of equalities
 
         D^p_{n+1}(W) ^ base = gamma^p_{n+1}(W) ^ base
@@ -232,7 +231,7 @@ def buckley_check(p: int, H: FiniteGroup, n_max: int,
     """
     from .catalog import cyclic
     require_p_group(H, p)
-    wp = wreath(cyclic(p), H, cap=cap)
+    wp = wreath(cyclic(p), H)
     W = wp.group
     base = wp.base_subgroup()
     gamma = lower_central_series(W)
@@ -282,11 +281,10 @@ def _base_vectors_of_ideal(wp: WreathProduct, ideal: IdealBasis) -> frozenset:
     return frozenset(vecs)
 
 
-def wreath_class_formula(p: int, H: FiniteGroup,
-                         cap: int = DEFAULT_ORDER_CAP) -> dict:
+def wreath_class_formula(p: int, H: FiniteGroup) -> dict:
     """Nilpotency class of F_p wr H, via the gamma series and via Jennings."""
     from .catalog import cyclic
-    wp = wreath(cyclic(p), H, cap=cap)
+    wp = wreath(cyclic(p), H)
     gamma = lower_central_series(wp.group)
     cls = len(gamma.terms) - 1 if gamma.terms[-1].is_trivial() else None
     _, dims, d = augmentation_ideal_powers(H, p)

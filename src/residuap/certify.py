@@ -184,7 +184,7 @@ def certify_residually_p(gog: GraphOfGroups, p: int,
     for v in range(Y.nv):
         if not gog.vgroups[v].is_p_group(p):
             raise ValueError("vertex groups must be p-groups")
-    tree = tree if tree is not None else maximal_subtree(Y, 0)
+    tree = tree if tree is not None else maximal_subtree(Y)
     try:
         if all(gog.egroups[e].order == 1 for e in range(Y.ne)):
             return _certified(gog, tree, *_vertex_sum(gog, tree), p)
@@ -269,7 +269,7 @@ def reduction_certify(gog: GraphOfGroups, gfilt: GogFiltration,
     """The reduction pipeline: iterated amalgamation along the tree, then
     layerwise inner extensions for the non-tree edges."""
     Y = gog.graph
-    tree = tree if tree is not None else maximal_subtree(Y, 0)
+    tree = tree if tree is not None else maximal_subtree(Y)
     for v in range(Y.nv):
         if not gog.vgroups[v].is_p_group(p):
             raise ValueError("vertex groups must be p-groups")
@@ -364,7 +364,7 @@ def homology_fiber_sum_check(gog: GraphOfGroups,
     """H_1 of pi_1(G, T) from its presentation (Smith form) against
     Sigma(G|T) + Z^e, under the commuting hypothesis on non-tree edges."""
     Y = gog.graph
-    tree = tree if tree is not None else maximal_subtree(Y, 0)
+    tree = tree if tree is not None else maximal_subtree(Y)
     for v in range(Y.nv):
         if not gog.vgroups[v].is_abelian:
             raise ValueError("the check needs abelian vertex groups")
@@ -435,15 +435,12 @@ def homology_fiber_sum_check(gog: GraphOfGroups,
 
 
 def separating_level(gog: GraphOfGroups, gfilt: GogFiltration, w: PathWord,
-                     ctx: Optional[NormalFormContext] = None,
-                     single_position: Optional[int] = None) -> dict:
+                     ctx: Optional[NormalFormContext] = None) -> dict:
     """Least level n >= 2 such that the image of the reduced path w in
     G / F_n is still reduced.
 
-    The default checks every pinch position of the word at once (the
-    multi-edge form of the criterion).  `single_position` restricts the
-    check to one pinch position; it is exposed for experimentation only,
-    since whether the single-edge form suffices in general is open.
+    Every pinch position of the word is checked at once (the multi-edge
+    form of the criterion).
     """
     ctx = ctx or NormalFormContext(gog)
     if not ctx.is_reduced(w):
@@ -459,8 +456,6 @@ def separating_level(gog: GraphOfGroups, gfilt: GogFiltration, w: PathWord,
                 failing = {"condition": "A", "vertex": w.base, "elem": w.g0, "n": n}
         else:
             for i in range(len(w.steps) - 1):
-                if single_position is not None and i != single_position:
-                    continue
                 e, g = w.steps[i]
                 if w.steps[i + 1][0] != Y.bar[e]:
                     continue

@@ -231,7 +231,7 @@ def _pas_from_obj(V, items):
 def cmd_gog(args) -> int:
     data = _read_object(args.file)
     gog = serialize.gog_from_obj(data["gog"] if "gog" in data else data)
-    tree = graphs.maximal_subtree(gog.graph, 0)
+    tree = graphs.maximal_subtree(gog.graph)
     if args.what == "normal-form":
         ctx = graphs.NormalFormContext(gog)
         w = serialize.word_from_obj(gog, data["word"])

@@ -15,6 +15,10 @@ from .groups import CapExceeded, FiniteGroup, require_prime
 from .smith import Presentation, det_unimodular, theta_map
 
 DEFAULT_TOWER_CAP = 3 ** 9
+# the largest matrix group whose Cayley table is built
+CAYLEY_TABLE_CAP = 5000
+# the most elements matrix_p_filtration lists of one image mod p^k
+MATRIX_IMAGE_CAP = 200_000
 
 
 def _identity(n):
@@ -91,12 +95,12 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def as_finite_group(self, cap: int = 5000) -> tuple[FiniteGroup, list]:
+    def as_finite_group(self) -> tuple[FiniteGroup, list]:
         """The Cayley table, built in row blocks: each product is encoded by
         ``_codes`` and looked up in a code -> index array."""
         n, q = self.order, self.mod
-        if n > cap:
-            raise CapExceeded(f"Cayley table of order {n} exceeds cap {cap}")
+        if n > CAYLEY_TABLE_CAP:
+            raise CapExceeded(f"Cayley table of order {n} exceeds cap {CAYLEY_TABLE_CAP}")
         index = np.full(q ** self.mats[0].size, -1, dtype=np.int32)
         index[_codes(self.mats.reshape(n, -1), q)] = np.arange(n)
         table = np.empty((n, n), dtype=np.int64)
@@ -136,13 +140,14 @@ class CongruenceTower:
         return self.full.order == p ** (3 * k - 2) * (p * p - 1)
 
 
-def sl2_congruence_tower(p: int, k: int, cap: int = DEFAULT_TOWER_CAP) -> CongruenceTower:
+def sl2_congruence_tower(p: int, k: int) -> CongruenceTower:
     """Enumerate SL(2, Z/p^k) and its congruence subgroups G_i (1 <= i <= k)."""
     require_prime(p)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if p ** (3 * k) > cap:
-        raise CapExceeded(f"p^(3k) = {p ** (3 * k)} beyond the tower cap {cap}")
+    if p ** (3 * k) > DEFAULT_TOWER_CAP:
+        raise CapExceeded(f"p^(3k) = {p ** (3 * k)} beyond the tower cap "
+                          f"{DEFAULT_TOWER_CAP}")
     mod = p ** k
     elems = sl2_elements(mod)
     full = MatrixGroup(elems, mod, name=f"SL(2,Z/{mod})")
@@ -156,14 +161,14 @@ def sl2_congruence_tower(p: int, k: int, cap: int = DEFAULT_TOWER_CAP) -> Congru
     return CongruenceTower(p, k, full, levels)
 
 
-def congruence_layer_check(p: int, k: int, cap: int = DEFAULT_TOWER_CAP) -> dict:
+def congruence_layer_check(p: int, k: int) -> dict:
     """Layer isomorphism types and [G_i, G_j] <= G_{i+j} for the tower mod p^k.
 
     Both tests are exhaustive and run on arrays: every commutator
     a^-1 b^-1 a b = (b a)^-1 (a b) of G_i x G_j, one block of a at a time,
     is looked up in G_{i+j} by its code.  The elements have det 1, so each
     inverse is the adjugate, tr(M) I - M for a 2x2 matrix M."""
-    tower = sl2_congruence_tower(p, k, cap=cap)
+    tower = sl2_congruence_tower(p, k)
     mod = p ** k
     report = {"p": p, "k": k, "order": tower.full.order,
               "order_formula": tower.order_formula_holds(),
@@ -351,8 +356,7 @@ def _int_inverse(m):
     return tuple(out)
 
 
-def matrix_p_filtration(spec: MatrixGroupSpec, p: int, k_max: int,
-                        image_cap: int = 200_000) -> dict:
+def matrix_p_filtration(spec: MatrixGroupSpec, p: int, k_max: int) -> dict:
     """The mod-p^k finite quotients G -> SL(n, Z/p^k) x H/p^k H and the exact
     intersection levels G_k ^ T for the distinguished subgroups.
 
@@ -366,8 +370,8 @@ def matrix_p_filtration(spec: MatrixGroupSpec, p: int, k_max: int,
     rank, theta_rows = theta_map(spec.presentation)
     report = {"p": p, "rank_H": rank, "levels": [], "subgroups": []}
     for k in range(1, k_max + 1):
-        size = len(_image_closure(spec, theta_rows, p ** k, image_cap))
-        report["levels"].append({"k": k, "image_order": size, "capped": size > image_cap})
+        size = len(_image_closure(spec, theta_rows, p ** k, MATRIX_IMAGE_CAP))
+        report["levels"].append({"k": k, "image_order": size, "capped": size > MATRIX_IMAGE_CAP})
     for t_index, tspec in enumerate(spec.subgroups):
         tReport = {"index": t_index, "per_k": []}
         tw = tspec.words

@@ -20,7 +20,8 @@ from .filtration import (Filtration, StretchMap, align_filtrations,
                          induced_chain, lower_central_p_series, stretch)
 from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
                      Homomorphism, Subgroup, all_subgroups, amalgamated_sum,
-                     automorphisms, find_isomorphism, full_subgroup,
+                     automorphism_search, automorphisms, find_isomorphism,
+                     full_subgroup,
                      generating_sequence, identity_hom, induced_hom,
                      is_p_power, permutation_closure, permutation_group,
                      quotient, right_coset_reps, semidirect_product,
@@ -31,6 +32,10 @@ from .results import NO, UNKNOWN, YES, Decision
 AUT_SEARCH_CAP = 64
 # the largest dimension of F_p^d whose complete flags are searched
 FLAG_DIM_CAP = 6
+# amalgam_scan: the largest |U| scanned, and the largest |U| for which every
+# isomorphism U_G -> U_H is listed (above it, only the first found)
+SCAN_MAX_U = 8
+SCAN_ALL_ISO_UPTO = 4
 
 
 @dataclass
@@ -482,14 +487,14 @@ def _chain_tracer(G: FiniteGroup, chains: Sequence[Sequence[Subgroup]]):
     return trace
 
 
-def chief_tracer(G: FiniteGroup, cap: int = 100_000):
-    """_chain_tracer(G, chief_series(G, cap)), built once and kept with G."""
+def chief_tracer(G: FiniteGroup):
+    """_chain_tracer(G, chief_series(G)), built once and kept with G."""
     if G._chief_tracer is None:
-        G._chief_tracer = _chain_tracer(G, chief_series(G, cap=cap))
+        G._chief_tracer = _chain_tracer(G, chief_series(G))
     return G._chief_tracer
 
 
-def amalgam_embeddable(am: Amalgam, series_cap: int = 100_000) -> Decision:
+def amalgam_embeddable(am: Amalgam) -> Decision:
     """Search chief filtrations of G and H (up to stretching) for a pair
     inducing the same filtration on U; exhaustive, so absence is definitive."""
     p = am.G.prime()
@@ -497,9 +502,9 @@ def amalgam_embeddable(am: Amalgam, series_cap: int = 100_000) -> Decision:
     if p is None and am.G.order > 1 or q is None and am.H.order > 1 or \
             (p and q and p != q):
         raise ValueError("amalgam_embeddable expects p-groups for one prime")
-    sG = chief_series(am.G, cap=series_cap)
-    sH = chief_series(am.H, cap=series_cap)
-    keysG, keysH = (chief_tracer(X, series_cap)(u.map[None])[:, 0].tolist()
+    sG = chief_series(am.G)
+    sH = chief_series(am.H)
+    keysG, keysH = (chief_tracer(X)(u.map[None])[:, 0].tolist()
                     for X, u in ((am.G, am.uG), (am.H, am.uH)))
     h_by_trace: dict[int, tuple] = {}
     for tr, ser in zip(keysH, sH):
@@ -891,24 +896,22 @@ def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
 
 
 def _extend_in_stabilizer(G, pas, series, p, size_cap, missing: str) -> Decision:
-    """Extend each phi by the first automorphism of G (in sorted order) that
-    restricts to phi and, as a partial automorphism on all of G, preserves
-    the chain series; then realize the extensions.  Unknown with reason
-    ``missing`` when some phi has none."""
+    """Extend each phi by the first automorphism of G (in lexicographic
+    order) that restricts to phi and, as a partial automorphism on all of G,
+    preserves the chain series; then realize the extensions.  Unknown with
+    reason ``missing`` when some phi has none."""
     if G.order > AUT_SEARCH_CAP:
         return Decision(UNKNOWN, reason="automorphism search beyond cap")
-    try:
-        auts = automorphisms(G)
-    except CapExceeded as exc:
-        return Decision(UNKNOWN, reason=str(exc))
     full = full_subgroup(G)
     perms = []
     for phi in pas:
-        found = next((a for a in auts
-                      if all(int(a[x]) == phi(x) for x in phi.A.elems)
-                      and PartialAutomorphism(G, full, full, dict(
-                          enumerate(a.tolist()))).preserves_chain(series)),
-                     None)
+        try:
+            found = next((a for a in automorphism_search(G, phi.mapping)
+                          if PartialAutomorphism(G, full, full, dict(
+                              enumerate(a.tolist()))).preserves_chain(series)),
+                         None)
+        except CapExceeded as exc:
+            return Decision(UNKNOWN, reason=str(exc))
         if found is None:
             return Decision(UNKNOWN, reason=missing)
         perms.append(found)
@@ -1061,14 +1064,13 @@ class ScanRecord:
     embeddable: bool
 
 
-def amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
-                 all_iso_upto: int = 4):
+def amalgam_scan(groups: Sequence[FiniteGroup]):
     """Deterministic scan over amalgams built from the given 2-groups.
 
     Enumeration: unordered pairs (G, H) in list order (diagonal included,
     with an independent copy of H); subgroup pairs (U_G, U_H) of equal order
-    2 <= |U| <= max_u in lexicographic element order; identifications: all
-    isomorphisms when |U| <= all_iso_upto, else the first found.
+    2 <= |U| <= SCAN_MAX_U in lexicographic element order; identifications:
+    all isomorphisms when |U| <= SCAN_ALL_ISO_UPTO, else the first found.
 
     Returns the list of ScanRecords in enumeration order.
     """
@@ -1095,7 +1097,7 @@ def amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
             tracer, cache = chief_tracer(G), {}
             subs, by_order = [], {}
             for S in all_subgroups(G):
-                if 2 <= len(S) <= max_u:
+                if 2 <= len(S) <= SCAN_MAX_U:
                     U, toU, _ = S.as_group()
                     toU = np.asarray(toU, dtype=np.int64)
                     subs.append((S, U, toU,
@@ -1105,14 +1107,14 @@ def amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
         return facts[G]
 
     def isomorphisms(UG, UH):
-        # all isomorphisms UG -> UH, sorted, up to all_iso_upto; else the
+        # all isomorphisms UG -> UH, sorted, up to SCAN_ALL_ISO_UPTO; else the
         # first found; as the rows of a (k, |U|) array and as tuples
         key = (UG.mult.tobytes(), UH.mult.tobytes())
         if key not in isos:
             base = find_isomorphism(UG, UH)
             if base is None:
                 block = np.zeros((0, UG.order), dtype=np.int64)
-            elif UG.order > all_iso_upto:
+            elif UG.order > SCAN_ALL_ISO_UPTO:
                 block = base.map[None]
             else:
                 block = np.unique(base.map[np.stack(automorphisms(UG))], axis=0)

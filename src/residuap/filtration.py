@@ -19,6 +19,9 @@ from .groups import (FiniteGroup, Homomorphism, Subgroup, full_subgroup,
                      require_p_group, require_prime, subgroup_generated,
                      trivial_subgroup)
 
+# the most chief series chief_series lists
+CHIEF_SERIES_CAP = 100_000
+
 
 class Filtration:
     """A descending chain of subgroups of one group (1-based indexing)."""
@@ -307,23 +310,24 @@ def chief_refinement(F: Filtration) -> Filtration:
     return Filtration(G, chain, check=False)
 
 
-def chief_series(G: FiniteGroup, cap: int = 100_000) -> list[tuple[Subgroup, ...]]:
+def chief_series(G: FiniteGroup) -> list[tuple[Subgroup, ...]]:
     """All chief filtrations of G, each as a descending tuple G > ... > 1.
 
     The list is computed once per group and kept with it; each call returns
-    a fresh list.  The enumeration raises once it has found more than cap
-    series and looks for another, so a call raises exactly when there are
-    more than cap + 1 series, whether or not the list is already kept.
+    a fresh list.  The enumeration raises once it has found more than
+    CHIEF_SERIES_CAP series and looks for another, so a call raises exactly
+    when there are more than CHIEF_SERIES_CAP + 1 series, whether or not the
+    list is already kept.
     """
     if G._chief_series is not None:
-        if len(G._chief_series) > cap + 1:
+        if len(G._chief_series) > CHIEF_SERIES_CAP + 1:
             raise ValueError("chief series enumeration cap exceeded")
         return list(G._chief_series)
     out: list[tuple[Subgroup, ...]] = []
     minimal = _minimal_normal_finder(G)
 
     def ascend(chain: list[Subgroup]):
-        if len(out) > cap:
+        if len(out) > CHIEF_SERIES_CAP:
             raise ValueError("chief series enumeration cap exceeded")
         if chain[-1].elems == tuple(range(G.order)):
             out.append(tuple(reversed(chain)))

@@ -69,16 +69,16 @@ class Graph:
         return self.ne // 2 - self.nv + 1
 
 
-def maximal_subtree(Y: Graph, root: int = 0) -> frozenset[int]:
-    """Breadth-first spanning tree from the root, lowest edge index first.
+def maximal_subtree(Y: Graph) -> frozenset[int]:
+    """Breadth-first spanning tree from vertex 0, lowest edge index first.
 
     Returns the set of tree edges, closed under bar.
     """
     if not Y.is_connected():
         raise ValueError("maximal subtree needs a connected graph")
-    seen = {root}
+    seen = {0}
     tree: set[int] = set()
-    frontier = [root]
+    frontier = [0]
     while frontier:
         new = []
         for e in range(Y.ne):
@@ -125,9 +125,6 @@ class PathWord:
     base: int
     g0: int
     steps: tuple[tuple[int, int], ...]   # (edge, following group element)
-
-    def end(self, gog: GraphOfGroups) -> int:
-        return gog.graph.term[self.steps[-1][0]] if self.steps else self.base
 
     def length(self) -> int:
         return len(self.steps)

@@ -21,6 +21,10 @@ from . import kernels
 DEFAULT_ORDER_CAP = 4096
 DEFAULT_AUT_CAP = 256
 DEFAULT_AUT_SIZE_CAP = 200_000
+# the largest product of the generators' candidate-list lengths searched
+AUT_SEARCH_VOLUME_CAP = 2_000_000
+# the most subgroups all_subgroups lists
+SUBGROUP_CAP = 100_000
 
 
 class CapExceeded(ValueError):
@@ -78,11 +82,6 @@ class FiniteGroup:
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return int(self.mult[self.mult[g, x], self.inv[g]])
-
-    def comm(self, a: int, b: int) -> int:
-        """[a, b] = a^-1 b^-1 a b."""
-        t = self.mult
-        return int(t[t[t[self.inv[a], self.inv[b]], a], b])
 
     def power(self, a: int, e: int) -> int:
         if e < 0:
@@ -272,7 +271,7 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return len(self.elems) == 1
 
-    def as_group(self, name: Optional[str] = None):
+    def as_group(self):
         """The subgroup as a FiniteGroup of its own, with index maps.
 
         Returns (group, to_parent, from_parent) where to_parent[i] is the
@@ -285,8 +284,8 @@ class Subgroup:
         # the elements are sorted, so a parent index's rank is its local index
         elems = np.asarray(to_parent, dtype=np.int64)
         table = np.searchsorted(elems, G.mult[np.ix_(elems, elems)])
-        name = name or f"{G.name}|sub{n}"
-        return FiniteGroup(table, name=name, validate=False), to_parent, from_parent
+        G_sub = FiniteGroup(table, name=f"{G.name}|sub{n}", validate=False)
+        return G_sub, to_parent, from_parent
 
     def __repr__(self) -> str:
         return f"Subgroup(order={len(self.elems)} of {self.parent.name})"
@@ -335,10 +334,6 @@ class Homomorphism:
 
     def image(self) -> Subgroup:
         return Subgroup(self.cod, sorted(set(int(x) for x in self.map)), check=False)
-
-    def kernel(self) -> Subgroup:
-        return Subgroup(self.dom, [i for i in range(self.dom.order) if self.map[i] == 0],
-                        check=False)
 
     def compose(self, inner: "Homomorphism") -> "Homomorphism":
         """self o inner (inner applied first)."""
@@ -428,8 +423,8 @@ def right_coset_reps(G: FiniteGroup, elems: Sequence[int]) -> list[int]:
 
 # -- products ----------------------------------------------------------------
 
-def direct_product(G: FiniteGroup, H: FiniteGroup,
-                   name: Optional[str] = None) -> tuple[FiniteGroup, Homomorphism, Homomorphism]:
+def direct_product(G: FiniteGroup, H: FiniteGroup
+                   ) -> tuple[FiniteGroup, Homomorphism, Homomorphism]:
     """G x H with lexicographic indexing (G-index major).
 
     Returns (product, embed_G, embed_H).
@@ -441,7 +436,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup,
     a1 = G.mult[gi[:, None], gi[None, :]]
     a2 = H.mult[hi[:, None], hi[None, :]]
     table = a1 * m + a2
-    P = FiniteGroup(table, name=name or f"{G.name}x{H.name}", validate=False)
+    P = FiniteGroup(table, name=f"{G.name}x{H.name}", validate=False)
     eg = Homomorphism(G, P, np.arange(n) * m, check=False)
     eh = Homomorphism(H, P, np.arange(m), check=False)
     return P, eg, eh
@@ -538,19 +533,23 @@ def generating_sequence(G: FiniteGroup) -> list[int]:
 
 
 def _homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
-                   cands: Sequence[Sequence[int]]):
+                   cands: Sequence[Sequence[int]],
+                   seed: Iterable[tuple[int, int]]):
     """Yield every injective homomorphism G -> H, as an index array, that
-    sends gens[i] into cands[i], in itertools.product order of the generator
-    images.
+    sends x to y for each pair (x, y) of seed and gens[i] into cands[i], in
+    itertools.product order of the generator images.
 
     Backtrack search (Holt, Eick & O'Brien, Handbook of Computational Group
-    Theory, 2005): gens[i] gets its image only after gens[:i] have theirs,
-    and the partial map on <gens[:i]> is then extended to <gens[:i+1]> by
+    Theory, 2005): the seed pairs are assigned first and closed under
+    products, so a seed that is not a partial injective morphism yields
+    nothing; gens[i] then gets its image only after gens[:i] have theirs,
+    and the partial map on <gens[:i]> is extended to <gens[:i+1]> by
     closing it under products.  A branch is pruned as soon as a product is
     sent to two different images or two elements share an image.  No pruned
-    branch holds an injective homomorphism, so the output equals that of
-    testing every tuple of images in turn.  gens must generate G.  Both
-    tables are read as Python lists, which keeps the work per node small.
+    branch holds an injective homomorphism that agrees with the seed, so the
+    output equals that of testing every tuple of images in turn.  gens must
+    generate G.  Both tables are read as Python lists, which keeps the work
+    per node small.
     """
     gm = G.mult.tolist()
     hm = H.mult.tolist()
@@ -603,15 +602,20 @@ def _homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
                 yield from descend(level + 1)
             undo(start)
 
+    for x, y in seed:
+        if not extend(x, y):
+            return
     yield from descend(0)
 
 
-def automorphisms(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP,
-                  size_cap: int = DEFAULT_AUT_SIZE_CAP,
-                  search_cap: int = 2_000_000) -> list[np.ndarray]:
-    """All automorphisms of G as permutation arrays, sorted lexicographically."""
-    if G.order > cap:
-        raise CapExceeded(f"automorphism enumeration capped at order {cap}")
+def automorphism_search(G: FiniteGroup, fixed: dict[int, int]):
+    """Yield the automorphisms of G that send each key x of fixed to
+    fixed[x], as permutation arrays in lexicographic order: the greedy
+    generating_sequence puts every element below gens[i] in <gens[:i]>, so
+    two automorphisms first differ at a generator.  The order cap and the
+    search volume, counted without the pins of fixed, are checked first."""
+    if G.order > DEFAULT_AUT_CAP:
+        raise CapExceeded(f"automorphism enumeration capped at order {DEFAULT_AUT_CAP}")
     gens = generating_sequence(G)
     orders = G.element_orders()
     by_order: dict[int, list[int]] = {}
@@ -620,19 +624,24 @@ def automorphisms(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP,
     volume = 1
     for g in gens:
         volume *= len(by_order[orders[g]])
-    if volume > search_cap:
+    if volume > AUT_SEARCH_VOLUME_CAP:
         raise CapExceeded(f"automorphism search space {volume} beyond cap")
+    yield from _homomorphisms(G, G, gens, [by_order[orders[g]] for g in gens],
+                              fixed.items())
+
+
+def automorphisms(G: FiniteGroup) -> list[np.ndarray]:
+    """All automorphisms of G as permutation arrays, in lexicographic
+    order."""
     out = []
-    for m in _homomorphisms(G, G, gens, [by_order[orders[g]] for g in gens]):
+    for m in automorphism_search(G, {}):
         out.append(m)
-        if len(out) > size_cap:
+        if len(out) > DEFAULT_AUT_SIZE_CAP:
             raise CapExceeded("automorphism group larger than size cap")
-    out.sort(key=lambda a: tuple(int(x) for x in a))
     return out
 
 
-def permutation_group(G: FiniteGroup, perms: Sequence[np.ndarray],
-                      name: str = "A"):
+def permutation_group(G: FiniteGroup, perms: Sequence[np.ndarray]):
     """The group formed by a lexicographically sorted list of permutations of
     G that is closed under composition, as (A, action on G, index).
 
@@ -647,12 +656,11 @@ def permutation_group(G: FiniteGroup, perms: Sequence[np.ndarray],
     index = {tuple(row): i for i, row in enumerate(stacked.tolist())}
     table = np.array([[index[tuple(row)] for row in p[stacked].tolist()]
                       for p in stacked], dtype=np.int64)
-    A = FiniteGroup(table, name=name, validate=False)
+    A = FiniteGroup(table, name="A", validate=False)
     return A, GroupAction(A, G, stacked, check=False), index
 
 
-def permutation_closure(G: FiniteGroup, perms: Sequence[np.ndarray],
-                        size_cap: int = DEFAULT_AUT_SIZE_CAP):
+def permutation_closure(G: FiniteGroup, perms: Sequence[np.ndarray]):
     """Subgroup of Sym(G) generated by permutation arrays; returns the list."""
     ident = tuple(range(G.order))
     seen = {ident}
@@ -675,7 +683,7 @@ def permutation_closure(G: FiniteGroup, perms: Sequence[np.ndarray],
                     seen.add(key)
                     out.append(r)
                     new.append(r)
-                    if len(out) > size_cap:
+                    if len(out) > DEFAULT_AUT_SIZE_CAP:
                         raise CapExceeded("permutation closure exceeds size cap")
         frontier = new
     out.sort(key=lambda a: tuple(int(x) for x in a))
@@ -697,7 +705,8 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[Homomorphism]:
     by_order: dict[int, list[int]] = {}
     for x in range(H.order):
         by_order.setdefault(orders_H[x], []).append(x)
-    for m in _homomorphisms(G, H, gens, [by_order[orders_G[g]] for g in gens]):
+    cands = [by_order[orders_G[g]] for g in gens]
+    for m in _homomorphisms(G, H, gens, cands, ()):
         return Homomorphism(G, H, m, check=False)
     return None
 
@@ -706,7 +715,7 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     return find_isomorphism(G, H) is not None
 
 
-def all_subgroups(G: FiniteGroup, cap: int = 100_000) -> list[Subgroup]:
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, as sorted element tuples in lexicographic order.
 
     Breadth-first closure: repeatedly extend known subgroups by one
@@ -725,7 +734,7 @@ def all_subgroups(G: FiniteGroup, cap: int = 100_000) -> list[Subgroup]:
                 if bigger not in seen:
                     seen.add(bigger)
                     new.append(bigger)
-                    if len(seen) > cap:
+                    if len(seen) > SUBGROUP_CAP:
                         raise CapExceeded("subgroup enumeration cap exceeded")
         frontier = new
     return [Subgroup(G, e, check=False) for e in sorted(seen)]

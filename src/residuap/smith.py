@@ -164,9 +164,6 @@ class AbelianizationResult:
     free_rank: int
     torsion: tuple[int, ...]     # invariant factors > 1, each dividing the next
 
-    def invariants(self) -> tuple[int, ...]:
-        return self.torsion
-
     def order(self):
         if self.free_rank:
             return None

@@ -21,6 +21,11 @@ from residuap.groups import (CapExceeded, FiniteGroup, Homomorphism, Subgroup,
                              subgroup_generated, trivial_subgroup)
 
 
+def comm(G: FiniteGroup, a: int, b: int) -> int:
+    """[a, b] = a^-1 b^-1 a b in G."""
+    return G.word([G.inverse(a), G.inverse(b), a, b])
+
+
 def fresh(G: FiniteGroup, name: str) -> FiniteGroup:
     """An independent copy, so a gog can use 'two different' vertex groups."""
     return FiniteGroup(G.mult.copy(), name=name, validate=False)
@@ -85,10 +90,10 @@ def forbid_tables_above_cap(monkeypatch):
     cap = groups.DEFAULT_ORDER_CAP
     product, cyclic = groups.direct_product, catalog.cyclic
 
-    def guarded_product(G, H, name=None):
+    def guarded_product(G, H):
         assert G.order * H.order <= cap, \
             f"a direct product of order {G.order * H.order} was built"
-        return product(G, H, name)
+        return product(G, H)
 
     def guarded_cyclic(n):
         assert n <= cap, f"a cyclic group of order {n} was built"
@@ -105,7 +110,7 @@ def _random_edge(G: FiniteGroup, H: FiniteGroup, rng: random.Random):
     into G, and a map of U onto a random proper subgroup of H isomorphic to
     U through find_isomorphism (None when H has none)."""
     U = rng.choice([S for S in all_subgroups(G) if len(S) < G.order])
-    UG, to_parent, _ = U.as_group("U")
+    UG, to_parent, _ = U.as_group()
     onto = []
     for S in all_subgroups(H):
         if len(S) == H.order:
@@ -216,9 +221,14 @@ def nf_test_graphs():
 
 # -- products of path words --------------------------------------------------
 
+def path_end(gog: GraphOfGroups, a: PathWord) -> int:
+    """The vertex where the path a ends."""
+    return gog.graph.term[a.steps[-1][0]] if a.steps else a.base
+
+
 def multiply(gog: GraphOfGroups, a: PathWord, b: PathWord) -> PathWord:
     """The path a followed by the path b."""
-    if a.end(gog) != b.base:
+    if path_end(gog, a) != b.base:
         raise ValueError("paths are not composable")
     if not b.steps:
         if not a.steps:
@@ -241,7 +251,7 @@ def inverse(gog: GraphOfGroups, a: PathWord) -> PathWord:
     if not a.steps:
         return PathWord(a.base, gog.vgroups[a.base].inverse(a.g0), ())
     Y = gog.graph
-    g0 = gog.vgroups[a.end(gog)].inverse(a.steps[-1][1])
+    g0 = gog.vgroups[path_end(gog, a)].inverse(a.steps[-1][1])
     steps = []
     items = [(None, a.g0)] + list(a.steps)
     for i in range(len(a.steps), 0, -1):
@@ -249,7 +259,7 @@ def inverse(gog: GraphOfGroups, a: PathWord) -> PathWord:
         prev_g = items[i - 1][1]
         v = Y.orig[e]
         steps.append((Y.bar[e], gog.vgroups[v].inverse(prev_g)))
-    return PathWord(a.end(gog), g0, tuple(steps))
+    return PathWord(path_end(gog, a), g0, tuple(steps))
 
 
 # -- closed path words -------------------------------------------------------
@@ -699,12 +709,12 @@ def reference_sl2_elements(mod: int) -> list[tuple]:
     return out
 
 
-def level_group(tower, i: int, cap: int = 5000):
+def level_group(tower, i: int):
     """G_i of an SL(2, Z/p^k) congruence tower as (Cayley group, elements)."""
     from residuap.congruence import MatrixGroup
     mg = MatrixGroup(tower.levels[i - 1], tower.full.mod,
                      name=f"SL2^{i}(Z/{tower.full.mod})")
-    return mg.as_finite_group(cap=cap)
+    return mg.as_finite_group()
 
 
 def reference_as_finite_group(elements: Sequence[tuple], mod: int) -> list[list[int]]:

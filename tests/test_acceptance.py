@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (axis_swap_loop, c4_star_c4, chain, d8_center_hnn,
+from helpers import (axis_swap_loop, c4_star_c4, chain, comm, d8_center_hnn,
                      elab_elem, fresh, free_product, inverse, multiply,
                      nf_test_graphs, random_closed_word, shift_loop, swap_loop,
                      theta_graph)
@@ -218,7 +218,7 @@ def test_criterion_07_unfolding():
     t0 = time.time()
     # loop unfolds to an s-cycle
     loop = Graph.from_topological(1, [(0, 0)])
-    tree = maximal_subtree(loop, 0)
+    tree = maximal_subtree(loop)
     for s in (2, 3, 5):
         A = catalog.cyclic(s)
         cov, _, _ = unfold_graph(loop, tree, [1, (s - 1) % s], A)
@@ -232,7 +232,7 @@ def test_criterion_07_unfolding():
         edges += [(rng.randrange(nv), rng.randrange(nv))
                   for _ in range(rng.randrange(1, 3))]
         Y = Graph.from_topological(nv, edges)
-        tr = maximal_subtree(Y, 0)
+        tr = maximal_subtree(Y)
         s = rng.choice([2, 3, 5])
         A = catalog.cyclic(s)
         psi = [0] * Y.ne
@@ -249,7 +249,7 @@ def test_criterion_07_unfolding():
     for trial in range(10):
         gog = axis_swap_loop() if trial % 2 == 0 else d8_center_hnn()
         Y = gog.graph
-        tr = maximal_subtree(Y, 0)
+        tr = maximal_subtree(Y)
         A = catalog.cyclic(2)
         psi = [0] * Y.ne
         for e in range(Y.ne):
@@ -332,7 +332,7 @@ def test_criterion_11_normal_form_congruence():
     graphs5 = nf_test_graphs()
     for idx, gog in enumerate(graphs5):
         ctx = NormalFormContext(gog)
-        tree = maximal_subtree(gog.graph, 0)
+        tree = maximal_subtree(gog.graph)
         rng = random.Random(1000 + idx)
         for _ in range(1000):
             w = random_closed_word(gog, tree, 0, rng, max_letters=5)
@@ -363,6 +363,6 @@ def test_criterion_12_hall_petrescu():
                         lhs = G.power(G.mul(x, y), q)
                         rhs = G.mul(G.power(x, q), G.power(y, q))
                         if p == 2:
-                            rhs = G.mul(rhs, G.power(G.comm(x, y), q // 2))
+                            rhs = G.mul(rhs, G.power(comm(G, x, y), q // 2))
                         assert G.mul(G.inverse(rhs), lhs) in mod
     report(12, "Hall-Petrescu congruences, m <= 3, all catalog groups", t0)

@@ -11,7 +11,7 @@ from helpers import (Letter, axis_swap_loop, c4_star_c4, chain, d8_center_hnn,
                      reference_gamma_gog_filtration, shift_loop, swap_loop,
                      theta_graph, word_to_path)
 
-from residuap import catalog, certify, embed, groups
+from residuap import catalog, certify, embed, groups, serialize
 from residuap.certify import (Certificate, certify_residually_p,
                               colimit_sigma, homology_fiber_sum_check,
                               orientation, partial_abelianization,
@@ -27,7 +27,7 @@ from residuap.results import NO, UNKNOWN, YES
 
 def test_colimit_examples():
     gog = c4_star_c4()
-    col = colimit_sigma(gog, maximal_subtree(gog.graph, 0))
+    col = colimit_sigma(gog, maximal_subtree(gog.graph))
     assert col.sigma.order == 8
     assert abelian_invariants(col.sigma) == [2, 4]
     assert all(i.is_injective() for i in col.injections)
@@ -39,7 +39,7 @@ def test_colimit_examples():
     tg = GraphOfGroups(Y, [V, Vb], [C3, C3],
                        [Homomorphism(C3, Vb, [0, 1, 2]),
                         Homomorphism(C3, V, [0, 1, 2])])
-    col = colimit_sigma(tg, maximal_subtree(tg.graph, 0))
+    col = colimit_sigma(tg, maximal_subtree(tg.graph))
     assert col.sigma.order == 27 and col.sigma.exponent() == 3
     # path of three C4's glued over C2's: order 16 abelian, injective iotas
     C4 = catalog.cyclic(4)
@@ -50,7 +50,7 @@ def test_colimit_examples():
         Y3, [C4, C4b, C4c], [C2, C2, C2, C2],
         [Homomorphism(C2, C4b, [0, 2]), Homomorphism(C2, C4, [0, 2]),
          Homomorphism(C2, C4c, [0, 2]), Homomorphism(C2, C4b, [0, 2])])
-    col = colimit_sigma(path_gog, maximal_subtree(path_gog.graph, 0))
+    col = colimit_sigma(path_gog, maximal_subtree(path_gog.graph))
     assert col.sigma.order == 16
     assert all(i.is_injective() for i in col.injections)
 
@@ -60,7 +60,7 @@ def test_partial_abelianization_shapes():
     assert pab.colimit.sigma.order == 27
     assert len(pab.pas) == 1 and len(pab.pas[0].A) == 9
     gog = c4_star_c4()
-    pab = partial_abelianization(gog, maximal_subtree(gog.graph, 0))
+    pab = partial_abelianization(gog, maximal_subtree(gog.graph))
     assert pab.pas == ()        # a tree has no stable letters
 
 
@@ -72,7 +72,7 @@ def test_certify_c4_star_c4():
     cert.verify()
     assert cert.target.order == 8
     # the certified map evaluates the defining relation correctly: a^2 = b^2
-    tree = maximal_subtree(gog.graph, 0)
+    tree = maximal_subtree(gog.graph)
     w1 = word_to_path(gog, tree, 0, [Letter("g", 0, 2)])
     w2 = word_to_path(gog, tree, 0, [Letter("g", 1, 2)])
     assert evaluate(cert, w1) == evaluate(cert, w2)
@@ -110,7 +110,7 @@ def _unfold_along_cn(gog: GraphOfGroups, n: int) -> GraphOfGroups:
     """The unfolding of gog along psi = a generator of C_n on every
     non-tree edge."""
     Y = gog.graph
-    tree = maximal_subtree(Y, 0)
+    tree = maximal_subtree(Y)
     psi = [0] * Y.ne
     for e in orientation(Y, tree):
         psi[e], psi[Y.bar[e]] = 1, n - 1
@@ -154,7 +154,7 @@ def test_colimit_matches_the_direct_sum_reference():
     inputs = _colimit_inputs()
     assert len(inputs) == 13
     for gog in inputs:
-        tree = maximal_subtree(gog.graph, 0)
+        tree = maximal_subtree(gog.graph)
         col = colimit_sigma(gog, tree)
         S, maps = reference_colimit_sigma(gog, sorted(tree))
         assert col.sigma.name == S.name
@@ -210,7 +210,7 @@ def test_separating_lemmas_on_unfolding():
     # these are the psi and the order-2 A of its completion over Sigma.
     for build, p in ((axis_swap_loop, 3), (d8_center_hnn, 2)):
         gog = build()
-        tr = maximal_subtree(gog.graph, 0)
+        tr = maximal_subtree(gog.graph)
         cover, mor = unfold_gog(gog, tr, [1, 1], catalog.cyclic(2))
         eproj = list(mor.edge_map)
         base_f = GogFiltration(gog, tuple(
@@ -286,7 +286,7 @@ def test_separating_level():
     gfilt = GogFiltration(gog, tuple(lower_central_p_series(gog.vgroups[v], 2)
                                      for v in range(2)))
     ctx = NormalFormContext(gog)
-    tree = maximal_subtree(gog.graph, 0)
+    tree = maximal_subtree(gog.graph)
     com = ctx.normal_form(word_to_path(
         gog, tree, 0, [Letter("g", 0, 1), Letter("g", 1, 1),
                        Letter("g", 0, 3), Letter("g", 1, 3)]))
@@ -307,7 +307,7 @@ def test_certificate_never_used_as_equality_oracle():
     dec = certify_residually_p(gog, 2)
     cert = dec.certificate
     ctx = NormalFormContext(gog)
-    tree = maximal_subtree(gog.graph, 0)
+    tree = maximal_subtree(gog.graph)
     com = word_to_path(gog, tree, 0, [Letter("g", 0, 1), Letter("g", 1, 1),
                                       Letter("g", 0, 3), Letter("g", 1, 3)])
     assert ctx.normal_form(com) != ctx.identity(0)
@@ -352,7 +352,7 @@ def test_colimit_loop_with_trivial_edge_group():
     Y = Graph.from_topological(1, [(0, 0)])
     f = Homomorphism(triv, A, [0])
     gog = GraphOfGroups(Y, [A], [triv, triv], [f, f])
-    col = colimit_sigma(gog, maximal_subtree(gog.graph, 0))
+    col = colimit_sigma(gog, maximal_subtree(gog.graph))
     assert col.sigma.order == 8 and col.injections[0].is_injective()
 
 
@@ -363,7 +363,7 @@ def test_separating_level_trivial_edge_graph():
     gfilt = GogFiltration(gog, tuple(lower_central_p_series(g, 3)
                                      for g in gog.vgroups))
     ctx = NormalFormContext(gog)
-    tree = maximal_subtree(gog.graph, 0)
+    tree = maximal_subtree(gog.graph)
     w = ctx.normal_form(word_to_path(gog, tree, 0, [Letter("g", 0, 1),
                                                     Letter("g", 1, 2)]))
     assert separating_level(gog, gfilt, w, ctx)["level"] == 2
@@ -453,22 +453,6 @@ def test_gamma_collection_matches_the_two_route_reference():
     assert seen == {(True, False), (False, False), (False, True)}
 
 
-def test_separating_level_single_position_variant():
-    gog = c4_star_c4()
-    gfilt = GogFiltration(gog, tuple(lower_central_p_series(gog.vgroups[v], 2)
-                                     for v in range(2)))
-    ctx = NormalFormContext(gog)
-    tree = maximal_subtree(gog.graph, 0)
-    com = ctx.normal_form(word_to_path(
-        gog, tree, 0, [Letter("g", 0, 1), Letter("g", 1, 1),
-                       Letter("g", 0, 3), Letter("g", 1, 3)]))
-    full = separating_level(gog, gfilt, com, ctx)["level"]
-    for i in range(com.length() - 1):
-        single = separating_level(gog, gfilt, com, ctx,
-                                  single_position=i)["level"]
-        assert single is not None and single <= full
-
-
 @pytest.mark.parametrize("name", ["C4xC2", "C8xC2", "C4xC2xC2", "C9xC3"])
 def test_hnn_loops_over_abelian_groups_give_a_decision(name):
     G = catalog.by_name(name)
@@ -478,6 +462,40 @@ def test_hnn_loops_over_abelian_groups_give_a_decision(name):
         assert dec.status in (YES, NO, UNKNOWN)
         if dec.is_yes:
             dec.certificate.verify()
+
+
+def test_stabilizer_search_stops_at_the_first_extension(monkeypatch):
+    """C8 amalgamated with F_2^4 over C2, plus a loop with trivial edge
+    group at vertex 0: Sigma = C8 x C2^3 of order 64, and the loop gives the
+    identity on {0}.  The first automorphism that extends it, the identity,
+    preserves any chain, so the stabilizer search needs one yield of the
+    homomorphism search, not all 43,008 automorphisms of Sigma."""
+    c8 = {"order": 8, "name": "C8",
+          "mult": [[(i + j) % 8 for j in range(8)] for i in range(8)]}
+    f16 = {"order": 16, "name": "F2^4",
+           "mult": [[i ^ j for j in range(16)] for i in range(16)]}
+    gog = serialize.gog_from_obj({
+        "graph": {"nv": 2, "bar": [1, 0, 3, 2], "orig": [0, 1, 0, 0],
+                  "term": [1, 0, 0, 0]},
+        "vgroups": [c8, f16], "egroup_of_edge": [0, 0, 1, 1],
+        "egroups": [{"order": 2, "mult": [[0, 1], [1, 0]], "name": "C2"},
+                    {"order": 1, "mult": [[0]], "name": "1"}],
+        "emaps": [[0, 1], [0, 4], [0], [0]]})
+    search = groups._homomorphisms
+    yields = []
+
+    def bounded(*args):
+        for m in search(*args):
+            yields.append(1)
+            if len(yields) > 10:
+                raise AssertionError("more than 10 yields of the search")
+            yield m
+
+    monkeypatch.setattr(groups, "_homomorphisms", bounded)
+    dec = certify_residually_p(gog, 2)
+    assert dec.is_yes and dec.certificate.target.order == 64
+    dec.certificate.verify()
+    assert len(yields) == 1
 
 
 def test_sigma_coordinates_are_built_once(monkeypatch):

@@ -157,8 +157,8 @@ def _tower_without(level, matrix, monkeypatch):
     """Make sl2_congruence_tower drop one matrix from G_level."""
     build = congruence.sl2_congruence_tower
 
-    def broken(p, k, cap=congruence.DEFAULT_TOWER_CAP):
-        tower = build(p, k, cap=cap)
+    def broken(p, k):
+        tower = build(p, k)
         tower.levels[level - 1].remove(matrix)
         return tower
     monkeypatch.setattr(congruence, "sl2_congruence_tower", broken)
@@ -183,8 +183,8 @@ def test_layer_check_reports_the_reference_failure(p, k, level, matrix, failure,
 def test_layer_check_requires_determinant_one(monkeypatch):
     build = congruence.sl2_congruence_tower
 
-    def broken(p, k, cap=congruence.DEFAULT_TOWER_CAP):
-        tower = build(p, k, cap=cap)
+    def broken(p, k):
+        tower = build(p, k)
         tower.levels[0] = tower.levels[0] + [((3, 0), (0, 1))]
         return tower
     monkeypatch.setattr(congruence, "sl2_congruence_tower", broken)
@@ -229,9 +229,10 @@ def test_power_map_matches_reference(p, k):
 
 @pytest.mark.parametrize("name", sorted(MATRIX_SPECS))
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_matrix_p_filtration_matches_reference(name, p):
+def test_matrix_p_filtration_matches_reference(name, p, monkeypatch):
     spec, cap = MATRIX_SPECS[name], 2000
-    rep = matrix_p_filtration(spec, p, 3, image_cap=cap)
+    monkeypatch.setattr(congruence, "MATRIX_IMAGE_CAP", cap)
+    rep = matrix_p_filtration(spec, p, 3)
     json.dumps(rep)                       # plain ints and bools throughout
     ref_levels = []
     for k in (1, 2, 3):
@@ -251,10 +252,12 @@ def test_matrix_p_filtration_matches_reference(name, p):
             [helpers.reference_t_lattice(t_mats, t_theta, p, k) for k in ks]
 
 
-def test_capped_levels_report_cap_plus_one():
-    rep = matrix_p_filtration(MATRIX_SPECS["two_generators"], 5, 2, image_cap=500)
+def test_capped_levels_report_cap_plus_one(monkeypatch):
+    monkeypatch.setattr(congruence, "MATRIX_IMAGE_CAP", 500)
+    rep = matrix_p_filtration(MATRIX_SPECS["two_generators"], 5, 2)
     assert rep["levels"] == [{"k": 1, "image_order": 501, "capped": True},
                              {"k": 2, "image_order": 501, "capped": True}]
+    monkeypatch.undo()
     rep = matrix_p_filtration(MATRIX_SPECS["two_generators"], 5, 1)
     assert rep["levels"] == [{"k": 1, "image_order": 3000, "capped": False}]
 

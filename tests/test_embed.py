@@ -232,7 +232,6 @@ def test_stabilizer_choice_matches_the_chain_filter_reference(monkeypatch,
     p = G.prime()
     auts = automorphisms(G)
     chosen = []
-    monkeypatch.setattr(embed, "automorphisms", lambda H: auts)
     monkeypatch.setattr(embed, "_realize_semidirect",
                         lambda H, pas, perms, p, cap:
                         chosen.append(perms) or Decision(YES))
@@ -545,7 +544,7 @@ def test_chain_tracer_matches_reference_trace(n):
             [reference_chief_trace(ser, emb) for ser in chains]
 
 
-def test_scan_matches_reference_and_per_record_path():
+def test_scan_matches_reference_and_per_record_path(monkeypatch):
     groups = catalog.two_group_scan_list(8)
     recs = amalgam_scan(groups)
     want = reference_amalgam_scan(groups)
@@ -563,7 +562,10 @@ def test_scan_matches_reference_and_per_record_path():
     pair16 = [catalog.elementary_abelian(2, 4), catalog.abelian(4, 4)]
     for args, kw in [((relabeled,), {}), ((groups,), {"all_iso_upto": 8}),
                      ((pair16,), {"max_u": 16})]:
-        assert amalgam_scan(*args, **kw) == reference_amalgam_scan(*args, **kw)
+        monkeypatch.setattr(embed, "SCAN_MAX_U", kw.get("max_u", 8))
+        monkeypatch.setattr(embed, "SCAN_ALL_ISO_UPTO",
+                            kw.get("all_iso_upto", 4))
+        assert amalgam_scan(*args) == reference_amalgam_scan(*args, **kw)
 
 
 def test_scan_searches_each_pair_of_subgroup_tables_once(monkeypatch):

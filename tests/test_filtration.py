@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from helpers import (chain, fresh, level_group, reference_chief_refinement,
+from helpers import (chain, comm, fresh, level_group,
+                     reference_chief_refinement,
                      reference_chief_series, reference_induced_power_map,
                      relabel)
 
@@ -109,9 +110,10 @@ def test_chief_refinement_matches_reference(G):
         reference_chief_refinement(F)
 
 
-def test_chief_series_cap():
+def test_chief_series_cap(monkeypatch):
+    monkeypatch.setattr(filtration, "CHIEF_SERIES_CAP", 10)
     with pytest.raises(ValueError, match="cap exceeded"):
-        chief_series(catalog.elementary_abelian(2, 4), cap=10)
+        chief_series(catalog.elementary_abelian(2, 4))
 
 
 def test_chief_series_is_kept_with_the_group():
@@ -153,12 +155,13 @@ def test_copy_keeps_the_chief_series_on_the_copy(G, monkeypatch):
 @pytest.mark.parametrize("G", [catalog.elementary_abelian(2, 3),
                                catalog.elementary_abelian(2, 4)],
                          ids=lambda G: G.name)
-def test_kept_chief_series_raises_at_the_same_caps(G):
+def test_kept_chief_series_raises_at_the_same_caps(G, monkeypatch):
     count = len(reference_chief_series(G))       # 21 and 315
 
     def raises(H, cap):
+        monkeypatch.setattr(filtration, "CHIEF_SERIES_CAP", cap)
         try:
-            chief_series(H, cap=cap)
+            chief_series(H)
         except ValueError as exc:
             assert "cap exceeded" in str(exc)
             return True
@@ -349,7 +352,7 @@ def test_hall_petrescu_congruences(p):
                     lhs = G.power(G.mul(x, y), q)
                     rhs = G.mul(G.power(x, q), G.power(y, q))
                     if p == 2:
-                        rhs = G.mul(rhs, G.power(G.comm(x, y), q // 2))
+                        rhs = G.mul(rhs, G.power(comm(G, x, y), q // 2))
                     assert G.mul(G.inverse(rhs), lhs) in mod
 
 

@@ -28,23 +28,23 @@ def test_graph_validation():
 
 def test_maximal_subtree():
     Y = Graph.from_topological(3, [(0, 1), (1, 2), (2, 0)])
-    tree = maximal_subtree(Y, 0)
+    tree = maximal_subtree(Y)
     assert len(tree) == 4                       # 2 topological edges
     loop = Graph.from_topological(1, [(0, 0)])
-    assert maximal_subtree(loop, 0) == frozenset()
+    assert maximal_subtree(loop) == frozenset()
     wedge = Graph.from_topological(1, [(0, 0), (0, 0)])
-    assert maximal_subtree(wedge, 0) == frozenset()
+    assert maximal_subtree(wedge) == frozenset()
     # the BFS tree of the triangle joins 0 to 2 directly
     assert len(tree_geodesic(Y, tree, 0, 2)) == 1
     P = Graph.from_topological(3, [(0, 1), (1, 2)])
-    tp = maximal_subtree(P, 0)
+    tp = maximal_subtree(P)
     assert len(tree_geodesic(P, tp, 0, 2)) == 2
 
 
 def test_normal_form_a2_equals_b2():
     gog = c4_star_c4()
     ctx = NormalFormContext(gog)
-    tree = maximal_subtree(gog.graph, 0)
+    tree = maximal_subtree(gog.graph)
     w1 = word_to_path(gog, tree, 0, [Letter("g", 0, 2)])
     w2 = word_to_path(gog, tree, 0, [Letter("g", 1, 2)])
     assert ctx.normal_form(w1) == ctx.normal_form(w2)
@@ -57,7 +57,7 @@ def test_normal_form_a2_equals_b2():
 def test_free_product_words():
     gog = free_product(catalog.cyclic(2), fresh(catalog.cyclic(2), "C2b"))
     ctx = NormalFormContext(gog)
-    tree = maximal_subtree(gog.graph, 0)
+    tree = maximal_subtree(gog.graph)
     aa = word_to_path(gog, tree, 0, [Letter("g", 0, 1), Letter("g", 0, 1)])
     assert ctx.normal_form(aa) == ctx.identity(0)
     ab = word_to_path(gog, tree, 0, [Letter("g", 0, 1), Letter("g", 1, 1)])
@@ -69,7 +69,7 @@ def test_free_product_words():
 def test_normal_form_round_trips_and_congruence(idx):
     gog = nf_test_graphs()[idx]
     ctx = NormalFormContext(gog)
-    tree = maximal_subtree(gog.graph, 0)
+    tree = maximal_subtree(gog.graph)
     rng = random.Random(100 + idx)
     for _ in range(150):
         w = random_closed_word(gog, tree, 0, rng)
@@ -86,7 +86,7 @@ def test_base_point_independence():
     gog = c4_star_c4()
     ctx = NormalFormContext(gog)
     Y = gog.graph
-    tree = maximal_subtree(Y, 0)
+    tree = maximal_subtree(Y)
     rng = random.Random(5)
     # conjugation by the geodesic from v1 to v0 gives a bijection of classes
     geo = path_word(gog, 1, 0, [(e, 0) for e in tree_geodesic(Y, tree, 1, 0)])
@@ -150,21 +150,21 @@ def test_common_cover_identity():
 
 def test_unfold_graph_shapes():
     loop = Graph.from_topological(1, [(0, 0)])
-    tree = maximal_subtree(loop, 0)
+    tree = maximal_subtree(loop)
     for s in (2, 3, 5):
         A = catalog.cyclic(s)
         cov, _, _ = unfold_graph(loop, tree, [1, (s - 1) % s], A)
         assert cov.nv == s and cov.ne == 2 * s and cov.betti() == 1
     # a tree unfolds to itself
     Y = Graph.from_topological(3, [(0, 1), (1, 2)])
-    t = maximal_subtree(Y, 0)
+    t = maximal_subtree(Y)
     cov, _, _ = unfold_graph(Y, t, [0] * Y.ne, catalog.cyclic(1))
     assert cov.nv == 3 and cov.ne == 4
 
 
 def test_unfold_involution_laws_and_generation_error():
     Y = Graph.from_topological(1, [(0, 0), (0, 0)])
-    tree = maximal_subtree(Y, 0)
+    tree = maximal_subtree(Y)
     C2 = catalog.cyclic(2)
     cov, _, _ = unfold_graph(Y, tree, [1, 1, 0, 0], C2)
     for e in range(cov.ne):
@@ -181,7 +181,7 @@ def test_unfold_quotient_commutes():
     for trial in range(10):
         gog = axis_swap_loop() if trial % 2 == 0 else d8_center_hnn()
         Y = gog.graph
-        tree = maximal_subtree(Y, 0)
+        tree = maximal_subtree(Y)
         A = catalog.cyclic(2)
         psi = [0] * Y.ne
         non_tree = [e for e in range(Y.ne) if e not in tree and e < Y.bar[e]]
@@ -235,7 +235,7 @@ def test_reduced_nontriviality_and_idempotence():
     # nonempty normal forms are reduced, nontrivial, and fixed points
     for idx, gog in enumerate(nf_test_graphs()):
         ctx = NormalFormContext(gog)
-        tree = maximal_subtree(gog.graph, 0)
+        tree = maximal_subtree(gog.graph)
         rng = random.Random(400 + idx)
         nonempty = 0
         for _ in range(120):

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from residuap import catalog
 from residuap.groups import (CapExceeded, FiniteGroup, GroupAction,
                              Homomorphism, Subgroup, abelian_invariants,
-                             all_subgroups, automorphisms, direct_product,
+                             all_subgroups, automorphism_search,
+                             automorphisms, direct_product,
                              find_isomorphism, full_subgroup,
                              generating_sequence, is_isomorphic, normal_closure,
                              permutation_closure, permutation_group, quotient,
@@ -78,7 +81,7 @@ def test_quotient_examples():
     D8 = catalog.dihedral(4)
     Z = subgroup_generated(D8, [4])
     Q, proj = quotient(D8, Z)
-    assert proj.kernel().elems == Z.elems
+    assert proj.preimage(trivial_subgroup(Q)).elems == Z.elems
     with pytest.raises(ValueError):
         quotient(D8, subgroup_generated(D8, [1]))  # reflection: not normal
 
@@ -183,21 +186,76 @@ def test_search_matches_exhaustive_reference(G):
         assert _same(find_isomorphism(H, G), reference_isomorphism(H, G))
 
 
-def test_automorphism_caps_still_raise():
+def test_automorphism_caps_still_raise(monkeypatch):
     G = relabel(catalog.dihedral(4), seed=3)
     n_aut = len(automorphisms(G))
     assert n_aut == 8
     volume = 1
     for g in generating_sequence(G):
         volume *= G.element_orders().count(G.element_orders()[g])
-    assert len(automorphisms(G, search_cap=volume)) == n_aut
+    monkeypatch.setattr(groups, "AUT_SEARCH_VOLUME_CAP", volume)
+    assert len(automorphisms(G)) == n_aut
+    monkeypatch.setattr(groups, "AUT_SEARCH_VOLUME_CAP", volume - 1)
     with pytest.raises(CapExceeded):
-        automorphisms(G, search_cap=volume - 1)
-    assert len(automorphisms(G, size_cap=n_aut)) == n_aut
+        automorphisms(G)
+    monkeypatch.undo()
+    monkeypatch.setattr(groups, "DEFAULT_AUT_SIZE_CAP", n_aut)
+    assert len(automorphisms(G)) == n_aut
+    monkeypatch.setattr(groups, "DEFAULT_AUT_SIZE_CAP", n_aut - 1)
     with pytest.raises(CapExceeded):
-        automorphisms(G, size_cap=n_aut - 1)
+        automorphisms(G)
+    monkeypatch.undo()
+    monkeypatch.setattr(groups, "DEFAULT_AUT_CAP", 7)
     with pytest.raises(CapExceeded):
-        automorphisms(G, cap=7)
+        automorphisms(G)
+
+
+SEEDED_SEARCH_GROUPS = list({G.name: G for G in
+                             catalog.property_suite(2) + catalog.property_suite(3)
+                             + catalog.two_group_scan_list(16)
+                             if G.order <= 32}.values())
+
+
+def _seeded_partial_maps(G, auts, rng):
+    """Partial maps {x: y} of G: restrictions of automorphisms to random
+    subgroups (each extends), isomorphisms between random subgroups of one
+    order found by find_isomorphism (some extend, some do not), single
+    random pairs."""
+    subs = all_subgroups(G)
+    maps = []
+    for _ in range(3):
+        a, U = rng.choice(auts), rng.choice(subs)
+        maps.append({x: int(a[x]) for x in U.elems})
+        U = rng.choice(subs)
+        S = rng.choice([S for S in subs if len(S) == len(U)])
+        (UG, toU, _), (SG, toS, _) = U.as_group(), S.as_group()
+        iso = find_isomorphism(UG, SG)
+        if iso is not None:
+            maps.append({toU[x]: toS[iso(x)] for x in range(UG.order)})
+        maps.append({rng.randrange(G.order): rng.randrange(G.order)})
+    return maps
+
+
+@pytest.mark.parametrize("G", SEEDED_SEARCH_GROUPS, ids=lambda G: G.name)
+def test_seeded_search_matches_filtered_automorphisms(G):
+    """automorphism_search(G, fixed) yields exactly the automorphisms of
+    automorphisms(G) that agree with fixed, in the same order; a group
+    beyond the search volume is refused by both with one message."""
+    try:
+        auts = automorphisms(G)
+    except CapExceeded as exc:
+        with pytest.raises(CapExceeded, match=str(exc)):
+            next(automorphism_search(G, {0: 0}))
+        return
+    rng = random.Random(f"seeded-search:{G.name}")
+    outcomes = set()
+    for fixed in _seeded_partial_maps(G, auts, rng):
+        got = [a.tolist() for a in automorphism_search(G, fixed)]
+        want = [a.tolist() for a in auts
+                if all(int(a[x]) == y for x, y in fixed.items())]
+        assert got == want, fixed
+        outcomes.add(bool(got))
+    assert True in outcomes
 
 
 def test_generating_sequence_is_kept_with_the_group():

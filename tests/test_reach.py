@@ -1,5 +1,6 @@
 """Every public function, class and method of src is reached from src or
-perfbench, not only from the tests.
+perfbench, not only from the tests, and every default of a public
+parameter is overridden there somewhere.
 
 A top-level function or class counts as reached when, somewhere in src or
 perfbench outside its own body, its name appears
@@ -9,10 +10,16 @@ perfbench outside its own body, its name appears
     (``json.loads`` does not reach ``serialize.loads``) and whose name is not
     also the name of a method of a src class (``I.multiply(J)`` does not
     reach ``graphs.multiply``).
-A method counts as reached when its name appears, as a name or as an
-attribute, anywhere in src or perfbench outside its own body.  The methods
+A method counts as reached when its name appears as an attribute
+(``x.name``) anywhere in src or perfbench outside its own body; a bare name
+(a local variable ``end``) does not reach ``PathWord.end``.  The methods
 that perfbench/spans.py times by name (its METHODS table) count as reached
 too.  What the tests alone need belongs in tests/helpers.py.
+
+A defaulted parameter of a public function, method or ``__init__`` counts
+as overridden when some call in src or perfbench of that name (the class
+name for ``__init__``) passes it by keyword or by position.  A parameter
+that only its default reaches is one value: a module constant says so.
 """
 
 import ast
@@ -26,6 +33,10 @@ FOREIGN = set(sys.stdlib_module_names) | {"numpy"}
 KEEP = {
     "serialize.filtration_from_obj": "read by the verify routes of ROADMAP item 2",
 }
+
+# "module.function(parameter)" -> why the parameter stays although only its
+# default reaches it from src and perfbench
+KEEP_DEFAULTS: dict[str, str] = {}
 
 
 def _src_files():
@@ -104,7 +115,7 @@ def _reaches(ref, path, node, is_method, methods) -> bool:
     if where == path and node.lineno <= line <= node.end_lineno:
         return False
     if is_method:
-        return kind != "import"
+        return kind == "attr"
     if kind == "name":
         return where == path
     if kind == "import":
@@ -128,3 +139,72 @@ def test_every_public_definition_is_reached():
     assert sorted(unreached - set(KEEP)) == [], \
         "reached only from tests: move to tests/helpers.py or delete"
     assert sorted(set(KEEP) - unreached) == [], "reached now: drop from KEEP"
+
+
+def _defaulted_parameters():
+    """(module.function(parameter), called name, index of the parameter
+    among the positional arguments of a call or None, parameter name) for
+    every defaulted parameter of a public top-level function, and of every
+    public method and __init__ of a public class of src."""
+    for path in _src_files():
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            funcs = []
+            if isinstance(node, ast.FunctionDef) and \
+                    not node.name.startswith("_"):
+                funcs.append((node.name, node.name, node, 0))
+            elif isinstance(node, ast.ClassDef) and \
+                    not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and (
+                            item.name == "__init__"
+                            or not item.name.startswith("_")):
+                        called = (node.name if item.name == "__init__"
+                                  else item.name)
+                        funcs.append((f"{node.name}.{item.name}", called,
+                                      item, 1))
+            for qual, called, fn, skip in funcs:
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                for i, arg in enumerate(positional):
+                    if i >= len(positional) - len(a.defaults):
+                        yield (f"{module}.{qual}({arg.arg})", called,
+                               i - skip, arg.arg)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield (f"{module}.{qual}({arg.arg})", called, None,
+                               arg.arg)
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in src and perfbench, by the name it calls (the attribute
+    for ``x.f(...)``)."""
+    out: dict[str, list[ast.Call]] = {}
+    for path in _src_files() + sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                if name:
+                    out.setdefault(name, []).append(node)
+    return out
+
+
+def _passes(call: ast.Call, index, name: str) -> bool:
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index
+        or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+def test_every_default_is_overridden_somewhere():
+    calls = _calls()
+    one_value = {qual for qual, called, index, name in _defaulted_parameters()
+                 if not any(_passes(c, index, name)
+                            for c in calls.get(called, ()))}
+    assert sorted(one_value - set(KEEP_DEFAULTS)) == [], \
+        "only the default reaches these: make each a module constant"
+    assert sorted(set(KEEP_DEFAULTS) - one_value) == [], \
+        "overridden now: drop from KEEP_DEFAULTS"

@@ -64,7 +64,7 @@ def test_gog_and_word_roundtrip():
         assert (back.emaps[e].map == gog.emaps[e].map).all()
     # shared edge-group objects survive the round trip
     assert back.egroups[0] is back.egroups[1]
-    tree = maximal_subtree(gog.graph, 0)
+    tree = maximal_subtree(gog.graph)
     w = word_to_path(gog, tree, 0, [Letter("g", 0, 1), Letter("g", 1, 2)])
     w2 = serialize.word_from_obj(back, roundtrip(serialize.word_to_obj(w)))
     assert w2.base == w.base and w2.g0 == w.g0 and w2.steps == w.steps
