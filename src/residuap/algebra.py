@@ -237,48 +237,26 @@ def buckley_check(p: int, H: FiniteGroup, n_max: int) -> dict:
     gamma = lower_central_series(W)
     gamma_p = lower_central_p_series(W, p)
     dim = dimension_series(W, p)
-    omega = augmentation_ideal(H, p)
+    powers, _, _ = augmentation_ideal_powers(H, p)
+    full = IdealBasis(H, p, np.eye(H.order, dtype=np.int64))
+    zero = IdealBasis(H, p, [])
     levels = []
     ok_all = True
-    cur = None
     for n in range(0, n_max + 1):
-        if n == 0:
-            ideal_rows = [[1 if j == i else 0 for j in range(H.order)]
-                          for i in range(H.order)]
-            ideal = IdealBasis(H, p, ideal_rows)
-        elif n == 1:
-            ideal = omega
-        else:
-            ideal = cur.multiply(omega)
-        cur = ideal
-        expected = _base_vectors_of_ideal(wp, ideal)
+        ideal = full if n == 0 else powers[n - 1] if n <= len(powers) else zero
         got = {}
         for nm, filt in (("gamma", gamma), ("gamma_p", gamma_p), ("dim", dim)):
-            inter = [g for g in filt.term(n + 1).elems if g in base]
-            got[nm] = frozenset(wp.base_vector(g) for g in inter)
-        ok = all(v == expected for v in got.values())
+            got[nm] = [wp.base_vector(g) for g in filt.term(n + 1).elems
+                       if g in base]
+        # distinct elements have distinct base vectors, so the vectors are
+        # the ideal exactly when there are p^dim of them, all inside it
+        ok = all(len(v) == p ** ideal.dim and ideal.contains_rows(v).all()
+                 for v in got.values())
         ok_all = ok_all and ok
         levels.append({"n": n, "omega_dim": ideal.dim, "equal": ok,
                        "sizes": {k: len(v) for k, v in got.items()},
-                       "expected_size": len(expected)})
+                       "expected_size": p ** ideal.dim})
     return {"group": W.name, "ok": ok_all, "levels": levels}
-
-
-def _base_vectors_of_ideal(wp: WreathProduct, ideal: IdealBasis) -> frozenset:
-    """All coefficient vectors in the row space, as digit tuples."""
-    import itertools
-    p = ideal.p
-    vecs = set()
-    rows = [np.asarray(r, dtype=np.int64) for r in ideal.rows]
-    n = len(rows)
-    if n == 0:
-        return frozenset({tuple([0] * wp.H.order)})
-    for coeffs in itertools.product(range(p), repeat=n):
-        v = np.zeros(wp.H.order, dtype=np.int64)
-        for c, r in zip(coeffs, rows):
-            v += c * r
-        vecs.add(tuple(int(x) % p for x in v))
-    return frozenset(vecs)
 
 
 def wreath_class_formula(p: int, H: FiniteGroup) -> dict:

@@ -121,7 +121,7 @@ def c9_semi_c3() -> FiniteGroup:
     C9, C3 = cyclic(9), cyclic(3)
     perms = np.stack([(np.arange(9) * pow(4, a, 9)) % 9 for a in range(3)])
     action = GroupAction(C3, C9, perms)
-    G, _, _ = semidirect_product(C9, C3, action, name="C9:C3")
+    G, _, _ = semidirect_product(C9, C3, action)
     return G
 
 

@@ -748,22 +748,20 @@ class FlagCertificate:
                 for mat in self.matrices]
 
 
-def _all_subspaces(space: ElabSpace) -> dict[int, list[tuple[int, ...]]]:
-    """Subspaces of V grouped by dimension, each as a sorted element tuple.
+def _hyperplanes(space: ElabSpace, term: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The hyperplanes of the subspace term, each a sorted element tuple, in
+    sorted order.
 
-    A k-dimensional subspace is the row space of exactly one reduced echelon
-    k x d matrix; each dimension's list is sorted."""
-    p, d = space.p, space.dim
-    by_dim: dict[int, list] = {k: [] for k in range(d + 1)}
-    for k in range(d + 1):
-        for piv in itertools.combinations(range(d), k):
-            # row of pivot c: free right of c outside the pivot columns
-            entries = [[range(p) if j > c and j not in piv else (int(j == c),)
-                        for j in range(d)] for c in piv]
-            for rows in itertools.product(*(itertools.product(*r) for r in entries)):
-                by_dim[k].append(tuple(space.subspace_elems(rows)))
-        by_dim[k].sort()
-    return by_dim
+    With E the reduced echelon basis of term, they are the kernels of the
+    functionals f with first nonzero coefficient f_i = 1, and such a kernel
+    is spanned by the E_j with j < i and the E_j - f_j E_i with j > i."""
+    E = np.array(kernels.rref_mod_p(space.coords[list(term)], space.p),
+                 dtype=np.int64)
+    k = len(E)
+    return sorted(tuple(space.subspace_elems(
+                      np.vstack([E[:i], E[i + 1:] - np.outer(f, E[i])])))
+                  for i in range(k)
+                  for f in itertools.product(range(space.p), repeat=k - 1 - i))
 
 
 def unipotent_flag_extend(V: FiniteGroup,
@@ -778,32 +776,24 @@ def unipotent_flag_extend(V: FiniteGroup,
     for phi in pas:
         if phi.group is not V:
             raise ValueError("partial automorphisms must live on V")
-    by_dim = _all_subspaces(space)
-
-    full = tuple(range(V.order))
-    found = None
+    dead: set[tuple[int, ...]] = set()     # terms that no invariant flag passes
 
     def descend(chain: list[tuple]):
-        nonlocal found
-        if found is not None:
-            return
+        """The first invariant complete flag that continues chain, or None."""
         cur = chain[-1]
         if len(cur) == 1:
-            found = list(chain)
-            return
+            return chain
         cur_set = set(cur)
-        # chain[i] has dimension d - i
-        for nxt in by_dim[d - len(chain)]:
-            if found is not None:
-                return
-            nxt_set = set(nxt)
-            if not nxt_set <= cur_set:
-                continue
-            if not all(phi.preserves(cur_set, nxt_set) for phi in pas):
-                continue
-            descend(chain + [nxt])
+        for nxt in _hyperplanes(space, cur):
+            if nxt not in dead and all(phi.preserves(cur_set, set(nxt))
+                                       for phi in pas):
+                flag = descend(chain + [nxt])
+                if flag is not None:
+                    return flag
+        dead.add(cur)
+        return None
 
-    descend([full])
+    found = descend([tuple(range(V.order))])
     if found is None:
         return Decision(NO, reason="no invariant flag with trivial layer action")
     # adapted basis: v_1 spans the last nontrivial flag term, etc.

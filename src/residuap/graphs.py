@@ -392,45 +392,32 @@ def common_cover(gog: GraphOfGroups, subs: Sequence[Subgroup]):
             raise AssertionError("slot count mismatch in cover construction")
         slot_lists[e] = slots
     # build the cover graph: vertices (v, copy); for each topological edge
-    # {e, bar e} with e < bar e, me[e] copies matched by a cyclic shift
+    # {e, bar e} with e < bar e, me[e] copies matched by a cyclic shift, or
+    # by the identity when the shift leaves the cover disconnected
     vmap = {}
     nv2 = 0
     for v in range(Y.nv):
         for c in range(mv[v]):
             vmap[(v, c)] = nv2
             nv2 += 1
-    edges2 = []
-    edata = []    # (e, slot_e, slot_bar)
-    for e in range(Y.ne):
-        if Y.bar[e] < e:
-            continue
-        n_copies = me[e]
-        for j in range(n_copies):
-            se = slot_lists[e][j]
-            sb = slot_lists[Y.bar[e]][(j + 1) % n_copies]
-            edges2.append((vmap[(Y.term[Y.bar[e]], sb[0])],
-                           vmap[(Y.term[e], se[0])]))
-            edata.append((e, se, sb))
-    cover_graph = Graph.from_topological(nv2, edges2, require_connected=False)
-    if not cover_graph.is_connected():
-        # try identity matching as a fallback before giving up
+    for shift in (1, 0):
         edges2 = []
-        edata = []
+        edata = []    # (e, slot_e, slot_bar)
         for e in range(Y.ne):
             if Y.bar[e] < e:
                 continue
             for j in range(me[e]):
                 se = slot_lists[e][j]
-                sb = slot_lists[Y.bar[e]][j]
+                sb = slot_lists[Y.bar[e]][(j + shift) % me[e]]
                 edges2.append((vmap[(Y.term[Y.bar[e]], sb[0])],
                                vmap[(Y.term[e], se[0])]))
                 edata.append((e, se, sb))
         cover_graph = Graph.from_topological(nv2, edges2, require_connected=False)
-        if not cover_graph.is_connected():
-            raise AssertionError("cover construction produced a disconnected graph")
+        if cover_graph.is_connected():
+            break
+    else:
+        raise AssertionError("cover construction produced a disconnected graph")
     # groups
-    vgroups2 = []
-    vhoms = []
     v_of_copy = {}
     for v in range(Y.nv):
         Hv, to_parent, _ = subs[v].as_group()

@@ -488,8 +488,7 @@ class GroupAction:
         self.perms = perms
 
 
-def semidirect_product(B: FiniteGroup, H: FiniteGroup, action: GroupAction,
-                       name: Optional[str] = None,
+def semidirect_product(B: FiniteGroup, H: FiniteGroup, action: GroupAction
                        ) -> tuple[FiniteGroup, Homomorphism, Homomorphism]:
     """B x| H for an action of H on B; B-index-major lexicographic indexing.
 
@@ -510,7 +509,7 @@ def semidirect_product(B: FiniteGroup, H: FiniteGroup, action: GroupAction,
         bb = B.mult[b1, acted]
         hh = H.mult[h1, hi]
         table[x] = bb * nh + hh
-    P = FiniteGroup(table, name=name or f"{B.name}:{H.name}", validate=False)
+    P = FiniteGroup(table, name=f"{B.name}:{H.name}", validate=False)
     eb = Homomorphism(B, P, np.arange(nb) * nh, check=False)
     eh = Homomorphism(H, P, np.arange(nh), check=False)
     return P, eb, eh

@@ -619,10 +619,10 @@ def reference_amalgam_scan(groups: Sequence[FiniteGroup], max_u: int = 8,
 
 # -- reference subspace lists -------------------------------------------------
 #
-# The enumeration that embed._all_subspaces used before reduced echelon forms:
-# every subgroup of the elementary abelian group from the generic
-# all_subgroups, bucketed by dimension.  The differential tests require
-# _all_subspaces, and the flag search run on it, to agree with this.
+# Every subgroup of the elementary abelian group from the generic
+# all_subgroups, bucketed by dimension.  The differential tests require the
+# hyperplanes of embed._hyperplanes, and the flag search that descends
+# through them, to agree with these lists.
 
 def reference_all_subspaces(space: embed.ElabSpace) -> dict[int, list[tuple[int, ...]]]:
     """Subspaces of space.V grouped by dimension, each list sorted."""
@@ -1028,13 +1028,13 @@ def reference_extend_in_flag(space, basis, phi) -> tuple:
     return tuple(tuple(known[units[j]][i] for j in range(d)) for i in range(d))
 
 
-def reference_flag_extend(V: FiniteGroup, pas) -> tuple:
+def reference_flag_extend(V: FiniteGroup, pas, by_dim) -> tuple:
     """(status, reason, basis, matrices) of the flag search, on dict
-    coordinates; basis and matrices are None unless the status is yes."""
+    coordinates and the subspace lists by_dim of reference_all_subspaces;
+    basis and matrices are None unless the status is yes."""
     from residuap.results import NO, YES
     space = ReferenceElabSpace(V)
     d = space.dim
-    by_dim = embed._all_subspaces(space)
     found = None
 
     def descend(chain):

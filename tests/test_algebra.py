@@ -91,6 +91,22 @@ def test_buckley_trivial_top():
     assert rep["ok"]
 
 
+def test_buckley_reports_the_first_unequal_level(monkeypatch):
+    # with its third term dropped, the dimension series of C2 wr C4 meets
+    # the base in omega^(n+1) from level 2 on, where omega^n is expected
+    def skipping(G, p):
+        terms = dimension_series(G, p).terms
+        return Filtration(G, terms[:2] + terms[3:])
+
+    monkeypatch.setattr(algebra, "dimension_series", skipping)
+    rep = buckley_check(2, catalog.cyclic(4), 3)
+    assert not rep["ok"]
+    assert [lvl["equal"] for lvl in rep["levels"]] == [True, True, False, False]
+    sizes = [(lvl["sizes"]["dim"], lvl["sizes"]["gamma"], lvl["expected_size"])
+             for lvl in rep["levels"]]
+    assert sizes == [(16, 16, 16), (8, 8, 8), (2, 4, 4), (1, 2, 2)]
+
+
 def test_fully_invariant_intersection_is_left_ideal():
     # gamma_n(W) ^ base is a left ideal equal to the base projection
     wp = wreath(catalog.cyclic(2), catalog.klein4())

@@ -16,8 +16,8 @@ from helpers import (ELAB_SHAPES, ReferenceElabSpace, c4_amalgam, chain,
 
 from residuap import catalog, embed
 from residuap.embed import (Amalgam, ElabSpace, FlagCertificate,
-                            PartialAutomorphism, _all_subspaces,
-                            _central_p_subchains,
+                            PartialAutomorphism, _central_p_subchains,
+                            _hyperplanes,
                             _chain_tracer, amalgam_embeddable, amalgam_scan,
                             feasible_witness, fiber_sum, higman_embed,
                             inner_extension,
@@ -348,59 +348,43 @@ def gaussian_binomial(d, k, p):
 
 @pytest.mark.parametrize("p,d", ELAB_SHAPES)
 def test_all_subspaces_match_reference(p, d):
-    # ElabSpace picks its basis from the labels, so a relabeled copy
-    # enumerates in other coordinates
+    # the hyperplanes of each subspace S are the (dim S - 1)-subspaces of the
+    # reference inside S, in order; ElabSpace picks its basis from the
+    # labels, so a relabeled copy reduces in other coordinates
     V = elab_group(p, d)
     for G in (V, relabel(V, 10 * p + d)):
         space = ElabSpace(G)
-        assert _all_subspaces(space) == reference_all_subspaces(space)
+        by_dim = reference_all_subspaces(space)
+        for k, subs in by_dim.items():
+            for S in subs:
+                want = [T for T in by_dim.get(k - 1, []) if set(T) <= set(S)]
+                assert _hyperplanes(space, S) == want
+                assert len(want) == (p ** k - 1) // (p - 1)
 
 
 @pytest.mark.parametrize("p,dmax", [(2, 6), (3, 4), (5, 3)])
 def test_all_subspaces_are_all_subgroups_of_each_order(p, dmax):
+    # the descent through hyperplanes from V reaches the [d, k]_p subgroups
+    # of each order p^k, so the flag search can meet every complete flag
     for d in range(dmax + 1):
         V = elab_group(p, d)
-        by_dim = _all_subspaces(ElabSpace(V))
-        assert sorted(by_dim) == list(range(d + 1))
-        for k, subs in by_dim.items():
-            assert len(set(subs)) == len(subs) == gaussian_binomial(d, k, p)
-            assert subs == sorted(subs)
-            for s in subs:
+        space = ElabSpace(V)
+        level = [tuple(range(V.order))]
+        for k in range(d, -1, -1):
+            assert len(level) == gaussian_binomial(d, k, p)
+            for s in level:
                 assert len(s) == p ** k and list(s) == sorted(s)
                 assert set(V.mult[np.ix_(s, s)].ravel().tolist()) == set(s)
+            level = sorted({h for s in level for h in _hyperplanes(space, s)})
+        assert level == []
 
 
 def test_flag_search_on_the_trivial_group():
     V = catalog.cyclic(1)
-    assert _all_subspaces(ElabSpace(V)) == {0: [(0,)]}
     ident = PartialAutomorphism(V, full_subgroup(V), full_subgroup(V), {0: 0})
     for pas in ([], [ident]):
         dec = unipotent_flag_extend(V, pas)
         assert dec.is_yes and dec.certificate.basis == ()
-
-
-def test_flag_search_matches_reference_subspaces(monkeypatch):
-    # the shapes of the certify templates: F_2^r (r <= 4) and F_3^r (r <= 3)
-    rng = random.Random(6)
-    seen = set()
-    for p, rmax in ((2, 4), (3, 3)):
-        for r in range(1, rmax + 1):
-            V = catalog.elementary_abelian(p, r)
-            sp = ElabSpace(V)
-            for s in range(1, r + 1):
-                for n_pas in (1, 1, 2):
-                    pas = [random_partial_automorphism(V, sp, rng, s)
-                           for _ in range(n_pas)]
-                    dec = unipotent_flag_extend(V, pas)
-                    with monkeypatch.context() as m:
-                        m.setattr(embed, "_all_subspaces", reference_all_subspaces)
-                        want = unipotent_flag_extend(V, pas)
-                    assert (dec.status, dec.reason) == (want.status, want.reason)
-                    if dec.is_yes:
-                        assert dec.certificate.basis == want.certificate.basis
-                        assert dec.certificate.matrices == want.certificate.matrices
-                    seen.add(dec.status)
-    assert seen == {YES, NO}
 
 
 @pytest.mark.parametrize("p,d", ELAB_SHAPES)
@@ -419,15 +403,77 @@ def test_elab_space_matches_reference_coordinates(p, d):
             assert space.subspace_elems(vecs) == ref.subspace_elems(vecs)
 
 
-@pytest.mark.parametrize("p,d", ELAB_SHAPES)
-def test_flag_extension_matches_reference(p, d):
+def template_flag_inputs():
+    """Seeded inputs on the shapes of the certify templates, F_2^r (r <= 4)
+    and F_3^r (r <= 3): one or two maps between s-dimensional subspaces for
+    each 1 <= s <= r."""
+    rng = random.Random(6)
+    out = []
+    for p, rmax in ((2, 4), (3, 3)):
+        for r in range(1, rmax + 1):
+            V = catalog.elementary_abelian(p, r)
+            sp = ElabSpace(V)
+            out.append((V, [[random_partial_automorphism(V, sp, rng, s)
+                             for _ in range(n_pas)]
+                            for s in range(1, r + 1) for n_pas in (1, 1, 2)]))
+    return out
+
+
+DEEP_NO_SHAPES = [(2, d) for d in range(3, 7)] + [(3, 3), (3, 4)]
+
+
+def deep_no_pair(V):
+    """x -> xy on <x> and y -> yx on <y>, for the first two basis vectors x
+    and y of ElabSpace(V).
+
+    A flag with trivial layer action would need y below the layer of x and x
+    below the layer of y, so the answer is no. Every term that the search
+    can reach contains x and y, so it reaches all of them."""
+    sp = ElabSpace(V)
+    x, y = (tuple(int(i == j) for j in range(sp.dim)) for i in range(2))
+
+    def multiple(k, vec):
+        return elab_elem(sp, [k * c for c in vec])
+
+    xy = [a + b for a, b in zip(x, y)]
+    pas = []
+    for gen in (x, y):
+        mapping = {multiple(k, gen): multiple(k, xy) for k in range(sp.p)}
+        pas.append(PartialAutomorphism(V, Subgroup(V, sorted(mapping)),
+                                       Subgroup(V, sorted(mapping.values())),
+                                       mapping))
+    return pas
+
+
+def flag_inputs(kind, p, d):
+    """Pairs of a group and its lists of partial automorphisms. The seeded
+    shapes run on V and on a relabeled copy; the reference lists the
+    subspaces of F_2^6 in seconds, so the deep-no pair runs on V alone."""
+    if kind == "templates":
+        return template_flag_inputs()
     V = elab_group(p, d)
+    if kind == "deep-no":
+        return [(V, [deep_no_pair(V)])]
+    return [(G, seeded_partial_automorphisms(G, ElabSpace(G),
+                                             random.Random(p + 7 * d)))
+            for G in (V, relabel(V, 10 * p + d))]
+
+
+FLAG_CASES = ([pytest.param("shape", p, d, id=f"{p}-{d}") for p, d in ELAB_SHAPES]
+              + [pytest.param("templates", 0, 0, id="templates")]
+              + [pytest.param("deep-no", p, d, id=f"deep-no-{p}-{d}")
+                 for p, d in DEEP_NO_SHAPES])
+
+
+@pytest.mark.parametrize("kind,p,d", FLAG_CASES)
+def test_flag_extension_matches_reference(kind, p, d):
     seen = set()
-    for G in (V, relabel(V, 10 * p + d)):
-        space, ref = ElabSpace(G), ReferenceElabSpace(G)
-        for pas in seeded_partial_automorphisms(G, space, random.Random(p + 7 * d)):
+    for G, pas_lists in flag_inputs(kind, p, d):
+        ref = ReferenceElabSpace(G)
+        by_dim = reference_all_subspaces(ref)
+        for pas in pas_lists:
             dec = unipotent_flag_extend(G, pas)
-            status, reason, basis, matrices = reference_flag_extend(G, pas)
+            status, reason, basis, matrices = reference_flag_extend(G, pas, by_dim)
             assert (dec.status, dec.reason) == (status, reason)
             seen.add(status)
             if not dec.is_yes:
@@ -437,7 +483,41 @@ def test_flag_extension_matches_reference(p, d):
             assert all(type(x) is int for m in cert.matrices for r in m for x in r)
             want = reference_flag_perms(ref, basis, matrices)
             assert [q.tolist() for q in cert.perms()] == [q.tolist() for q in want]
-    assert YES in seen
+    if kind == "shape":
+        assert YES in seen
+    else:
+        assert seen == ({YES, NO} if kind == "templates" else {NO})
+
+
+@pytest.mark.parametrize("p,d", DEEP_NO_SHAPES)
+def test_flag_search_expands_each_term_once(monkeypatch, p, d):
+    # the expanded terms are the subspaces that contain x and y, one for
+    # each subspace of the quotient F_p^(d-2)
+    V = catalog.elementary_abelian(p, d)
+    hyperplanes = embed._hyperplanes
+    expanded = []
+
+    def recording(space, term):
+        expanded.append(term)
+        return hyperplanes(space, term)
+
+    monkeypatch.setattr(embed, "_hyperplanes", recording)
+    assert unipotent_flag_extend(V, deep_no_pair(V)).is_no
+    assert len(set(expanded)) == len(expanded) == \
+        sum(gaussian_binomial(d - 2, k, p) for k in range(d - 1))
+
+
+def test_flag_search_cap_boundary(monkeypatch):
+    V6 = catalog.elementary_abelian(2, 6)
+    assert unipotent_flag_extend(V6, deep_no_pair(V6)).is_no
+
+    def refuse(space, term):
+        raise AssertionError("searched past the cap")
+
+    monkeypatch.setattr(embed, "_hyperplanes", refuse)
+    V7 = catalog.elementary_abelian(2, 7)
+    dec = unipotent_flag_extend(V7, deep_no_pair(V7))
+    assert (dec.status, dec.reason) == (UNKNOWN, "dimension 7 beyond flag search cap")
 
 
 def test_linear_extension_rejects_inconsistent_pairs():
