@@ -13,9 +13,9 @@ import numpy as np
 from . import kernels
 from .filtration import Filtration, dimension_series, lower_central_p_series, \
     lower_central_series
-from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
-                     Homomorphism, Subgroup, generating_sequence,
-                     require_p_group, require_prime, trivial_subgroup)
+from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup, Subgroup,
+                     generating_sequence, require_p_group, require_prime,
+                     trivial_subgroup)
 
 
 class IdealBasis:
@@ -146,8 +146,6 @@ class WreathProduct:
     group: FiniteGroup
     X: FiniteGroup
     H: FiniteGroup
-    base_embedding: Homomorphism    # X^H -> W on base-index order
-    top_embedding: Homomorphism     # H -> W
 
     def index_of(self, top: int, digits: Sequence[int]) -> int:
         nx = self.X.order
@@ -197,9 +195,7 @@ def wreath(X: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> Wrea
     # correct by construction, so not validated here; the test suite
     # validates every wreath table it builds up to order 256
     W = FiniteGroup(table, name=f"{X.name}wr{H.name}", validate=False)
-    base_emb = Homomorphism(BaseG, W, np.arange(nbase, dtype=np.int64), check=False)
-    top_emb = Homomorphism(H, W, np.arange(nh, dtype=np.int64) * nbase, check=False)
-    return WreathProduct(W, X, H, base_emb, top_emb)
+    return WreathProduct(W, X, H)
 
 
 def _power_group(X: FiniteGroup, n: int) -> tuple[FiniteGroup, np.ndarray]:

@@ -143,11 +143,7 @@ def cmd_embed(args) -> int:
     if args.what == "higman":
         data = _read_object(args.file)
         am, FG, FH = _amalgam_from_obj(data)
-        try:
-            res = embed.higman_embed(am, FG, FH, cap=args.cap_wreath)
-        except Exception as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+        res = embed.higman_embed(am, FG, FH, cap=args.cap_wreath)
         payload = {"W_order": res.embedding.W.order,
                    "W_filtration": [len(t) for t in res.FW.terms]}
         if args.out:

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import kernels
 from .algebra import WreathProduct, wreath
-from .filtration import (Filtration, StretchMap, align_filtrations,
-                         aligned_slots, central_p_step, chief_series,
-                         induced_chain, lower_central_p_series, stretch)
+from .filtration import (Filtration, align_filtrations, aligned_slots,
+                         central_p_step, chief_series, induced_chain,
+                         is_stretching, lower_central_p_series)
 from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
                      Homomorphism, Subgroup, all_subgroups, amalgamated_sum,
                      automorphism_search, automorphisms, find_isomorphism,
@@ -96,13 +96,7 @@ def fiber_sum(A: FiniteGroup, B: FiniteGroup, phi: Homomorphism,
     U = phi.dom
     S, iota_A, iota_B = amalgamated_sum(
         A, B, [(phi(u), psi(u)) for u in range(U.order)])
-    if not (iota_A.is_injective() and iota_B.is_injective()):
-        raise AssertionError("fiber sum embeddings failed to be injective")
-    ia = {int(iota_A.map[a]) for a in range(A.order)}
-    ib = {int(iota_B.map[b]) for b in range(B.order)}
-    iu = {int(iota_A.map[phi(u)]) for u in range(U.order)}
-    if ia & ib != iu:
-        raise AssertionError("fiber sum images do not meet exactly in U")
+    StrongEmbedding(S, iota_A, iota_B).verify(Amalgam(A, B, U, phi, psi))
     return S, iota_A, iota_B
 
 
@@ -112,10 +106,6 @@ def fiber_sum(A: FiniteGroup, B: FiniteGroup, phi: Homomorphism,
 class HigmanResult:
     embedding: StrongEmbedding
     FW: Filtration
-    FG_star: Filtration
-    FH_star: Filtration
-    stretchG: StretchMap
-    stretchH: StretchMap
 
 
 def predicted_higman_order(am: Amalgam, FG: Filtration, FH: Filtration) -> int:
@@ -199,14 +189,10 @@ def higman_embed(am: Amalgam, FG: Filtration, FH: Filtration,
     predicted = predicted_higman_order(am, FG, FH)
     if predicted > cap:
         raise CapExceeded(f"predicted |W| = {predicted} exceeds cap {cap}")
-    FGs, FHs, smG0, smH0 = align_filtrations(FG, FH, am.uG, am.uH)
-    W, alpha, beta, FW, sm = _higman_rec(am.G, am.H, am.U, am.uG, am.uH,
-                                         FGs, FHs, p, cap)
-    FG_star = stretch(FGs, sm, total=len(FW.terms))
-    FH_star = stretch(FHs, sm, total=len(FW.terms))
-    emb = StrongEmbedding(W, alpha, beta)
-    res = HigmanResult(emb, FW, FG_star, FH_star,
-                       sm.compose(smG0), sm.compose(smH0))
+    FGs, FHs = align_filtrations(FG, FH, am.uG, am.uH)
+    W, alpha, beta, FW = _higman_rec(am.G, am.H, am.U, am.uG, am.uH,
+                                     FGs, FHs, p, cap)
+    res = HigmanResult(StrongEmbedding(W, alpha, beta), FW)
     if verify:
         verify_higman(am, FG, FH, res, p)
     return res
@@ -215,22 +201,20 @@ def higman_embed(am: Amalgam, FG: Filtration, FH: Filtration,
 def _higman_rec(G, H, U, uG, uH, FG, FH, p, cap):
     """Recursive tower step; filtrations must intersect to the same chain on U.
 
-    Returns (W, alpha, beta, FW, stretch_map) where stretch_map applies to
-    both FG and FH uniformly.
+    Returns (W, alpha, beta, FW).
     """
     if G.order == 1 and H.order == 1:
         W = trivial_group()
         hom = Homomorphism(G, W, [0], check=False)
         return (W, hom, Homomorphism(H, W, [0], check=False),
-                Filtration(W, [full_subgroup(W)], check=False),
-                StretchMap.identity(1))
+                Filtration(W, [full_subgroup(W)], check=False))
     # identical amalgam shortcut: U = G = H via the embeddings
     if uG.is_surjective() and uH.is_surjective():
         beta_map = [0] * H.order
         for u in range(U.order):
             beta_map[int(uH.map[u])] = int(uG.map[u])
         beta = Homomorphism(H, G, beta_map)
-        return (G, identity_hom(G), beta, FG, StretchMap.identity(len(FG.terms)))
+        return G, identity_hom(G), beta, FG
     nG = FG.length()
     nH = FH.length()
     n = max(nG, nH, 1)
@@ -263,28 +247,13 @@ def _higman_rec(G, H, U, uG, uH, FG, FH, p, cap):
                      check=False)
     FHq = Filtration(Hq, [_push_subgroup(projH, FH.term(i)) for i in range(1, n + 1)],
                      check=False)
-    K, abar, bbar, FK, sm_q = _higman_rec(Gq, Hq, Uq, uGq, uHq, FGq, FHq, p, cap)
+    K, abar, bbar, FK = _higman_rec(Gq, Hq, Uq, uGq, uHq, FGq, FHq, p, cap)
     theta = abar.compose(projG)
     phiH = bbar.compose(projH)
-    # lift the recursion's stretching to the inputs
-    FG_l = stretch(FG, sm_q)
-    FH_l = stretch(FH, sm_q)
-    n_new = max(FG_l.length(), FH_l.length(), 1)
-    if FG_l.term(n_new).elems != X.elems or FH_l.term(n_new).elems != Y.elems:
-        raise AssertionError("stretch lifting moved the last terms")
-    m = FK.length()
     wp = wreath(T, K, cap=cap)
-    W = wp.group
     alpha = _tower_embedding(G, uG, theta, wp, X, iX, fromX, K)
     betaH = _tower_embedding(H, uH, phiH, wp, Y, iY, fromY, K)
-    FW = _tower_filtration(wp, FK, p)
-    # the assembled stretch on the lifted inputs: identity through n_new, the
-    # last nontrivial term repeated through the tower, trivial at the end
-    total = len(FW.terms)
-    if total <= n_new:
-        raise AssertionError("tower filtration shorter than the input chain")
-    sm_step = StretchMap(tuple(range(1, n_new + 1)) + (total,))
-    return W, alpha, betaH, FW, sm_step.compose(sm_q)
+    return wp.group, alpha, betaH, _tower_filtration(wp, FK, p)
 
 
 def _check_central_elab(G: FiniteGroup, X: Subgroup, p: int):
@@ -381,32 +350,21 @@ def verify_higman(am: Amalgam, FG: Filtration, FH: Filtration,
     FW = res.FW
     if FW.length() is None or not FW.is_central_p(p):
         raise AssertionError("W filtration is not central-p of finite length")
-    # the outputs must be the stated stretchings of the inputs, term by term
-    total = len(FW.terms)
-    refG = stretch(FG, res.stretchG, total=total)
-    refH = stretch(FH, res.stretchH, total=total)
-    for i in range(1, total + 1):
-        if res.FG_star.term(i).elems != refG.term(i).elems:
-            raise AssertionError("FG* is not the stated stretching of FG")
-        if res.FH_star.term(i).elems != refH.term(i).elems:
-            raise AssertionError("FH* is not the stated stretching of FH")
-    # (A1): W filtration intersects to the stretched inputs
+    # (A1): the W filtration pulls back to stretchings of the inputs
     alpha, beta = res.embedding.alpha, res.embedding.beta
-    upto = len(FW.terms) + 1
-    for i in range(1, upto + 1):
-        wi = FW.term(i)._set
-        got_g = tuple(sorted(g for g in range(am.G.order) if int(alpha.map[g]) in wi))
-        if got_g != res.FG_star.term(i).elems:
-            raise AssertionError(f"(A1) fails on G at level {i}")
-        got_h = tuple(sorted(h for h in range(am.H.order) if int(beta.map[h]) in wi))
-        if got_h != res.FH_star.term(i).elems:
-            raise AssertionError(f"(A1) fails on H at level {i}")
-    # (A2): layers of G* and H* meet exactly in the U layer inside L_i(W)
-    for i in range(1, upto):
+    pullG = [tuple(np.flatnonzero(np.isin(alpha.map, T.elems)).tolist())
+             for T in FW.terms]
+    pullH = [tuple(np.flatnonzero(np.isin(beta.map, T.elems)).tolist())
+             for T in FW.terms]
+    if not is_stretching(pullG, FG):
+        raise AssertionError("(A1) fails on G")
+    if not is_stretching(pullH, FH):
+        raise AssertionError("(A1) fails on H")
+    # (A2): layers of the pullbacks meet exactly in the U layer inside L_i(W)
+    for i, (gi, hi) in enumerate(zip(pullG, pullH), start=1):
         wnext = FW.term(i + 1)._set
-        gi = res.FG_star.term(i).elems
-        hi = res.FH_star.term(i).elems
-        ui = [u for u in range(am.U.order) if am.uG(u) in res.FG_star.term(i)]
+        gset = set(gi)
+        ui = [u for u in range(am.U.order) if am.uG(u) in gset]
         for g in gi:
             for h in hi:
                 d = W.mul(int(alpha.map[g]), W.inverse(int(beta.map[h])))

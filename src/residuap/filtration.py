@@ -113,52 +113,6 @@ def central_p_step(G: FiniteGroup, T: Subgroup, p: int) -> frozenset[int]:
     return step
 
 
-@dataclass(frozen=True)
-class StretchMap:
-    """A strictly increasing index map iota with iota(1) = 1."""
-
-    iota: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.iota or self.iota[0] != 1:
-            raise ValueError("iota must start at 1")
-        if any(b <= a for a, b in zip(self.iota, self.iota[1:])):
-            raise ValueError("iota must be strictly increasing")
-
-    def __call__(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("indices start at 1")
-        if n <= len(self.iota):
-            return self.iota[n - 1]
-        return self.iota[-1] + (n - len(self.iota))
-
-    @staticmethod
-    def identity(length: int = 1) -> "StretchMap":
-        return StretchMap(tuple(range(1, length + 1)))
-
-    def compose(self, inner: "StretchMap") -> "StretchMap":
-        """Index map of a stretching applied after `inner`.
-
-        The stored prefix must cover the nonlinear part of both maps, so it
-        extends past both stored tuples.
-        """
-        upto = len(inner.iota) + len(self.iota) + 1
-        return StretchMap(tuple(self(inner(n)) for n in range(1, upto + 1)))
-
-
-def stretch(F: Filtration, sm: StretchMap, total: Optional[int] = None) -> Filtration:
-    """The stretching of F along sm: term m equals F_j for iota(j) <= m < iota(j+1)."""
-    n_terms = len(F.terms)
-    total = total if total is not None else sm(n_terms)
-    out = []
-    j = 1
-    for m in range(1, total + 1):
-        while sm(j + 1) <= m:
-            j += 1
-        out.append(F.term(j))
-    return Filtration(F.group, out, check=False)
-
-
 # -- canonical series ---------------------------------------------------------
 
 def _descend(G: FiniteGroup, p: Optional[int]) -> Filtration:
@@ -384,9 +338,22 @@ def aligned_slots(cG: Sequence, cH: Sequence) -> list[tuple[int, int]]:
             for k in range(max(bg - ag, bh - ah) + 1)]
 
 
+def is_stretching(chain: Sequence, F: Filtration) -> bool:
+    """Whether chain, a sequence of element tuples, is a stretching of F:
+    its term m is F_j for iota(j) <= m < iota(j+1), for some strictly
+    increasing iota with iota(1) = 1, both read with the trailing
+    convention.  That holds exactly when the runs of equal terms of chain
+    are those of F in the same order, and every run but the last is at
+    least as long as F's."""
+    terms = [T.elems for T in F.terms]
+    own, runs = _runs(chain), _runs(terms)
+    return ([chain[a - 1] for a, _ in own] == [terms[a - 1] for a, _ in runs]
+            and all(b - a >= d - c for (a, b), (c, d) in zip(own[:-1], runs)))
+
+
 def align_filtrations(FG: Filtration, FH: Filtration,
                       uG: Homomorphism, uH: Homomorphism,
-                      ) -> tuple[Filtration, Filtration, StretchMap, StretchMap]:
+                      ) -> tuple[Filtration, Filtration]:
     """Stretch two filtrations so they intersect to the same chain on U.
 
     uG and uH are the injective maps of the common subgroup U into the two
@@ -394,32 +361,11 @@ def align_filtrations(FG: Filtration, FH: Filtration,
     equivalent.
     """
     slots = aligned_slots(induced_chain(FG, uG), induced_chain(FH, uH))
-    iotaG = [jG for jG, _ in slots]
-    iotaH = [jH for _, jH in slots]
-    FGs = Filtration(FG.group, [FG.term(j) for j in iotaG], check=False)
-    FHs = Filtration(FH.group, [FH.term(j) for j in iotaH], check=False)
-    # the stretch maps: position of the first slot where original index j appears
-    def to_stretchmap(iota_slots, n_orig):
-        first = {}
-        for slot, j in enumerate(iota_slots, start=1):
-            if j not in first:
-                first[j] = slot
-        vals = [first.get(j) for j in range(1, n_orig + 1)]
-        # indices never used (duplicated terms in the original) inherit positions
-        fixed = []
-        prev = 0
-        for v in vals:
-            if v is None or v <= prev:
-                v = prev + 1
-            fixed.append(v)
-            prev = v
-        return StretchMap(tuple(fixed))
-
-    smG = to_stretchmap(iotaG, len(FG.terms))
-    smH = to_stretchmap(iotaH, len(FH.terms))
+    FGs = Filtration(FG.group, [FG.term(jG) for jG, _ in slots], check=False)
+    FHs = Filtration(FH.group, [FH.term(jH) for _, jH in slots], check=False)
     if induced_chain(FGs, uG) != induced_chain(FHs, uH):
         raise AssertionError("alignment failed to equalize induced chains")
-    return FGs, FHs, smG, smH
+    return FGs, FHs
 
 
 # -- potency ------------------------------------------------------------------

@@ -725,10 +725,8 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     while frontier:
         new = []
         for elems in frontier:
-            known = set(elems)
-            for x in range(1, G.order):
-                if x in known:
-                    continue
+            # <S, x> depends only on the right coset S x
+            for x in sorted(set(right_coset_reps(G, elems)) - {0}):
                 bigger = tuple(kernels.closure(G.mult, G.inv, list(elems) + [x]))
                 if bigger not in seen:
                     seen.add(bigger)

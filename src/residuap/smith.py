@@ -164,14 +164,6 @@ class AbelianizationResult:
     free_rank: int
     torsion: tuple[int, ...]     # invariant factors > 1, each dividing the next
 
-    def order(self):
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
 
 def smith_abelianization(pres: Presentation) -> AbelianizationResult:
     """Invariant factors of the abelianization of a presentation.

@@ -1255,6 +1255,38 @@ def reference_colimit_sigma(gog: graphs.GraphOfGroups, edges):
     return S, [proj.map[m] for m in maps]
 
 
+# -- reference stretchings ---------------------------------------------------------
+#
+# The stretching along an explicit index map, as the Higman tower built it
+# before filtration.is_stretching replaced its index maps.
+
+def stretch(terms: Sequence, iota: Sequence[int], total: int) -> tuple:
+    """The first `total` terms of the stretching of terms along iota: term m
+    is terms[j] (1-based, trailing convention) for iota(j) <= m < iota(j+1),
+    with iota continued past its stored values in steps of 1."""
+    def at(n: int) -> int:
+        return iota[n - 1] if n <= len(iota) else iota[-1] + n - len(iota)
+    out, j = [], 1
+    for m in range(1, total + 1):
+        while at(j + 1) <= m:
+            j += 1
+        out.append(terms[min(j, len(terms)) - 1])
+    return tuple(out)
+
+
+def reference_stretchings(terms: Sequence, horizon: int) -> set[tuple]:
+    """The first `horizon` terms of the stretchings of terms along every
+    strictly increasing iota with iota(1) = 1 and iota(len(terms)) <=
+    horizon.  A chain of length L <= horizon - len(terms) + 1, repeated to
+    `horizon` terms, is in this set exactly when it is a stretching of terms
+    (both read with the trailing convention): an iota for it can place the
+    indices of the last run of terms one apart, from where the chain first
+    reaches that run, at or before L."""
+    return {stretch(terms, (1,) + rest, horizon)
+            for rest in itertools.combinations(range(2, horizon + 1),
+                                               len(terms) - 1)}
+
+
 # -- reference Higman tower prediction ------------------------------------------------
 #
 # The prediction embed.predicted_higman_order made before it worked on term
@@ -1265,7 +1297,7 @@ def reference_colimit_sigma(gog: graphs.GraphOfGroups, edges):
 def reference_predicted_higman_order(am, FG: Filtration, FH: Filtration) -> int:
     if am.uG.is_surjective() and am.uH.is_surjective():
         return am.G.order
-    FGs, FHs, _, _ = align_filtrations(FG, FH, am.uG, am.uH)
+    FGs, FHs = align_filtrations(FG, FH, am.uG, am.uH)
     return embed._predict([len(t) for t in FGs.terms],
                           [len(t) for t in FHs.terms],
                           [len(lv) for lv in induced_chain(FGs, am.uG)])

@@ -42,10 +42,10 @@ def test_wreath_c2_c2_is_d8():
     wp = wreath(catalog.cyclic(2), catalog.cyclic(2))
     assert wp.group.order == 8
     assert is_isomorphic(wp.group, catalog.dihedral(4))
-    # base and top embeddings are injective homs with trivial intersection
-    base = {int(wp.base_embedding.map[i]) for i in range(4)}
-    top = {int(wp.top_embedding.map[i]) for i in range(2)}
-    assert base & top == {0}
+    # the base and the top (h, 0) meet only in the identity
+    base = set(wp.base_subgroup().elems)
+    top = {wp.index_of(h, (0,) * 2) for h in range(2)}
+    assert len(base) == 4 and len(top) == 2 and base & top == {0}
 
 
 def test_wreath_cap():

@@ -10,7 +10,7 @@ from helpers import (c4_star_c4, c4xc2_loop, elab_elem,
                      theta_graph)
 
 import residuap
-from residuap import algebra, catalog, cli, filtration, serialize
+from residuap import algebra, catalog, cli, embed, filtration, serialize
 from residuap.cli import main
 from residuap.embed import ElabSpace
 from residuap.groups import Homomorphism
@@ -326,6 +326,8 @@ BAD_INPUTS = {
                        _gog_input(c4_star_c4, collection=[[0, 99]])),
     "cover-element": (["gog", "cover"],
                       _gog_input(c4_star_c4, collection=[[0, 99], [0, 2]])),
+    # a tower predicted past --cap-wreath
+    "higman-cap": (["embed", "higman", "--cap-wreath", "16"], _c4_amalgam()),
     "higman-term": (["embed", "higman"],
                     _c4_amalgam(FG=[[0, 1, 2, 3], [0, 2, 9], [0]])),
     "flag-key": (["embed", "flag"],
@@ -420,6 +422,18 @@ def test_bad_input_exits_1_with_one_line(capsys, tmp_path, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_embed_higman_failed_self_check_propagates(tmp_path, monkeypatch):
+    """A tower that fails its own verification is a defect, not bad input:
+    the AssertionError leaves main instead of ending as one error line."""
+    def fail(*args):
+        raise AssertionError("(A1) fails on G")
+    monkeypatch.setattr(embed, "verify_higman", fail)
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(_c4_amalgam()()))
+    with pytest.raises(AssertionError, match="fails on G"):
+        main(["embed", "higman", "--file", str(f)])
 
 
 def _one_error_line(capsys, argv):

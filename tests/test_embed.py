@@ -15,19 +15,19 @@ from helpers import (ELAB_SHAPES, ReferenceElabSpace, c4_amalgam, chain,
                      relabel)
 
 from residuap import catalog, embed
-from residuap.embed import (Amalgam, ElabSpace, FlagCertificate,
-                            PartialAutomorphism, _central_p_subchains,
+from residuap.embed import (Amalgam, ElabSpace, PartialAutomorphism,
+                            _central_p_subchains,
                             _hyperplanes,
                             _chain_tracer, amalgam_embeddable, amalgam_scan,
                             feasible_witness, fiber_sum, higman_embed,
                             inner_extension,
                             layerwise_inner_extension, mapping_torus_check,
                             predicted_higman_order, scan_amalgam_object,
-                            unipotent_flag_extend)
+                            unipotent_flag_extend, verify_higman)
 from residuap.filtration import (AlignmentError, Filtration, chief_series,
                                  lower_central_p_series)
-from residuap.groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
-                             Homomorphism, Subgroup, abelian_invariants,
+from residuap.groups import (DEFAULT_ORDER_CAP, CapExceeded, Homomorphism,
+                             Subgroup, abelian_invariants,
                              automorphisms, direct_product, full_subgroup,
                              identity_hom, is_isomorphic, subgroup_generated,
                              trivial_subgroup)
@@ -93,6 +93,11 @@ def test_higman_canonical_c4_example():
         res.embedding.W,
         __import__("residuap.algebra", fromlist=["wreath"]).wreath(
             catalog.cyclic(2), catalog.klein4()).group)
+    # FW pulls back to stretchings of C4 > C2 > 1, which are none of C4 > 1
+    with pytest.raises(AssertionError, match=r"\(A1\) fails on G"):
+        verify_higman(am, chain(am.G), FH, res, 2)
+    with pytest.raises(AssertionError, match=r"\(A1\) fails on H"):
+        verify_higman(am, FG, chain(am.H), res, 2)
 
 
 def test_higman_base_case_is_fiber_sum():
@@ -105,6 +110,11 @@ def test_higman_base_case_is_fiber_sum():
     FH = Filtration(Vb, [full_subgroup(Vb), trivial_subgroup(Vb)])
     res = higman_embed(am, FG, FH)
     assert res.embedding.W.order == 8
+    # FW = [W, 1] pulls back to V > 1, whose run of V is shorter than the
+    # one of V = V > 1
+    assert [len(t) for t in res.FW.terms] == [8, 1]
+    with pytest.raises(AssertionError, match=r"\(A1\) fails on G"):
+        verify_higman(am, chain(V, range(4)), FH, res, 2)
 
 
 def test_higman_identical_amalgam():

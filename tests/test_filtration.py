@@ -5,16 +5,16 @@ import pytest
 from helpers import (chain, comm, fresh, level_group,
                      reference_chief_refinement,
                      reference_chief_series, reference_induced_power_map,
-                     relabel)
+                     reference_stretchings, relabel)
 
 from residuap import catalog, filtration
-from residuap.filtration import (AlignmentError, Filtration, StretchMap,
+from residuap.filtration import (AlignmentError, Filtration,
                                  align_filtrations, central_p_step,
                                  chief_refinement,
                                  chief_series, classify_potency,
                                  dimension_series, induced_chain,
-                                 lower_central_p_series, lower_central_series,
-                                 stretch)
+                                 is_stretching, lower_central_p_series,
+                                 lower_central_series)
 from residuap.groups import (Homomorphism, Subgroup, full_subgroup,
                              identity_hom, subgroup_generated,
                              trivial_subgroup)
@@ -182,11 +182,11 @@ def test_align_filtrations():
     FH = Filtration(C2, [full_subgroup(C2), trivial_subgroup(C2)])
     uG = Homomorphism(C2, C4, [0, 2])
     uH = identity_hom(C2)
-    FGs, FHs, smG, smH = align_filtrations(FG, FH, uG, uH)
+    FGs, FHs = align_filtrations(FG, FH, uG, uH)
     assert induced_chain(FGs, uG) == induced_chain(FHs, uH)
     # identical filtrations come back equivalent
-    FGs2, FHs2, _, _ = align_filtrations(FG, FG, identity_hom(C4),
-                                         identity_hom(C4))
+    FGs2, FHs2 = align_filtrations(FG, FG, identity_hom(C4),
+                                   identity_hom(C4))
     assert {t.elems for t in FGs2.terms} == {t.elems for t in FG.terms}
     # non-equivalent induced chains must raise
     V = catalog.klein4()
@@ -196,15 +196,27 @@ def test_align_filtrations():
         align_filtrations(FV, FV2, identity_hom(V), identity_hom(V))
 
 
-def test_stretch_composition():
-    C8 = catalog.cyclic(8)
-    F = chain(C8, [0, 2, 4, 6], [0, 4])
-    s1 = StretchMap((1, 3, 4))
-    s2 = StretchMap((1, 2, 5))
-    lhs = stretch(stretch(F, s1, total=8), s2, total=12)
-    rhs = stretch(F, s2.compose(s1), total=12)
-    for n in range(1, 13):
-        assert lhs.term(n).elems == rhs.term(n).elems
+@pytest.mark.parametrize("lists", [
+    ([0, 2, 4, 6], [0, 4]),
+    ([0, 2, 4, 6], [0, 2, 4, 6], [0, 4], [0], [0]),
+    (range(8), [0, 4]),
+    (range(8), [0]),
+], ids=["C8>C4>C2>1", "C8>C4=C4>C2>1=1", "C8=C8>C2>1", "C8=C8>1"])
+def test_is_stretching_matches_reference(lists):
+    """is_stretching agrees with the search for a strictly increasing iota
+    with iota(1) = 1 on every chain of length 1-7 over the distinct terms
+    of F, repeats in F included."""
+    F = chain(catalog.cyclic(8), *lists)
+    terms = [t.elems for t in F.terms]
+    horizon = 7 + len(terms)
+    want = reference_stretchings(terms, horizon)
+    found = 0
+    for length in range(1, 8):
+        for c in itertools.product(dict.fromkeys(terms), repeat=length):
+            padded = c + (c[-1],) * (horizon - length)
+            assert is_stretching(c, F) == (padded in want), c
+            found += padded in want
+    assert found
 
 
 def test_classify_potency_examples():

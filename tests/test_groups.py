@@ -321,6 +321,18 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(catalog.elementary_abelian(2, 3))) == 16
 
 
+def test_all_subgroups_closes_one_element_per_coset(monkeypatch):
+    """<S, x> depends only on the right coset S x, so each subgroup S found
+    is extended by one element per coset: 240 closures on C2^4, where one
+    per element outside S took 765."""
+    G = catalog.elementary_abelian(2, 4)
+    closure, calls = groups.kernels.closure, []
+    monkeypatch.setattr(groups.kernels, "closure",
+                        lambda *args: calls.append(args) or closure(*args))
+    assert len(all_subgroups(G)) == 67
+    assert len(calls) == 240
+
+
 def test_lagrange_for_produced_subgroups():
     for name in CATALOG_NAMES:
         G = catalog.by_name(name)
