@@ -14,8 +14,8 @@ from . import kernels
 from .filtration import Filtration, dimension_series, lower_central_p_series, \
     lower_central_series
 from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup, Subgroup,
-                     generating_sequence, require_p_group, require_prime,
-                     trivial_subgroup)
+                     direct_product, generating_sequence, require_p_group,
+                     require_prime, trivial_subgroup)
 
 
 class IdealBasis:
@@ -182,8 +182,13 @@ def wreath(X: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> Wrea
     if order > cap:
         raise CapExceeded(f"wreath product of order {order} exceeds cap {cap}")
     nbase = nx ** nh
-    BaseG, digits = _power_group(X, nh)
+    # X^nh with little-endian digits: each product puts the new factor in
+    # the most significant digit, so digit k of f has weight nx^k
+    BaseG = X
+    for _ in range(nh - 1):
+        BaseG, _, _ = direct_product(X, BaseG)
     radix = nx ** np.arange(nh)
+    digits = np.arange(nbase)[:, None] // radix % nx
     tops, bases = np.divmod(np.arange(order), nbase)
     table = np.empty((order, order), dtype=np.int64)
     # one block of columns per top h2: (h1, f1)(h2, f2) has top h1 h2 and
@@ -196,23 +201,6 @@ def wreath(X: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> Wrea
     # validates every wreath table it builds up to order 256
     W = FiniteGroup(table, name=f"{X.name}wr{H.name}", validate=False)
     return WreathProduct(W, X, H)
-
-
-def _power_group(X: FiniteGroup, n: int) -> tuple[FiniteGroup, np.ndarray]:
-    """X^n with little-endian digit indexing (digit k has weight |X|^k),
-    and the digit rows of its elements."""
-    nx = X.order
-    order = nx ** n
-    digits = np.empty((order, n), dtype=np.int64)
-    rem = np.arange(order)
-    for k in range(n):
-        digits[:, k] = rem % nx
-        rem //= nx
-    radix = nx ** np.arange(n)
-    table = np.empty((order, order), dtype=np.int64)
-    for y in range(order):
-        table[:, y] = X.mult[digits, digits[y][None, :]] @ radix
-    return FiniteGroup(table, name=f"{X.name}^{n}", validate=False), digits
 
 
 # -- Buckley-type identities ----------------------------------------------------

@@ -43,63 +43,42 @@ def abelian(*orders: int) -> FiniteGroup:
     return G
 
 
+def _metacyclic(n: int, m: int, k: int, name: str) -> FiniteGroup:
+    """C_n x| C_m, the generator s of C_m acting as r -> r^k (k^m = 1 mod
+    n); elements r^i s^j with indices m i + j."""
+    perms = np.stack([np.arange(n) * pow(k, a, n) % n for a in range(m)])
+    G, _, _ = semidirect_product(cyclic(n), cyclic(m),
+                                 GroupAction(cyclic(m), cyclic(n), perms))
+    G.name = name
+    return G
+
+
 @lru_cache(maxsize=None)
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; elements r^i s^j with indices 2i+j."""
     if n < 1:
         raise ValueError("need n >= 1")
-    size = 2 * n
-    table = np.empty((size, size), dtype=np.int64)
-    for x in range(size):
-        i, j = divmod(x, 2)
-        for y in range(size):
-            k, l = divmod(y, 2)
-            # (r^i s^j)(r^k s^l) = r^(i + k*(-1)^j) s^(j+l)
-            ii = (i + (k if j == 0 else -k)) % n
-            table[x, y] = 2 * ii + ((j + l) % 2)
-    return FiniteGroup(table, name=f"D{size}", validate=False)
+    return _metacyclic(n, 2, -1, f"D{2 * n}")
+
+
+# _QNEG[u][v] = 1 when the product of units u, v in (1, i, j, k) is negative
+_QNEG = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
 
 
 @lru_cache(maxsize=None)
 def quaternion8() -> FiniteGroup:
-    """Q_8 = {1,-1,i,-i,j,-j,k,-k} with index order 1,-1,i,-i,j,-j,k,-k."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    sign = {x: (1 if not x.startswith("-") else -1) for x in names}
-    base = {x: x.lstrip("-") for x in names}
-
-    def mul(a, b):
-        sa, sb = sign[a], sign[b]
-        xa, xb = base[a], base[b]
-        tbl = {
-            ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-            ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-            ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-            ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-            ("i", "k"): (-1, "j"),
-        }
-        s, x = tbl[(xa, xb)]
-        s *= sa * sb
-        return ("" if s == 1 else "-") + x
-
-    index = {x: i for i, x in enumerate(names)}
-    table = np.array([[index[mul(a, b)] for b in names] for a in names],
-                     dtype=np.int64)
+    """Q_8 = {1,-1,i,-i,j,-j,k,-k} with index order 1,-1,i,-i,j,-j,k,-k:
+    index 2u + s for the unit u in (1, i, j, k) and the sign s, and the
+    units multiply as u XOR v up to sign."""
+    u, s = np.divmod(np.arange(8), 2)
+    table = 2 * (u[:, None] ^ u) + (s[:, None] ^ s ^ _QNEG[u[:, None], u])
     return FiniteGroup(table, name="Q8", validate=False)
 
 
 @lru_cache(maxsize=None)
 def semidihedral16() -> FiniteGroup:
     """SD_16: r^8 = s^2 = 1, s r s = r^3; indices 2i+j for r^i s^j."""
-    n = 8
-    table = np.empty((16, 16), dtype=np.int64)
-    for x in range(16):
-        i, j = divmod(x, 2)
-        for y in range(16):
-            k, l = divmod(y, 2)
-            ii = (i + (k if j == 0 else 3 * k)) % n
-            table[x, y] = 2 * ii + ((j + l) % 2)
-    return FiniteGroup(table, name="SD16", validate=False)
+    return _metacyclic(8, 2, 3, "SD16")
 
 
 @lru_cache(maxsize=None)
@@ -118,11 +97,7 @@ def heisenberg(p: int) -> FiniteGroup:
 @lru_cache(maxsize=None)
 def c9_semi_c3() -> FiniteGroup:
     """The nonabelian group C9 x| C3 of order 27 and exponent 9."""
-    C9, C3 = cyclic(9), cyclic(3)
-    perms = np.stack([(np.arange(9) * pow(4, a, 9)) % 9 for a in range(3)])
-    action = GroupAction(C3, C9, perms)
-    G, _, _ = semidirect_product(C9, C3, action)
-    return G
+    return _metacyclic(9, 3, 4, "C9:C3")
 
 
 @lru_cache(maxsize=None)

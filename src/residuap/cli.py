@@ -443,6 +443,10 @@ def main(argv=None) -> int:
     for key, value in _DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
+    if not 1 <= args.cap_wreath <= DEFAULT_ORDER_CAP:
+        print(f"error: --cap-wreath must be between 1 and {DEFAULT_ORDER_CAP}",
+              file=sys.stderr)
+        return EXIT_ERROR
     try:
         return args.fn(args)
     except OSError as exc:

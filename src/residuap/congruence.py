@@ -12,7 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from .groups import CapExceeded, FiniteGroup, require_prime
-from .smith import Presentation, det_unimodular, theta_map
+from .smith import (Presentation, det_unimodular, smith_normal_form,
+                    theta_map)
 
 DEFAULT_TOWER_CAP = 3 ** 9
 # the largest matrix group whose Cayley table is built
@@ -331,29 +332,14 @@ def _eval_word_int(gens, word) -> np.ndarray:
 
 
 def _int_inverse(m):
-    n = len(m)
-    from fractions import Fraction
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = a[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not invertible over Z")
-            row.append(int(v))
-        out.append(tuple(row))
-    return tuple(out)
+    """m^-1 over Z: the Smith form D = U m V is the identity exactly when m
+    is invertible over Z, and then m^-1 = V U."""
+    D, U, V = smith_normal_form(m)
+    n = len(D)
+    if D != [[int(i == j) for j in range(n)] for i in range(n)]:
+        raise ValueError("matrix is not invertible over Z")
+    return tuple(tuple(sum(V[i][k] * U[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
 
 
 def matrix_p_filtration(spec: MatrixGroupSpec, p: int, k_max: int) -> dict:

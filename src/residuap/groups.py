@@ -432,10 +432,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup
     n, m = G.order, H.order
     if n * m > DEFAULT_ORDER_CAP * 16:
         raise CapExceeded(f"direct product of order {n*m} is too large")
-    gi, hi = np.divmod(np.arange(n * m), m)
-    a1 = G.mult[gi[:, None], gi[None, :]]
-    a2 = H.mult[hi[:, None], hi[None, :]]
-    table = a1 * m + a2
+    # axes (g1, h1, g2, h2): row g1 m + h1, column g2 m + h2
+    table = (G.mult[:, None, :, None] * m
+             + H.mult[None, :, None, :]).reshape(n * m, n * m)
     P = FiniteGroup(table, name=f"{G.name}x{H.name}", validate=False)
     eg = Homomorphism(G, P, np.arange(n) * m, check=False)
     eh = Homomorphism(H, P, np.arange(m), check=False)
@@ -738,62 +737,16 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 
 def abelian_invariants(G: FiniteGroup) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of a finite abelian group."""
+    """Invariant factors d_1 | d_2 | ... of a finite abelian group.
+
+    A cyclic subgroup of largest order is a direct summand, so its order is
+    the last factor and the others are those of the quotient by it."""
     if not G.is_abelian:
         raise ValueError("abelian_invariants needs an abelian group")
-    if G.order == 1:
-        return []
-    # primary decomposition via element counts: for each prime p, the number
-    # of elements of order dividing p^k determines the p-part multiset.
-    n = G.order
-    primes = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    orders = G.element_orders()
-    primary: dict[int, list[int]] = {}
-    for p in primes:
-        counts = []
-        k = 1
-        while True:
-            c = sum(1 for o in orders if p ** k % o == 0)
-            counts.append(c)
-            if c == sum(1 for o in orders if is_p_power(o, p)):
-                break
-            k += 1
-        # counts[k-1] = p ** sum_i min(k, e_i); recover the exponent multiset
-        exps = []
-        prev = 0
-        logs = [round(_ilog(c, p)) for c in counts]
-        for k in range(len(logs), 0, -1):
-            here = logs[k - 1] - (logs[k - 2] if k >= 2 else 0)
-            newly = here - prev
-            exps.extend([k] * newly)
-            prev = here
-        primary[p] = sorted(exps)
-    rmax = max(len(v) for v in primary.values())
     factors = []
-    for i in range(rmax):
-        f = 1
-        for p, exps in primary.items():
-            pad = rmax - len(exps)
-            j = i - pad
-            if j >= 0:
-                f *= p ** exps[j]
-        factors.append(f)
-    return factors
-
-
-def _ilog(c: int, p: int) -> int:
-    k = 0
-    while c > 1:
-        c //= p
-        k += 1
-    return k
+    while G.order > 1:
+        orders = G.element_orders()
+        g = orders.index(max(orders))
+        factors.append(orders[g])
+        G, _ = quotient(G, subgroup_generated(G, [g]))
+    return factors[::-1]

@@ -99,7 +99,7 @@ def forbid_tables_above_cap(monkeypatch):
         assert n <= cap, f"a cyclic group of order {n} was built"
         return cyclic(n)
 
-    for module in (groups, certify, embed, catalog):
+    for module in (groups, algebra, certify, embed, catalog):
         if hasattr(module, "direct_product"):
             monkeypatch.setattr(module, "direct_product", guarded_product)
     monkeypatch.setattr(catalog, "cyclic", guarded_cyclic)

@@ -328,6 +328,11 @@ BAD_INPUTS = {
                       _gog_input(c4_star_c4, collection=[[0, 99], [0, 2]])),
     # a tower predicted past --cap-wreath
     "higman-cap": (["embed", "higman", "--cap-wreath", "16"], _c4_amalgam()),
+    # --cap-wreath outside 1..DEFAULT_ORDER_CAP, refused before any table
+    "higman-cap-above-4096": (["embed", "higman", "--cap-wreath", "100000"],
+                              _c4_amalgam()),
+    "higman-cap-zero": (["embed", "higman", "--cap-wreath", "0"],
+                        _c4_amalgam()),
     "higman-term": (["embed", "higman"],
                     _c4_amalgam(FG=[[0, 1, 2, 3], [0, 2, 9], [0]])),
     "flag-key": (["embed", "flag"],
@@ -422,6 +427,19 @@ def test_bad_input_exits_1_with_one_line(capsys, tmp_path, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1", "4097", "100000"])
+def test_cap_wreath_outside_1_to_the_order_cap_is_refused(capsys, tmp_path,
+                                                          cap):
+    """--cap-wreath can only lower DEFAULT_ORDER_CAP: a larger cap would let
+    a predicted tower of any order be built."""
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(_c4_amalgam()()))
+    capsys.readouterr()
+    assert main(["embed", "higman", "--file", str(f), "--cap-wreath", cap]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --cap-wreath must be between 1 and 4096\n")
 
 
 def test_embed_higman_failed_self_check_propagates(tmp_path, monkeypatch):

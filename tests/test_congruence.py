@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -110,6 +111,42 @@ def test_matrix_spec_validation():
                                presentation=Presentation(1, ((1,) * 4,)),
                                subgroups=(TSpec(((1,),)),))
         matrix_p_filtration(spec, 3, 1)
+
+
+def _elementary_product(n, rng):
+    """A product of elementary integer matrices of size n: row additions,
+    row swaps and row negations, all invertible over Z."""
+    m = np.eye(n, dtype=object)
+    for _ in range(rng.randrange(12)):
+        e = np.eye(n, dtype=object)
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        kind = rng.randrange(3)
+        if kind == 0 and i != j:
+            e[i, j] = rng.randint(-3, 3)
+        elif kind == 1:
+            e[[i, j]] = e[[j, i]]
+        else:
+            e[i, i] = -1
+        m = m @ e
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_int_inverse_of_elementary_products(n):
+    rng = random.Random(n)
+    for _ in range(25):
+        m = _elementary_product(n, rng)
+        inv = np.array(congruence._int_inverse(m.tolist()), dtype=object)
+        assert (m @ inv == np.eye(n, dtype=object)).all()
+        assert all(type(x) is int for x in inv.flat)
+
+
+@pytest.mark.parametrize("m", [[[2, 0], [0, 1]], [[1, 2], [3, 4]],
+                               [[1, 1], [1, 1]], [[0, 0], [0, 0]]],
+                         ids=["det-2", "det-minus-2", "singular", "zero"])
+def test_int_inverse_refuses_matrices_not_invertible_over_z(m):
+    with pytest.raises(ValueError, match="not invertible over Z"):
+        congruence._int_inverse(m)
 
 
 def test_tower_level1_is_uniformly_potent():

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from residuap import catalog
+from residuap import catalog, kernels
 from residuap.groups import (CapExceeded, FiniteGroup, GroupAction,
                              Homomorphism, Subgroup, abelian_invariants,
                              all_subgroups, automorphism_search,
@@ -21,6 +22,7 @@ from helpers import (forbid_tables_above_cap, fresh, reference_as_group_table,
 
 from residuap import groups
 from residuap.filtration import chief_series
+from residuap.smith import Presentation, smith_abelianization
 
 
 CATALOG_NAMES = ["C4", "C8", "C2^3", "D8", "Q8", "D16", "SD16", "Heis27",
@@ -121,6 +123,74 @@ def test_products_and_retracts():
     # coordinate projection on a direct factor
     P, eG, eH2 = direct_product(C4, C2)
     _assert_retraction(P, eG, np.arange(8) // 2)
+
+
+def _reference_direct_product_row(G, H, x):
+    """Row x of G x H, each cell from the pair it indexes: (g1, h1)(g2, h2)
+    = (g1 g2, h1 h2), with (g, h) at g |H| + h."""
+    m = H.order
+    g2, h2 = np.divmod(np.arange(G.order * m), m)
+    return G.mult[x // m, g2] * m + H.mult[x % m, h2]
+
+
+@pytest.mark.parametrize("G, H", [
+    (catalog.cyclic(1), catalog.dihedral(4)),
+    (catalog.semidihedral16(), catalog.cyclic(1)),
+    (catalog.dihedral(4), catalog.quaternion8()),
+    (catalog.cyclic(2048), catalog.cyclic(2)),
+], ids=["1xD8", "SD16x1", "D8xQ8", "C2048xC2"])
+def test_direct_product_matches_elementwise_reference(G, H):
+    P, eG, eH = direct_product(G, H)
+    n, m = G.order, H.order
+    assert P.name == f"{G.name}x{H.name}" and P.mult.shape == (n * m, n * m)
+    assert P.mult.dtype == np.int64 and P.mult.flags.c_contiguous
+    for x in range(n * m):
+        assert np.array_equal(P.mult[x], _reference_direct_product_row(G, H, x))
+    assert eG.map.tolist() == [g * m for g in range(n)]
+    assert eH.map.tolist() == list(range(m))
+
+
+def _reference_metacyclic(n, m, k):
+    """<r, s | r^n, s^m, s r s^-1 = r^k> with r^i s^j at m i + j: moving
+    s^j past r^c gives r^(c k^j) s^j, so r^i s^j r^c s^l is
+    r^(i + c k^j) s^(j + l)."""
+    table = np.empty((n * m, n * m), dtype=np.int64)
+    for i, j, c, l in itertools.product(range(n), range(m), range(n),
+                                        range(m)):
+        table[m * i + j, m * c + l] = (m * ((i + c * k ** j) % n)
+                                       + (j + l) % m)
+    return table
+
+
+def _reference_quaternion8():
+    """Q8 from Hamilton's product on quaternions (a, b, c, d) = a + bi + cj
+    + dk, with index 2u + s for the unit u in (1, i, j, k) and sign (-1)^s."""
+    def ham(x, y):
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    elems = [tuple((-1) ** s * int(t == u) for t in range(4))
+             for u in range(4) for s in range(2)]
+    return np.array([[elems.index(ham(x, y)) for y in elems] for x in elems])
+
+
+@pytest.mark.parametrize("build, name, want", [
+    *[(lambda n=n: catalog.dihedral(n), f"D{2 * n}",
+       lambda n=n: _reference_metacyclic(n, 2, -1)) for n in range(1, 17)],
+    (catalog.semidihedral16, "SD16", lambda: _reference_metacyclic(8, 2, 3)),
+    (catalog.c9_semi_c3, "C9:C3", lambda: _reference_metacyclic(9, 3, 4)),
+    (catalog.quaternion8, "Q8", _reference_quaternion8),
+], ids=[f"D{2 * n}" for n in range(1, 17)] + ["SD16", "C9:C3", "Q8"])
+def test_catalog_tables_match_their_defining_relations(build, name, want):
+    G = build()
+    table = want()
+    kernels.validate_table(table)
+    assert G.name == name and G.mult.dtype == np.int64
+    assert G.mult.tobytes() == table.astype(np.int64).tobytes()
 
 
 def test_order81_semidirect_is_p_group():
@@ -312,6 +382,19 @@ def test_abelian_invariants():
     assert abelian_invariants(catalog.abelian(2, 4, 8)) == [2, 4, 8]
     assert abelian_invariants(catalog.cyclic(1)) == []
     assert abelian_invariants(catalog.abelian(6, 2)) == [2, 6]
+
+
+@pytest.mark.parametrize("orders", [(6, 10, 15), (2, 3, 4, 5), (12, 18),
+                                    (4, 6), (10, 10, 2), (9, 3, 3), (1, 3),
+                                    (8, 12), (5, 25)],
+                         ids=lambda t: "x".join(f"C{n}" for n in t))
+def test_abelian_invariants_match_smith_form(orders):
+    # the product of the C_n is presented by generators x_i and relators
+    # x_i^n_i; its torsion is the list of invariant factors above 1
+    pres = Presentation(len(orders), tuple((i + 1,) * n
+                                           for i, n in enumerate(orders)))
+    want = smith_abelianization(pres).torsion
+    assert abelian_invariants(catalog.abelian(*orders)) == list(want)
 
 
 def test_all_subgroups_counts():
