@@ -189,14 +189,12 @@ def wreath(X: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> Wrea
         BaseG, _, _ = direct_product(X, BaseG)
     radix = nx ** np.arange(nh)
     digits = np.arange(nbase)[:, None] // radix % nx
-    tops, bases = np.divmod(np.arange(order), nbase)
-    table = np.empty((order, order), dtype=np.int64)
-    # one block of columns per top h2: (h1, f1)(h2, f2) has top h1 h2 and
-    # base f1^{h2} f2, where twist[f] is the index of f^{h2} = f(h2 .)
-    for h2 in range(nh):
-        twist = digits[:, H.mult[h2]] @ radix
-        table[:, h2 * nbase:(h2 + 1) * nbase] = (
-            (H.mult[tops, h2] * nbase)[:, None] + BaseG.mult[twist[bases]])
+    # (h1, f1)(h2, f2) has top h1 h2 and base f1^{h2} f2, where twist[f, h2]
+    # is the index of f^{h2} = f(h2 .); the base does not depend on h1, so
+    # axes (h1, f1, h2, f2) take it by broadcasting
+    twist = digits[:, H.mult] @ radix
+    table = (H.mult[:, None, :, None] * nbase
+             + BaseG.mult[twist][None]).reshape(order, order)
     # correct by construction, so not validated here; the test suite
     # validates every wreath table it builds up to order 256
     W = FiniteGroup(table, name=f"{X.name}wr{H.name}", validate=False)

@@ -1023,51 +1023,52 @@ def amalgam_scan(groups: Sequence[FiniteGroup]):
     Returns the list of ScanRecords in enumeration order.
     """
     records: list[ScanRecord] = []
-    # per group (keyed by identity): its chain tracer, its trace sets keyed
-    # by the bytes of the embedding U -> G, and per subgroup S the tuple
-    # (S, S as a group U, the parent index of each element of U, the trace
-    # set of that inclusion), listed in order and bucketed by |S|
+    # equal subgroup tables share one small int id; tables[id] is the first
+    tables: list[FiniteGroup] = []
+    table_ids: dict[bytes, int] = {}
+    # per group (keyed by identity): its chain tracer and, per subgroup S,
+    # the tuple (S, the id of its table U, the parent index of each element
+    # of U, the trace set of that inclusion, traced), listed in order and
+    # bucketed by |S|; on the H side, traced maps a G-side table id to the
+    # pairs (iso, trace set of U -> S through iso), one per isomorphism onto
+    # U.  The diagonal copy H' shares G's.
     facts: dict[FiniteGroup, tuple] = {}
     # the isomorphisms U_G -> U_H depend only on the two tables; this memo
     # lives for one call, so every scan pays for its own searches
-    isos: dict[tuple[bytes, bytes], tuple] = {}
-
-    def trace_sets(tracer, cache, E):
-        keys = [row.tobytes() for row in E]
-        todo = [j for j, key in enumerate(keys) if key not in cache]
-        if todo:
-            for j, col in zip(todo, tracer(E[todo]).T):
-                cache[keys[j]] = frozenset(col.tolist())
-        return [cache[key] for key in keys]
+    isos: dict[tuple[int, int], tuple] = {}
 
     def facts_of(G):
         if G not in facts:
-            tracer, cache = chief_tracer(G), {}
-            subs, by_order = [], {}
+            tracer, subs, by_order = chief_tracer(G), [], {}
             for S in all_subgroups(G):
                 if 2 <= len(S) <= SCAN_MAX_U:
                     U, toU, _ = S.as_group()
                     toU = np.asarray(toU, dtype=np.int64)
-                    subs.append((S, U, toU,
-                                 trace_sets(tracer, cache, toU[None])[0]))
+                    key = U.mult.tobytes()
+                    if key not in table_ids:
+                        table_ids[key] = len(tables)
+                        tables.append(U)
+                    subs.append((S, table_ids[key], toU,
+                                 frozenset(tracer(toU[None])[:, 0].tolist()),
+                                 {}))
                     by_order.setdefault(len(S), []).append(subs[-1])
-            facts[G] = (tracer, cache, subs, by_order)
+            facts[G] = (tracer, subs, by_order)
         return facts[G]
 
-    def isomorphisms(UG, UH):
+    def isomorphisms(uG, uH):
         # all isomorphisms UG -> UH, sorted, up to SCAN_ALL_ISO_UPTO; else the
         # first found; as the rows of a (k, |U|) array and as tuples
-        key = (UG.mult.tobytes(), UH.mult.tobytes())
-        if key not in isos:
-            base = find_isomorphism(UG, UH)
+        if (uG, uH) not in isos:
+            UG = tables[uG]
+            base = find_isomorphism(UG, tables[uH])
             if base is None:
                 block = np.zeros((0, UG.order), dtype=np.int64)
             elif UG.order > SCAN_ALL_ISO_UPTO:
                 block = base.map[None]
             else:
                 block = np.unique(base.map[np.stack(automorphisms(UG))], axis=0)
-            isos[key] = (block, [tuple(m) for m in block.tolist()])
-        return isos[key]
+            isos[uG, uH] = (block, [tuple(m) for m in block.tolist()])
+        return isos[uG, uH]
 
     for i, G in enumerate(groups):
         for j in range(i, len(groups)):
@@ -1076,14 +1077,18 @@ def amalgam_scan(groups: Sequence[FiniteGroup]):
                 H = G.copy(G.name + "'")
                 # the facts read only the table, which H shares with G
                 facts[H] = facts_of(G)
-            tracer, cache, _, subsH = facts_of(H)
-            for SG, UG, _, tG in facts_of(G)[2]:
+            tracer, _, subsH = facts_of(H)
+            for SG, uG, _, tG, _ in facts_of(G)[1]:
                 # the embeddings of both sides start at the G-side copy of
-                # U, so both trace sets live in the same coordinates
-                for SH, UH, toUH, _ in subsH.get(len(SG), ()):
-                    block, maps = isomorphisms(UG, UH)
-                    for iso, tH in zip(maps, trace_sets(tracer, cache,
-                                                        toUH[block])):
+                # U, so both trace sets live in the same coordinates; the
+                # k embeddings U -> SH are traced as one block, once per
+                # G-side table
+                for SH, uH, toUH, _, traced in subsH.get(len(SG), ()):
+                    if uG not in traced:
+                        block, maps = isomorphisms(uG, uH)
+                        keys = tracer(toUH[block]).T.tolist() if maps else []
+                        traced[uG] = list(zip(maps, map(frozenset, keys)))
+                    for iso, tH in traced[uG]:
                         records.append(ScanRecord(
                             G.name, H.name, SG.elems, SH.elems, iso,
                             not tG.isdisjoint(tH)))

@@ -38,6 +38,7 @@ class FiniteGroup:
     computed once from it, when first asked for, and kept with the group:
 
     * whether it is abelian, the element orders, ``generating_sequence``;
+    * ``all_subgroups``, handed out as a fresh list on each call;
     * ``chief_series`` and the chain tracer of those series
       (``embed.chief_tracer``);
     * ``central_p_step(G, T, p)`` per (T.elems, p);
@@ -48,12 +49,14 @@ class FiniteGroup:
     ``copy`` shares the other facts with the copy, whose table is equal;
     the chief series are re-parented onto it, one Subgroup per distinct
     term.  The facts kept per p are not passed on: their subgroups and ideal
-    bases belong to this group, and the copy builds its own.
+    bases belong to this group, and the copy builds its own.  Nor is the
+    subgroup list, whose Subgroups point at this group: the copy lists its
+    own when asked.
     """
 
     __slots__ = ("order", "mult", "inv", "name", "_abelian", "_orders",
-                 "_gens", "_chief_series", "_chief_tracer", "_central_steps",
-                 "_by_p")
+                 "_gens", "_subgroups", "_chief_series", "_chief_tracer",
+                 "_central_steps", "_by_p")
 
     def __init__(self, mult, name: str = "G", validate: bool = True):
         t = np.ascontiguousarray(np.asarray(mult, dtype=np.int64))
@@ -66,6 +69,7 @@ class FiniteGroup:
         self._abelian: Optional[bool] = None
         self._orders: Optional[list[int]] = None
         self._gens: Optional[list[int]] = None
+        self._subgroups: Optional[list] = None
         self._chief_series: Optional[list] = None
         self._chief_tracer = None
         self._central_steps: dict[tuple, frozenset[int]] = {}
@@ -143,9 +147,9 @@ class FiniteGroup:
 
     def copy(self, name: str) -> "FiniteGroup":
         """An independent group on a copy of the table, sharing the facts
-        found so far except those kept per p: the chief series are
-        re-parented, one Subgroup per distinct term; the rest depend only on
-        the table and are never changed, so they are shared as they are."""
+        found so far except the subgroup list and those kept per p: the
+        chief series are re-parented, one Subgroup per distinct term; the
+        rest depend only on the table and are never changed, so are shared."""
         H = FiniteGroup(self.mult.copy(), name=name, validate=False)
         H._abelian = self._abelian
         H._orders, H._gens = self._orders, self._gens
@@ -430,7 +434,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup
     Returns (product, embed_G, embed_H).
     """
     n, m = G.order, H.order
-    if n * m > DEFAULT_ORDER_CAP * 16:
+    if n * m > DEFAULT_ORDER_CAP:
         raise CapExceeded(f"direct product of order {n*m} is too large")
     # axes (g1, h1, g2, h2): row g1 m + h1, column g2 m + h2
     table = (G.mult[:, None, :, None] * m
@@ -498,16 +502,11 @@ def semidirect_product(B: FiniteGroup, H: FiniteGroup, action: GroupAction
         raise ValueError("action must be of H on B")
     nb, nh = B.order, H.order
     n = nb * nh
-    if n > DEFAULT_ORDER_CAP * 16:
+    if n > DEFAULT_ORDER_CAP:
         raise CapExceeded(f"semidirect product of order {n} is too large")
-    bi, hi = np.divmod(np.arange(n), nh)
-    table = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        b1, h1 = int(bi[x]), int(hi[x])
-        acted = action.perms[h1][bi]                 # h1(b2) over all y
-        bb = B.mult[b1, acted]
-        hh = H.mult[h1, hi]
-        table[x] = bb * nh + hh
+    # axes (b1, h1, b2, h2): row b1 nh + h1, column b2 nh + h2
+    table = (B.mult[:, action.perms][:, :, :, None] * nh
+             + H.mult[None, :, None, :]).reshape(n, n)
     P = FiniteGroup(table, name=f"{B.name}:{H.name}", validate=False)
     eb = Homomorphism(B, P, np.arange(nb) * nh, check=False)
     eh = Homomorphism(H, P, np.arange(nh), check=False)
@@ -718,7 +717,10 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
     Breadth-first closure: repeatedly extend known subgroups by one
     generator.  Desk-scale only (the count explodes beyond order ~64).
+    Computed once and kept with G; each call returns a fresh list.
     """
+    if G._subgroups is not None:
+        return list(G._subgroups)
     seen = {(0,)}
     frontier = [(0,)]
     while frontier:
@@ -733,7 +735,8 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                     if len(seen) > SUBGROUP_CAP:
                         raise CapExceeded("subgroup enumeration cap exceeded")
         frontier = new
-    return [Subgroup(G, e, check=False) for e in sorted(seen)]
+    G._subgroups = [Subgroup(G, e, check=False) for e in sorted(seen)]
+    return list(G._subgroups)
 
 
 def abelian_invariants(G: FiniteGroup) -> list[int]:

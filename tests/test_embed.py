@@ -27,7 +27,7 @@ from residuap.embed import (Amalgam, ElabSpace, PartialAutomorphism,
 from residuap.filtration import (AlignmentError, Filtration, chief_series,
                                  lower_central_p_series)
 from residuap.groups import (DEFAULT_ORDER_CAP, CapExceeded, Homomorphism,
-                             Subgroup, abelian_invariants,
+                             Subgroup, abelian_invariants, all_subgroups,
                              automorphisms, direct_product, full_subgroup,
                              identity_hom, is_isomorphic, subgroup_generated,
                              trivial_subgroup)
@@ -672,6 +672,28 @@ def test_scan_searches_each_pair_of_subgroup_tables_once(monkeypatch):
     # the memo lives for one call: a second scan searches again
     amalgam_scan(catalog.two_group_scan_list(4))
     assert len(calls) > 67
+
+
+def test_scan_traces_each_subgroup_block_once(monkeypatch):
+    """One tracer call per inclusion of a subgroup of order 2..8 and one
+    per block: an H-side subgroup against one G-side table with an
+    isomorphism onto it, whatever the number of G-side subgroups with that
+    table."""
+    groups = catalog.two_group_scan_list(16)
+    tracer_of, rows = embed.chief_tracer, []
+
+    def counted(G):
+        tracer = tracer_of(G)
+        return lambda E: rows.append(len(E)) or tracer(E)
+
+    monkeypatch.setattr(embed, "chief_tracer", counted)
+    recs = amalgam_scan(groups)
+    inclusions = sum(2 <= len(S) <= embed.SCAN_MAX_U
+                     for G in groups for S in all_subgroups(G))
+    # 230 blocks of 580 embeddings in all give the trace sets of the
+    # 18,662 records
+    assert (len(recs), inclusions) == (18_662, 191)
+    assert (len(rows) - inclusions, sum(rows) - inclusions) == (230, 580)
 
 
 # -- mapping tori ----------------------------------------------------------------------

@@ -150,6 +150,19 @@ def test_direct_product_matches_elementwise_reference(G, H):
     assert eH.map.tolist() == list(range(m))
 
 
+def test_products_refuse_orders_above_the_cap_before_allocating():
+    # one ceiling for every table: 4098 > DEFAULT_ORDER_CAP = 4096
+    C2, C2049 = catalog.cyclic(2), catalog.cyclic(2049)
+    with pytest.raises(CapExceeded,
+                       match="direct product of order 4098 is too large"):
+        direct_product(C2, C2049)
+    inv = GroupAction(C2, C2049, [np.arange(2049), -np.arange(2049) % 2049],
+                      check=False)
+    with pytest.raises(CapExceeded,
+                       match="semidirect product of order 4098 is too large"):
+        semidirect_product(C2049, C2, inv)
+
+
 def _reference_metacyclic(n, m, k):
     """<r, s | r^n, s^m, s r s^-1 = r^k> with r^i s^j at m i + j: moving
     s^j past r^c gives r^(c k^j) s^j, so r^i s^j r^c s^l is
@@ -407,13 +420,42 @@ def test_all_subgroups_counts():
 def test_all_subgroups_closes_one_element_per_coset(monkeypatch):
     """<S, x> depends only on the right coset S x, so each subgroup S found
     is extended by one element per coset: 240 closures on C2^4, where one
-    per element outside S took 765."""
-    G = catalog.elementary_abelian(2, 4)
+    per element outside S took 765.  The catalog group may already keep
+    its list, so the enumeration runs on a fresh table."""
+    G = fresh(catalog.elementary_abelian(2, 4), "C2^4~subgroups")
     closure, calls = groups.kernels.closure, []
     monkeypatch.setattr(groups.kernels, "closure",
                         lambda *args: calls.append(args) or closure(*args))
     assert len(all_subgroups(G)) == 67
     assert len(calls) == 240
+
+
+def test_all_subgroups_is_kept_with_the_group(monkeypatch):
+    G = fresh(catalog.dihedral(8), "D16~subgroups")
+    first = all_subgroups(G)
+    closure, calls = groups.kernels.closure, []
+    monkeypatch.setattr(groups.kernels, "closure",
+                        lambda *args: calls.append(args) or closure(*args))
+    second = all_subgroups(G)
+    assert calls == [] and second == first and second is not first
+    # each call hands out a fresh list: changing one leaves the kept one
+    second.clear()
+    assert all_subgroups(G) == first and len(first) == 19
+
+
+def test_copy_lists_its_own_subgroups(monkeypatch):
+    G = fresh(catalog.elementary_abelian(2, 3), "C2^3~subgroups")
+    subs = all_subgroups(G)
+    H = G.copy("C2^3~subgroups'")
+    closure, calls = groups.kernels.closure, []
+    monkeypatch.setattr(groups.kernels, "closure",
+                        lambda *args: calls.append(args) or closure(*args))
+    # the copy does not take G's list, whose subgroups point at G
+    assert H._subgroups is None
+    copied = all_subgroups(H)
+    assert calls and all(S.parent is H for S in copied)
+    assert [S.elems for S in copied] == [S.elems for S in subs]
+    assert all(S.parent is G for S in all_subgroups(G))
 
 
 def test_lagrange_for_produced_subgroups():
