@@ -176,25 +176,31 @@ class WreathProduct:
 
 def wreath(X: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> WreathProduct:
     """Build X wr H with multiplication (h1,f1)(h2,f2) = (h1 h2, f1^h2 f2),
-    where f^h(k) = f(hk)."""
+    where f^h(k) = f(hk).  Orders above `cap`, or above DEFAULT_ORDER_CAP
+    whatever `cap` is, raise CapExceeded before any table is built."""
     nx, nh = X.order, H.order
     order = nx ** nh * nh
+    cap = min(cap, DEFAULT_ORDER_CAP)
     if order > cap:
         raise CapExceeded(f"wreath product of order {order} exceeds cap {cap}")
-    nbase = nx ** nh
-    # X^nh with little-endian digits: each product puts the new factor in
-    # the most significant digit, so digit k of f has weight nx^k
-    BaseG = X
-    for _ in range(nh - 1):
-        BaseG, _, _ = direct_product(X, BaseG)
-    radix = nx ** np.arange(nh)
-    digits = np.arange(nbase)[:, None] // radix % nx
-    # (h1, f1)(h2, f2) has top h1 h2 and base f1^{h2} f2, where twist[f, h2]
-    # is the index of f^{h2} = f(h2 .); the base does not depend on h1, so
-    # axes (h1, f1, h2, f2) take it by broadcasting
-    twist = digits[:, H.mult] @ radix
-    table = (H.mult[:, None, :, None] * nbase
-             + BaseG.mult[twist][None]).reshape(order, order)
+    if nx == 1:
+        # 1 wr H is H; the broadcast below would gather order^2 entries
+        table = H.mult.copy()
+    else:
+        nbase = nx ** nh
+        # X^nh with little-endian digits: each product puts the new factor
+        # in the most significant digit, so digit k of f has weight nx^k
+        BaseG = X
+        for _ in range(nh - 1):
+            BaseG, _, _ = direct_product(X, BaseG)
+        radix = nx ** np.arange(nh)
+        digits = np.arange(nbase)[:, None] // radix % nx
+        # (h1, f1)(h2, f2) has top h1 h2 and base f1^{h2} f2, where
+        # twist[f, h2] is the index of f^{h2} = f(h2 .); the base does not
+        # depend on h1, so axes (h1, f1, h2, f2) take it by broadcasting
+        twist = digits[:, H.mult] @ radix
+        table = (H.mult[:, None, :, None] * nbase
+                 + BaseG.mult[twist][None]).reshape(order, order)
     # correct by construction, so not validated here; the test suite
     # validates every wreath table it builds up to order 256
     W = FiniteGroup(table, name=f"{X.name}wr{H.name}", validate=False)

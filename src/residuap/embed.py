@@ -176,8 +176,9 @@ def higman_embed(am: Amalgam, FG: Filtration, FH: Filtration,
     is the fiber sum of elementary abelian groups, the inductive step embeds
     the factor amalgam into K, forms W = T wr K with T the fiber sum of the
     last terms, and uses matched standard embeddings built from a shared
-    countermap on U.  The predicted order of W is checked against `cap`
-    before anything is built, and all output conditions are re-verified.
+    countermap on U.  The predicted order of W is checked against `cap`,
+    or DEFAULT_ORDER_CAP when that is less, before anything is built, and
+    all output conditions are re-verified.
     """
     p = am.G.prime() or am.H.prime() or 2
     if not (am.G.is_p_group(p) and am.H.is_p_group(p) and am.U.is_p_group(p)):
@@ -187,6 +188,7 @@ def higman_embed(am: Amalgam, FG: Filtration, FH: Filtration,
     if not (FG.is_central_p(p) and FH.is_central_p(p)):
         raise ValueError("filtrations must be central p-filtrations")
     predicted = predicted_higman_order(am, FG, FH)
+    cap = min(cap, DEFAULT_ORDER_CAP)
     if predicted > cap:
         raise CapExceeded(f"predicted |W| = {predicted} exceeds cap {cap}")
     FGs, FHs = align_filtrations(FG, FH, am.uG, am.uH)

@@ -452,13 +452,49 @@ def amalgamated_sum(A: FiniteGroup, B: FiniteGroup,
     generate a normal subgroup (always so for abelian A and B).
 
     Its elements are the cosets of direct_product(A, B), ordered by their
-    least element.  Returns (sum, iota_A, iota_B).
+    least element, but the table of A x B is never built: an element (a, b)
+    is the code a |B| + b, and only the sum's own table is allocated, so
+    sums of order at most DEFAULT_ORDER_CAP are built whatever |A| |B| is.
+    Returns (sum, iota_A, iota_B).
     """
-    D, eA, eB = direct_product(A, B)
-    K = subgroup_generated(D, [D.mul(eA(a), D.inverse(eB(b)))
-                               for a, b in pairs])
-    S, proj = quotient(D, K)
-    return S, proj.compose(eA), proj.compose(eB)
+    n, m = A.order, B.order
+    ga, gb = np.array([(a, B.inv[b]) for a, b in pairs],
+                      dtype=np.int64).reshape(-1, 2).T
+    # K = <(a, b^-1)>: the right multiples of 1 by the generators, as codes
+    inK = np.zeros(n * m, dtype=bool)
+    inK[0] = True
+    fresh = np.zeros(1, dtype=np.int64)
+    while fresh.size:
+        fa, fb = np.divmod(fresh, m)
+        prod = (A.mult[fa[:, None], ga] * m + B.mult[fb[:, None], gb]).ravel()
+        fresh = np.unique(prod[~inK[prod]])
+        inK[fresh] = True
+    K = np.flatnonzero(inK)
+    order = n * m // len(K)
+    if order > DEFAULT_ORDER_CAP:
+        raise CapExceeded(f"amalgamated sum of order {order} is too large")
+    ka, kb = np.divmod(K, m)
+    if not (A.is_abelian and B.is_abelian):
+        # normal when conjugation by each generator of A x B keeps K
+        g, h = (np.array(generating_sequence(X), dtype=np.int64) for X in (A, B))
+        if not (inK[A.mult[A.mult[g[:, None], ka], A.inv[g, None]] * m + kb].all()
+                and inK[ka * m + B.mult[B.mult[h[:, None], kb], B.inv[h, None]]].all()):
+            raise ValueError("subgroup is not normal")
+    # min((a, b) K): the least a ka over the projection KA of K, then the
+    # least b t c over c in KB = K n (1 x B), t any partner of that ka in K
+    KA, first = np.unique(ka, return_index=True)
+    j = A.mult[:, KA].argmin(axis=1)
+    least_b = B.mult[:, kb[ka == 0]].min(axis=1)
+    rep = (A.mult[np.arange(n), KA[j]][:, None] * m
+           + least_b[B.mult[:, kb[first][j]].T]).ravel()
+    reps = np.unique(rep)                      # sorted; coset i is reps[i]
+    ra, rb = np.divmod(reps, m)
+    table = np.searchsorted(reps, rep[A.mult[ra[:, None], ra] * m
+                                      + B.mult[rb[:, None], rb]])
+    S = FiniteGroup(table, name=f"{A.name}x{B.name}/N{len(K)}", validate=False)
+    proj = np.searchsorted(reps, rep).reshape(n, m)
+    return (S, Homomorphism(A, S, proj[:, 0], check=False),
+            Homomorphism(B, S, proj[0], check=False))
 
 
 class GroupAction:

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 import helpers
@@ -51,6 +52,16 @@ def test_wreath_c2_c2_is_d8():
 def test_wreath_cap():
     with pytest.raises(CapExceeded):
         wreath(catalog.cyclic(4), catalog.dihedral(4), cap=4096)
+    # no cap lifts the ceiling of DEFAULT_ORDER_CAP on every table
+    with pytest.raises(CapExceeded,
+                       match="wreath product of order 49152 exceeds cap 4096"):
+        wreath(catalog.cyclic(2), catalog.cyclic(12), cap=10 ** 6)
+
+
+def test_wreath_over_the_trivial_group_is_the_top_group():
+    C8 = catalog.cyclic(8)
+    W = wreath(catalog.cyclic(1), C8).group
+    assert np.array_equal(W.mult, C8.mult) and W.mult is not C8.mult
 
 
 def test_wreath_tables_of_the_suite_are_validated(monkeypatch):

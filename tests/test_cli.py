@@ -144,6 +144,28 @@ def test_embed_higman(capsys, tmp_path):
     assert code == 0 and json.loads(out)["W_order"] == 64
 
 
+@pytest.mark.parametrize("what", ["fibersum", "higman"])
+def test_embed_builds_sums_of_order_4096_at_the_default_cap(capsys, tmp_path,
+                                                            what):
+    """C2^7 and C2^6 over C2: the sum, and the tower |W| = 128 64 / 2, are
+    of order 4096 = DEFAULT_ORDER_CAP although C2^7 x C2^6 is of order
+    8192."""
+    A, B = catalog.elementary_abelian(2, 7), catalog.elementary_abelian(2, 6)
+    U = catalog.cyclic(2)
+    if what == "fibersum":
+        data = {"A": serialize.group_to_obj(A), "B": serialize.group_to_obj(B),
+                "U": serialize.group_to_obj(U), "phi": [0, 1], "psi": [0, 1]}
+    else:
+        data = {"G": serialize.group_to_obj(A), "H": serialize.group_to_obj(B),
+                "U": serialize.group_to_obj(U), "uG": [0, 1], "uH": [0, 1],
+                "FG": [list(range(128)), [0]], "FH": [list(range(64)), [0]]}
+    f = tmp_path / "am.json"
+    f.write_text(json.dumps(data))
+    code, out = run(capsys, "embed", what, "--file", str(f), "--json")
+    rep = json.loads(out)
+    assert code == 0 and rep["W_order" if what == "higman" else "order"] == 4096
+
+
 def test_gog_quotient_and_cover(capsys, tmp_path):
     gog = c4_star_c4()
     f = tmp_path / "gog.json"

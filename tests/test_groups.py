@@ -6,6 +6,7 @@ import pytest
 from residuap import catalog, kernels
 from residuap.groups import (CapExceeded, FiniteGroup, GroupAction,
                              Homomorphism, Subgroup, abelian_invariants,
+                             amalgamated_sum,
                              all_subgroups, automorphism_search,
                              automorphisms, direct_product,
                              find_isomorphism, full_subgroup,
@@ -161,6 +162,42 @@ def test_products_refuse_orders_above_the_cap_before_allocating():
     with pytest.raises(CapExceeded,
                        match="semidirect product of order 4098 is too large"):
         semidirect_product(C2049, C2, inv)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_amalgamated_sum_matches_the_quotient_of_the_direct_product(seed):
+    """The sum is (A x B) / <a b^-1> read off the table of A x B, which
+    amalgamated_sum itself never builds: the same table, name and maps, and
+    the same refusal when <a b^-1> is not normal."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        A, B = (catalog.by_name(rng.choice(CATALOG_NAMES)) for _ in "AB")
+        pairs = [(rng.randrange(A.order), rng.randrange(B.order))
+                 for _ in range(rng.randrange(4))]
+        D, eA, eB = direct_product(A, B)
+        K = subgroup_generated(D, [D.mul(eA(a), D.inverse(eB(b)))
+                                   for a, b in pairs])
+        if not K.is_normal():
+            with pytest.raises(ValueError, match="subgroup is not normal"):
+                amalgamated_sum(A, B, pairs)
+            continue
+        Q, proj = quotient(D, K)
+        S, iA, iB = amalgamated_sum(A, B, pairs)
+        assert S.name == Q.name and np.array_equal(S.mult, Q.mult)
+        assert np.array_equal(iA.map, proj.compose(eA).map)
+        assert np.array_equal(iB.map, proj.compose(eB).map)
+
+
+def test_amalgamated_sum_is_capped_by_its_own_order():
+    """Only the sum's table is bounded: C2^7 + C2^6 over C2 is of order
+    4096 although C2^7 x C2^6 is of order 8192, while with nothing
+    identified the sum is that direct product and is refused."""
+    A, B = catalog.elementary_abelian(2, 7), catalog.elementary_abelian(2, 6)
+    with pytest.raises(CapExceeded,
+                       match="amalgamated sum of order 8192 is too large"):
+        amalgamated_sum(A, B, [])
+    S, iA, iB = amalgamated_sum(A, B, [(1, 1)])
+    assert S.order == 4096 and iA(1) == iB(1)
 
 
 def _reference_metacyclic(n, m, k):
