@@ -29,9 +29,6 @@ from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
 from .results import UNKNOWN, YES, Decision
 from .smith import Presentation, smith_abelianization
 
-# the most levels compatible_gamma_collection builds before giving up
-GAMMA_COLLECTION_DEPTH = 24
-
 
 # -- colimits of graphs of abelian groups ----------------------------------------
 
@@ -206,15 +203,15 @@ def compatible_gamma_collection(gog: GraphOfGroups,
     Level by level, start from the gamma^p step of the current terms (the
     step of lower_central_p_series) and enlarge along the edges until every
     edge pulls back equally from both ends (a monotone fixpoint in a finite
-    lattice, so this terminates and stays descending).  When the gamma^p
-    series already form a compatible collection, the levels are their
-    terms.  Returns None when the chain stabilizes above the trivial
-    subgroup or is not central-p (an enlarged term that is not normal),
-    which the caller reports as unknown.
+    lattice).  When the gamma^p series already form a compatible
+    collection, the levels are their terms.  Returns None when a level is
+    not strictly inside the one before, so the loop ends within
+    sum_v log_p |G_v| levels, or when the chain is not central-p (an
+    enlarged term that is not normal), which the caller reports as unknown.
     """
     Y = gog.graph
     levels = [[full_subgroup(G) for G in gog.vgroups]]
-    for _ in range(GAMMA_COLLECTION_DEPTH):
+    while True:
         cur = levels[-1]
         nxt = [normal_closure(G, central_p_step(G, T, p))
                for G, T in zip(gog.vgroups, cur)]
@@ -238,13 +235,12 @@ def compatible_gamma_collection(gog: GraphOfGroups,
                 if new_t.elems != nxt[vt].elems or new_o.elems != nxt[vo].elems:
                     nxt[vt], nxt[vo] = new_t, new_o
                     changed = True
-        if [s.elems for s in nxt] == [s.elems for s in cur]:
-            return None      # stabilized above the trivial collection
+        if not (all(s <= t for s, t in zip(nxt, cur))
+                and any(len(s) < len(t) for s, t in zip(nxt, cur))):
+            return None      # not a strict descent
         levels.append(nxt)
         if all(s.is_trivial() for s in nxt):
             break
-    else:
-        return None
     filts = tuple(Filtration(gog.vgroups[v], [lev[v] for lev in levels],
                              check=False) for v in range(Y.nv))
     if not all(F.is_central_p(p) for F in filts):

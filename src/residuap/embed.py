@@ -19,7 +19,8 @@ from .filtration import (Filtration, align_filtrations, aligned_slots,
                          central_p_step, chief_series, induced_chain,
                          is_stretching, lower_central_p_series)
 from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
-                     Homomorphism, Subgroup, all_subgroups, amalgamated_sum,
+                     Homomorphism, Steps, Subgroup, all_subgroups,
+                     amalgamated_sum,
                      automorphism_search, automorphisms, find_isomorphism,
                      full_subgroup,
                      generating_sequence, identity_hom, induced_hom,
@@ -28,10 +29,6 @@ from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
                      trivial_group, trivial_subgroup)
 from .results import NO, UNKNOWN, YES, Decision
 
-# the largest G whose automorphisms are searched for layer-trivial extensions
-AUT_SEARCH_CAP = 64
-# the largest dimension of F_p^d whose complete flags are searched
-FLAG_DIM_CAP = 6
 # amalgam_scan: the largest |U| scanned, and the largest |U| for which every
 # isomorphism U_G -> U_H is listed (above it, only the first found)
 SCAN_MAX_U = 8
@@ -728,15 +725,15 @@ def unipotent_flag_extend(V: FiniteGroup,
                           pas: Sequence[PartialAutomorphism]) -> Decision:
     """A complete flag invariant under every partial automorphism with trivial
     layer action, plus unitriangular extensions; exhaustive, so 'no' is proof.
+    A step of the search is one element of a hyperplane tried; past
+    SEARCH_STEP_CAP steps the answer is unknown.
     """
     space = ElabSpace(V)
-    d = space.dim
-    if d > FLAG_DIM_CAP:
-        return Decision(UNKNOWN, reason=f"dimension {d} beyond flag search cap")
     for phi in pas:
         if phi.group is not V:
             raise ValueError("partial automorphisms must live on V")
     dead: set[tuple[int, ...]] = set()     # terms that no invariant flag passes
+    steps = Steps("flag search")
 
     def descend(chain: list[tuple]):
         """The first invariant complete flag that continues chain, or None."""
@@ -745,6 +742,7 @@ def unipotent_flag_extend(V: FiniteGroup,
             return chain
         cur_set = set(cur)
         for nxt in _hyperplanes(space, cur):
+            steps.take(len(nxt))
             if nxt not in dead and all(phi.preserves(cur_set, set(nxt))
                                        for phi in pas):
                 flag = descend(chain + [nxt])
@@ -753,7 +751,10 @@ def unipotent_flag_extend(V: FiniteGroup,
         dead.add(cur)
         return None
 
-    found = descend([tuple(range(V.order))])
+    try:
+        found = descend([tuple(range(V.order))])
+    except CapExceeded as exc:
+        return Decision(UNKNOWN, reason=str(exc))
     if found is None:
         return Decision(NO, reason="no invariant flag with trivial layer action")
     # adapted basis: v_1 spans the last nontrivial flag term, etc.
@@ -850,8 +851,6 @@ def _extend_in_stabilizer(G, pas, series, p, size_cap, missing: str) -> Decision
     order) that restricts to phi and, as a partial automorphism on all of G,
     preserves the chain series; then realize the extensions.  Unknown with
     reason ``missing`` when some phi has none."""
-    if G.order > AUT_SEARCH_CAP:
-        return Decision(UNKNOWN, reason="automorphism search beyond cap")
     full = full_subgroup(G)
     perms = []
     for phi in pas:

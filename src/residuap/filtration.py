@@ -14,13 +14,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .groups import (FiniteGroup, Homomorphism, Subgroup, full_subgroup,
-                     generating_sequence, normal_closure, quotient,
-                     require_p_group, require_prime, subgroup_generated,
-                     trivial_subgroup)
-
-# the most chief series chief_series lists
-CHIEF_SERIES_CAP = 100_000
+from .groups import (FiniteGroup, Homomorphism, Steps, Subgroup,
+                     full_subgroup, generating_sequence, normal_closure,
+                     quotient, require_p_group, require_prime,
+                     subgroup_generated, trivial_subgroup)
 
 
 class Filtration:
@@ -268,25 +265,21 @@ def chief_series(G: FiniteGroup) -> list[tuple[Subgroup, ...]]:
     """All chief filtrations of G, each as a descending tuple G > ... > 1.
 
     The list is computed once per group and kept with it; each call returns
-    a fresh list.  The enumeration raises once it has found more than
-    CHIEF_SERIES_CAP series and looks for another, so a call raises exactly
-    when there are more than CHIEF_SERIES_CAP + 1 series, whether or not the
-    list is already kept.
+    a fresh list.  A step of the enumeration is one element of a normal
+    subgroup that extends a chain.
     """
     if G._chief_series is not None:
-        if len(G._chief_series) > CHIEF_SERIES_CAP + 1:
-            raise ValueError("chief series enumeration cap exceeded")
         return list(G._chief_series)
     out: list[tuple[Subgroup, ...]] = []
     minimal = _minimal_normal_finder(G)
+    steps = Steps("chief series search")
 
     def ascend(chain: list[Subgroup]):
-        if len(out) > CHIEF_SERIES_CAP:
-            raise ValueError("chief series enumeration cap exceeded")
         if chain[-1].elems == tuple(range(G.order)):
             out.append(tuple(reversed(chain)))
             return
         for N in minimal(chain[-1], full_subgroup(G)):
+            steps.take(len(N))
             ascend(chain + [N])
 
     ascend([trivial_subgroup(G)])

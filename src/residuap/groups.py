@@ -20,15 +20,28 @@ from . import kernels
 
 DEFAULT_ORDER_CAP = 4096
 DEFAULT_AUT_CAP = 256
-DEFAULT_AUT_SIZE_CAP = 200_000
-# the largest product of the generators' candidate-list lengths searched
-AUT_SEARCH_VOLUME_CAP = 2_000_000
-# the most subgroups all_subgroups lists
-SUBGROUP_CAP = 100_000
+# the most steps one search takes, a step being one group element it computes
+SEARCH_STEP_CAP = 10_000_000
 
 
 class CapExceeded(ValueError):
     """A construction would exceed the configured desk-scale cap."""
+
+
+class Steps:
+    """The steps one search has taken, checked against SEARCH_STEP_CAP as
+    they are taken: passing it raises CapExceeded naming the search."""
+
+    __slots__ = ("search", "n")
+
+    def __init__(self, search: str):
+        self.search = search
+        self.n = 0
+
+    def take(self, k: int) -> None:
+        self.n += k
+        if self.n > SEARCH_STEP_CAP:
+            raise CapExceeded(f"{self.search} passed {SEARCH_STEP_CAP} steps")
 
 
 class FiniteGroup:
@@ -582,8 +595,10 @@ def _homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
     branch holds an injective homomorphism that agrees with the seed, so the
     output equals that of testing every tuple of images in turn.  gens must
     generate G.  Both tables are read as Python lists, which keeps the work
-    per node small.
+    per node small.  A step is one pair (x, y) whose products the closing
+    checks.
     """
+    steps = Steps("homomorphism search")
     gm = G.mult.tolist()
     hm = H.mult.tolist()
     m = [-1] * G.order           # the partial map; -1 marks unmapped
@@ -609,6 +624,7 @@ def _homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
         while i < len(known):
             y = known[i]
             i += 1
+            steps.take(i)
             gy, my = gm[y], m[y]
             hy = hm[my]
             for x in known[:i]:
@@ -645,8 +661,8 @@ def automorphism_search(G: FiniteGroup, fixed: dict[int, int]):
     """Yield the automorphisms of G that send each key x of fixed to
     fixed[x], as permutation arrays in lexicographic order: the greedy
     generating_sequence puts every element below gens[i] in <gens[:i]>, so
-    two automorphisms first differ at a generator.  The order cap and the
-    search volume, counted without the pins of fixed, are checked first."""
+    two automorphisms first differ at a generator.  The order cap is
+    checked first."""
     if G.order > DEFAULT_AUT_CAP:
         raise CapExceeded(f"automorphism enumeration capped at order {DEFAULT_AUT_CAP}")
     gens = generating_sequence(G)
@@ -654,11 +670,6 @@ def automorphism_search(G: FiniteGroup, fixed: dict[int, int]):
     by_order: dict[int, list[int]] = {}
     for x in range(G.order):
         by_order.setdefault(orders[x], []).append(x)
-    volume = 1
-    for g in gens:
-        volume *= len(by_order[orders[g]])
-    if volume > AUT_SEARCH_VOLUME_CAP:
-        raise CapExceeded(f"automorphism search space {volume} beyond cap")
     yield from _homomorphisms(G, G, gens, [by_order[orders[g]] for g in gens],
                               fixed.items())
 
@@ -666,12 +677,7 @@ def automorphism_search(G: FiniteGroup, fixed: dict[int, int]):
 def automorphisms(G: FiniteGroup) -> list[np.ndarray]:
     """All automorphisms of G as permutation arrays, in lexicographic
     order."""
-    out = []
-    for m in automorphism_search(G, {}):
-        out.append(m)
-        if len(out) > DEFAULT_AUT_SIZE_CAP:
-            raise CapExceeded("automorphism group larger than size cap")
-    return out
+    return list(automorphism_search(G, {}))
 
 
 def permutation_group(G: FiniteGroup, perms: Sequence[np.ndarray]):
@@ -694,7 +700,9 @@ def permutation_group(G: FiniteGroup, perms: Sequence[np.ndarray]):
 
 
 def permutation_closure(G: FiniteGroup, perms: Sequence[np.ndarray]):
-    """Subgroup of Sym(G) generated by permutation arrays; returns the list."""
+    """Subgroup of Sym(G) generated by permutation arrays; returns the list.
+    A step is one element of G sent by a composed permutation."""
+    steps = Steps("permutation closure")
     ident = tuple(range(G.order))
     seen = {ident}
     out = [np.arange(G.order, dtype=np.int64)]
@@ -710,14 +718,13 @@ def permutation_closure(G: FiniteGroup, perms: Sequence[np.ndarray]):
         new = []
         for p in list(out):
             for q in gens:
+                steps.take(G.order)
                 r = q[p]
                 key = tuple(int(x) for x in r)
                 if key not in seen:
                     seen.add(key)
                     out.append(r)
                     new.append(r)
-                    if len(out) > DEFAULT_AUT_SIZE_CAP:
-                        raise CapExceeded("permutation closure exceeds size cap")
         frontier = new
     out.sort(key=lambda a: tuple(int(x) for x in a))
     return out
@@ -752,11 +759,13 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Every subgroup of G, as sorted element tuples in lexicographic order.
 
     Breadth-first closure: repeatedly extend known subgroups by one
-    generator.  Desk-scale only (the count explodes beyond order ~64).
-    Computed once and kept with G; each call returns a fresh list.
+    generator.  Desk-scale only (the count explodes beyond order ~64).  A
+    step is one element of a closure.  Computed once and kept with G; each
+    call returns a fresh list.
     """
     if G._subgroups is not None:
         return list(G._subgroups)
+    steps = Steps("subgroup search")
     seen = {(0,)}
     frontier = [(0,)]
     while frontier:
@@ -765,11 +774,10 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
             # <S, x> depends only on the right coset S x
             for x in sorted(set(right_coset_reps(G, elems)) - {0}):
                 bigger = tuple(kernels.closure(G.mult, G.inv, list(elems) + [x]))
+                steps.take(len(bigger))
                 if bigger not in seen:
                     seen.add(bigger)
                     new.append(bigger)
-                    if len(seen) > SUBGROUP_CAP:
-                        raise CapExceeded("subgroup enumeration cap exceeded")
         frontier = new
     G._subgroups = [Subgroup(G, e, check=False) for e in sorted(seen)]
     return list(G._subgroups)

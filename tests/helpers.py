@@ -1357,7 +1357,7 @@ def reference_compatible_gamma_collection(gog: graphs.GraphOfGroups,
                                           p: int) -> Optional[graphs.GogFiltration]:
     Y = gog.graph
     levels = [[full_subgroup(gog.vgroups[v]) for v in range(Y.nv)]]
-    for _ in range(certify.GAMMA_COLLECTION_DEPTH):
+    for _ in range(24):
         cur = levels[-1]
         nxt = []
         for v in range(Y.nv):

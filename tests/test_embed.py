@@ -14,7 +14,7 @@ from helpers import (ELAB_SHAPES, ReferenceElabSpace, c4_amalgam, chain,
                      reference_stabilizer_choice, seeded_partial_automorphisms,
                      relabel)
 
-from residuap import catalog, embed
+from residuap import catalog, embed, groups
 from residuap.embed import (Amalgam, ElabSpace, PartialAutomorphism,
                             _central_p_subchains,
                             _hyperplanes,
@@ -518,16 +518,16 @@ def test_flag_search_expands_each_term_once(monkeypatch, p, d):
 
 
 def test_flag_search_cap_boundary(monkeypatch):
-    V6 = catalog.elementary_abelian(2, 6)
-    assert unipotent_flag_extend(V6, deep_no_pair(V6)).is_no
-
-    def refuse(space, term):
-        raise AssertionError("searched past the cap")
-
-    monkeypatch.setattr(embed, "_hyperplanes", refuse)
+    # the complete search of the deep no pair tries hyperplanes of 14082
+    # elements in all on F_2^6 and 166978 on F_2^7: no cap on the dimension
     V7 = catalog.elementary_abelian(2, 7)
-    dec = unipotent_flag_extend(V7, deep_no_pair(V7))
-    assert (dec.status, dec.reason) == (UNKNOWN, "dimension 7 beyond flag search cap")
+    assert unipotent_flag_extend(V7, deep_no_pair(V7)).is_no
+    V6 = catalog.elementary_abelian(2, 6)
+    monkeypatch.setattr(groups, "SEARCH_STEP_CAP", 14082)
+    assert unipotent_flag_extend(V6, deep_no_pair(V6)).is_no
+    monkeypatch.setattr(groups, "SEARCH_STEP_CAP", 14081)
+    dec = unipotent_flag_extend(V6, deep_no_pair(V6))
+    assert (dec.status, dec.reason) == (UNKNOWN, "flag search passed 14081 steps")
 
 
 def test_linear_extension_rejects_inconsistent_pairs():

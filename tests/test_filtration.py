@@ -7,7 +7,7 @@ from helpers import (chain, comm, fresh, level_group,
                      reference_chief_series, reference_induced_power_map,
                      reference_stretchings, relabel)
 
-from residuap import catalog, filtration
+from residuap import catalog, filtration, groups
 from residuap.filtration import (AlignmentError, Filtration,
                                  align_filtrations, central_p_step,
                                  chief_refinement,
@@ -15,7 +15,8 @@ from residuap.filtration import (AlignmentError, Filtration,
                                  dimension_series, induced_chain,
                                  is_stretching, lower_central_p_series,
                                  lower_central_series)
-from residuap.groups import (Homomorphism, Subgroup, full_subgroup,
+from residuap.groups import (CapExceeded, Homomorphism, Subgroup,
+                             full_subgroup,
                              identity_hom, subgroup_generated,
                              trivial_subgroup)
 
@@ -111,9 +112,15 @@ def test_chief_refinement_matches_reference(G):
 
 
 def test_chief_series_cap(monkeypatch):
-    monkeypatch.setattr(filtration, "CHIEF_SERIES_CAP", 10)
-    with pytest.raises(ValueError, match="cap exceeded"):
-        chief_series(catalog.elementary_abelian(2, 4))
+    # the 315 chief series of C2^4 extend chains by normal subgroups of
+    # 15 * 2 + 105 * 4 + 315 * 8 + 315 * 16 = 8010 elements in all
+    G = catalog.elementary_abelian(2, 4)
+    monkeypatch.setattr(groups, "SEARCH_STEP_CAP", 8010)
+    assert len(chief_series(fresh(G, "C2^4~8010"))) == 315
+    monkeypatch.setattr(groups, "SEARCH_STEP_CAP", 8009)
+    with pytest.raises(CapExceeded,
+                       match="^chief series search passed 8009 steps$"):
+        chief_series(fresh(G, "C2^4~8009"))
 
 
 def test_chief_series_is_kept_with_the_group():
@@ -155,25 +162,15 @@ def test_copy_keeps_the_chief_series_on_the_copy(G, monkeypatch):
 @pytest.mark.parametrize("G", [catalog.elementary_abelian(2, 3),
                                catalog.elementary_abelian(2, 4)],
                          ids=lambda G: G.name)
-def test_kept_chief_series_raises_at_the_same_caps(G, monkeypatch):
-    count = len(reference_chief_series(G))       # 21 and 315
-
-    def raises(H, cap):
-        monkeypatch.setattr(filtration, "CHIEF_SERIES_CAP", cap)
-        try:
-            chief_series(H)
-        except ValueError as exc:
-            assert "cap exceeded" in str(exc)
-            return True
-        return False
-
+def test_kept_chief_series_is_not_counted_again(G, monkeypatch):
+    # a kept list was enumerated within the cap, so a later call hands it
+    # out whatever the cap is now; a fresh enumeration is counted
     kept = fresh(G, G.name + "~kept")
-    chief_series(kept)
-    for cap in range(count - 4, count + 3):
-        uncached = raises(fresh(G, G.name + "~fresh"), cap)
-        assert raises(kept, cap) == uncached
-        # the enumeration refuses exactly when it must look past cap + 1
-        assert uncached == (count > cap + 1)
+    want = [[T.elems for T in ser] for ser in chief_series(kept)]
+    monkeypatch.setattr(groups, "SEARCH_STEP_CAP", 0)
+    assert [[T.elems for T in ser] for ser in chief_series(kept)] == want
+    with pytest.raises(CapExceeded, match="^chief series search passed 0 steps$"):
+        chief_series(fresh(G, G.name + "~fresh"))
 
 
 def test_align_filtrations():

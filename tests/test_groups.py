@@ -307,22 +307,14 @@ def test_search_matches_exhaustive_reference(G):
 
 
 def test_automorphism_caps_still_raise(monkeypatch):
+    # the search of all 8 automorphisms of this D8 checks the products of
+    # 406 pairs (x, y): it completes at a cap of 406 steps and not at 405
     G = relabel(catalog.dihedral(4), seed=3)
-    n_aut = len(automorphisms(G))
-    assert n_aut == 8
-    volume = 1
-    for g in generating_sequence(G):
-        volume *= G.element_orders().count(G.element_orders()[g])
-    monkeypatch.setattr(groups, "AUT_SEARCH_VOLUME_CAP", volume)
-    assert len(automorphisms(G)) == n_aut
-    monkeypatch.setattr(groups, "AUT_SEARCH_VOLUME_CAP", volume - 1)
-    with pytest.raises(CapExceeded):
-        automorphisms(G)
-    monkeypatch.undo()
-    monkeypatch.setattr(groups, "DEFAULT_AUT_SIZE_CAP", n_aut)
-    assert len(automorphisms(G)) == n_aut
-    monkeypatch.setattr(groups, "DEFAULT_AUT_SIZE_CAP", n_aut - 1)
-    with pytest.raises(CapExceeded):
+    monkeypatch.setattr(groups, "SEARCH_STEP_CAP", 406)
+    assert len(automorphisms(G)) == 8
+    monkeypatch.setattr(groups, "SEARCH_STEP_CAP", 405)
+    with pytest.raises(CapExceeded,
+                       match="^homomorphism search passed 405 steps$"):
         automorphisms(G)
     monkeypatch.undo()
     monkeypatch.setattr(groups, "DEFAULT_AUT_CAP", 7)
@@ -359,13 +351,17 @@ def _seeded_partial_maps(G, auts, rng):
 @pytest.mark.parametrize("G", SEEDED_SEARCH_GROUPS, ids=lambda G: G.name)
 def test_seeded_search_matches_filtered_automorphisms(G):
     """automorphism_search(G, fixed) yields exactly the automorphisms of
-    automorphisms(G) that agree with fixed, in the same order; a group
-    beyond the search volume is refused by both with one message."""
+    automorphisms(G) that agree with fixed, in the same order.  A group
+    whose full list passes the step cap (C2^5) still answers a search that
+    pins every generator: the identity alone."""
     try:
         auts = automorphisms(G)
     except CapExceeded as exc:
-        with pytest.raises(CapExceeded, match=str(exc)):
-            next(automorphism_search(G, {0: 0}))
+        assert str(exc) == \
+            f"homomorphism search passed {groups.SEARCH_STEP_CAP} steps"
+        pinned = {g: g for g in generating_sequence(G)}
+        assert [a.tolist() for a in automorphism_search(G, pinned)] == \
+            [list(range(G.order))]
         return
     rng = random.Random(f"seeded-search:{G.name}")
     outcomes = set()
