@@ -55,16 +55,13 @@ def _vertex_sum(gog: GraphOfGroups, tree: frozenset[int]):
 
     The elements are those of the quotient of the full direct sum (vertex 0
     major), ordered by their least element, and the sum is named
-    "G0xG1x...".  A step whose direct product would pass DEFAULT_ORDER_CAP
-    raises CapExceeded before its table is built.  Returns (sum, one
-    injection per vertex).
+    "G0xG1x...".  A step whose sum would pass DEFAULT_ORDER_CAP raises
+    CapExceeded (from amalgamated_sum) before its table is built.  Returns
+    (sum, one injection per vertex).
     """
     Y = gog.graph
     S, maps = trivial_group(), []
     for v, G in enumerate(gog.vgroups):
-        if S.order * G.order > DEFAULT_ORDER_CAP:
-            raise CapExceeded(f"vertex sum step of order {S.order * G.order} "
-                              f"exceeds cap {DEFAULT_ORDER_CAP}")
         pairs = [(maps[Y.orig[e]](gog.emaps[Y.bar[e]](x)), gog.emaps[e](x))
                  for e in tree if Y.term[e] == v and Y.orig[e] < v
                  for x in range(gog.egroups[e].order)]

@@ -11,13 +11,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import CapExceeded, FiniteGroup, require_prime
+from .groups import DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup, require_prime
 from .smith import (Presentation, det_unimodular, smith_normal_form,
                     theta_map)
 
 DEFAULT_TOWER_CAP = 3 ** 9
-# the largest matrix group whose Cayley table is built
-CAYLEY_TABLE_CAP = 5000
 # the most elements matrix_p_filtration lists of one image mod p^k
 MATRIX_IMAGE_CAP = 200_000
 
@@ -100,8 +98,8 @@ class MatrixGroup:
         """The Cayley table, built in row blocks: each product is encoded by
         ``_codes`` and looked up in a code -> index array."""
         n, q = self.order, self.mod
-        if n > CAYLEY_TABLE_CAP:
-            raise CapExceeded(f"Cayley table of order {n} exceeds cap {CAYLEY_TABLE_CAP}")
+        if n > DEFAULT_ORDER_CAP:
+            raise CapExceeded(f"Cayley table of order {n} exceeds cap {DEFAULT_ORDER_CAP}")
         index = np.full(q ** self.mats[0].size, -1, dtype=np.int32)
         index[_codes(self.mats.reshape(n, -1), q)] = np.arange(n)
         table = np.empty((n, n), dtype=np.int64)

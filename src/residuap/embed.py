@@ -187,7 +187,11 @@ def higman_embed(am: Amalgam, FG: Filtration, FH: Filtration,
     predicted = predicted_higman_order(am, FG, FH)
     cap = min(cap, DEFAULT_ORDER_CAP)
     if predicted > cap:
-        raise CapExceeded(f"predicted |W| = {predicted} exceeds cap {cap}")
+        # the ceiling is a clamp, so it is shown as the bound it is
+        shown = (f"≥ 2^{PREDICTION_CEILING.bit_length() - 1}"
+                 if predicted == PREDICTION_CEILING
+                 else f"= {predicted}")
+        raise CapExceeded(f"predicted |W| {shown} exceeds cap {cap}")
     FGs, FHs = align_filtrations(FG, FH, am.uG, am.uH)
     W, alpha, beta, FW = _higman_rec(am.G, am.H, am.U, am.uG, am.uH,
                                      FGs, FHs, p, cap)

@@ -103,7 +103,20 @@ def test_five_vertex_free_product_stops_at_the_cap(monkeypatch):
     gog = free_product(*(fresh(E8, f"E{i}") for i in range(5)))
     dec = certify_residually_p(gog, 2)
     assert dec.status == UNKNOWN
-    assert dec.reason == "vertex sum step of order 32768 exceeds cap 4096"
+    assert dec.reason == "amalgamated sum of order 32768 is too large"
+
+
+def test_vertex_sum_is_bounded_by_its_own_order(monkeypatch):
+    # C2^7 and C2^6 over C2: the step's direct product has order 8192, but
+    # the sum, Sigma, has order 4096 and is built
+    forbid_tables_above_cap(monkeypatch)
+    A, B = catalog.elementary_abelian(2, 7), catalog.elementary_abelian(2, 6)
+    C2 = catalog.cyclic(2)
+    gog = GraphOfGroups(Graph.from_topological(2, [(0, 1)]), [A, B], [C2, C2],
+                        [Homomorphism(C2, B, [0, 1]), Homomorphism(C2, A, [0, 1])])
+    dec = certify_residually_p(gog, 2)
+    assert dec.is_yes and dec.certificate.target.order == 4096
+    dec.certificate.verify()
 
 
 def _unfold_along_cn(gog: GraphOfGroups, n: int) -> GraphOfGroups:
@@ -343,7 +356,10 @@ def test_reduction_unknown_on_long_tree():
     gfilt = GogFiltration(gog, tuple(lower_central_p_series(g, 2)
                                      for g in gog.vgroups))
     dec = reduction_certify(gog, gfilt, None, 2)
-    assert dec.status == UNKNOWN and "cap" in dec.reason
+    # the prediction is clamped at 2^62 and shown as that bound
+    assert dec.status == UNKNOWN
+    assert dec.reason == ("tree amalgamation failed: "
+                          "predicted |W| ≥ 2^62 exceeds cap 4096")
 
 
 def test_colimit_loop_with_trivial_edge_group():

@@ -29,6 +29,21 @@ def test_tower_cap():
         sl2_congruence_tower(5, 3)
 
 
+def test_cayley_table_cap_is_the_order_cap(monkeypatch):
+    # SL(2, Z/17) has order 4896: the tower is listed, but its table is
+    # refused before any product is encoded
+    full = sl2_congruence_tower(17, 1).full
+    assert full.order == 4896
+
+    def refuse(rows, mod):
+        raise AssertionError("a product was encoded")
+
+    monkeypatch.setattr(congruence, "_codes", refuse)
+    with pytest.raises(CapExceeded,
+                       match="^Cayley table of order 4896 exceeds cap 4096$"):
+        full.as_finite_group()
+
+
 def test_layer_checks_small():
     rep = congruence_layer_check(2, 3)
     assert rep["commutator_ok"]
