@@ -20,13 +20,12 @@ from .filtration import (Filtration, align_filtrations, aligned_slots,
                          is_stretching, lower_central_p_series)
 from .groups import (DEFAULT_ORDER_CAP, CapExceeded, FiniteGroup,
                      Homomorphism, Steps, Subgroup, all_subgroups,
-                     amalgamated_sum,
-                     automorphism_search, automorphisms, find_isomorphism,
-                     full_subgroup,
-                     generating_sequence, identity_hom, induced_hom,
-                     is_p_power, permutation_closure, permutation_group,
-                     quotient, right_coset_reps, semidirect_product,
-                     trivial_group, trivial_subgroup)
+                     amalgamated_sum, automorphism_search, automorphisms,
+                     find_isomorphism, full_subgroup, generating_sequence,
+                     identity_hom, induced_hom, is_p_power,
+                     permutation_closure, permutation_group, quotient,
+                     right_coset_reps, semidirect_product, trivial_group,
+                     trivial_subgroup)
 from .results import NO, UNKNOWN, YES, Decision
 
 # amalgam_scan: the largest |U| scanned, and the largest |U| for which every
