@@ -519,7 +519,7 @@ def test_flag_search_expands_each_term_once(monkeypatch, p, d):
 
 def test_flag_search_cap_boundary(monkeypatch):
     # the complete search of the deep no pair tries hyperplanes of 14082
-    # elements in all on F_2^6 and 166978 on F_2^7: no cap on the dimension
+    # elements in all on F_2^6 and 166978 on F_2^7, well within the cap
     V7 = catalog.elementary_abelian(2, 7)
     assert unipotent_flag_extend(V7, deep_no_pair(V7)).is_no
     V6 = catalog.elementary_abelian(2, 6)

@@ -16,8 +16,7 @@ from residuap.filtration import (AlignmentError, Filtration,
                                  is_stretching, lower_central_p_series,
                                  lower_central_series)
 from residuap.groups import (CapExceeded, Homomorphism, Subgroup,
-                             full_subgroup,
-                             identity_hom, subgroup_generated,
+                             full_subgroup, identity_hom, subgroup_generated,
                              trivial_subgroup)
 
 
