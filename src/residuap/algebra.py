@@ -97,16 +97,16 @@ def augmentation_ideal_powers(G: FiniteGroup, p: int):
     """
     require_prime(p)
     require_p_group(G, p)
-    key = ("augmentation_ideal_powers", p)
-    if key not in G._by_p:
+
+    def powers():
         omega = augmentation_ideal(G, p)
         bases = []
         cur = omega
         while cur.dim > 0:
             bases.append(cur)
             cur = cur.multiply(omega)
-        G._by_p[key] = tuple(bases)
-    bases = G._by_p[key]
+        return tuple(bases)
+    bases = G.fact(("augmentation_ideal_powers", p), powers)
     return list(bases), [b.dim for b in bases] + [0], len(bases)
 
 

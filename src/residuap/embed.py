@@ -449,9 +449,7 @@ def _chain_tracer(G: FiniteGroup, chains: Sequence[Sequence[Subgroup]]):
 
 def chief_tracer(G: FiniteGroup):
     """_chain_tracer(G, chief_series(G)), built once and kept with G."""
-    if G._chief_tracer is None:
-        G._chief_tracer = _chain_tracer(G, chief_series(G))
-    return G._chief_tracer
+    return G.fact("chief_tracer", lambda: _chain_tracer(G, chief_series(G)))
 
 
 def amalgam_embeddable(am: Amalgam) -> Decision:
@@ -644,11 +642,14 @@ class PartialAutomorphism:
         if set(self.mapping) != self.A._set or \
                 set(self.mapping.values()) != self.B._set:
             raise ValueError("partial automorphism must biject A onto B")
+        # phi(ab) = phi(a) phi(b) on all of A x A, as one gather; a product
+        # outside A reads -1 and so differs
         t = self.group.mult
-        for a in self.A.elems:
-            for b in self.A.elems:
-                if self.mapping[int(t[a, b])] != t[self.mapping[a], self.mapping[b]]:
-                    raise ValueError("partial automorphism is not a morphism")
+        phi = np.full(self.group.order, -1, dtype=np.int64)
+        phi[list(self.mapping)] = list(self.mapping.values())
+        A = np.asarray(self.A.elems, dtype=np.int64)
+        if not np.array_equal(phi[t[np.ix_(A, A)]], t[np.ix_(phi[A], phi[A])]):
+            raise ValueError("partial automorphism is not a morphism")
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -836,8 +837,12 @@ def inner_extension(G: FiniteGroup, pas: Sequence[PartialAutomorphism],
             return flag
         return _realize_semidirect(G, pas, flag.certificate.perms(), p, size_cap)
     # general p-group: chief filtrations satisfying the invariance criterion
+    try:
+        series = chief_series(G)
+    except CapExceeded as exc:
+        return Decision(UNKNOWN, reason=str(exc))
     witness = None
-    for ser in chief_series(G):
+    for ser in series:
         if all(phi.preserves_chain(ser) for phi in pas):
             witness = ser
             break
@@ -872,7 +877,10 @@ def _extend_in_stabilizer(G, pas, series, p, size_cap, missing: str) -> Decision
 
 def _realize_semidirect(G, pas, perms, p, size_cap) -> Decision:
     """Hp = G x| <perms>, with conjugators the chosen automorphisms."""
-    closure = permutation_closure(G, perms)
+    try:
+        closure = permutation_closure(G, perms)
+    except CapExceeded as exc:
+        return Decision(UNKNOWN, reason=str(exc))
     if len(closure) * G.order > size_cap:
         return Decision(UNKNOWN, reason="semidirect product beyond size cap")
     if not is_p_power(len(closure), p):
@@ -1019,10 +1027,11 @@ class ScanRecord:
 def amalgam_scan(groups: Sequence[FiniteGroup]):
     """Deterministic scan over amalgams built from the given 2-groups.
 
-    Enumeration: unordered pairs (G, H) in list order (diagonal included,
-    with an independent copy of H); subgroup pairs (U_G, U_H) of equal order
-    2 <= |U| <= SCAN_MAX_U in lexicographic element order; identifications:
-    all isomorphisms when |U| <= SCAN_ALL_ISO_UPTO, else the first found.
+    Enumeration: unordered pairs (G, H) in list order (diagonal included:
+    G paired with itself, the record's h_name G.name + "'"); subgroup pairs
+    (U_G, U_H) of equal order 2 <= |U| <= SCAN_MAX_U in lexicographic
+    element order; identifications: all isomorphisms when
+    |U| <= SCAN_ALL_ISO_UPTO, else the first found.
 
     Returns the list of ScanRecords in enumeration order.
     """
@@ -1035,7 +1044,7 @@ def amalgam_scan(groups: Sequence[FiniteGroup]):
     # of U, the trace set of that inclusion, traced), listed in order and
     # bucketed by |S|; on the H side, traced maps a G-side table id to the
     # pairs (iso, trace set of U -> S through iso), one per isomorphism onto
-    # U.  The diagonal copy H' shares G's.
+    # U.
     facts: dict[FiniteGroup, tuple] = {}
     # the isomorphisms U_G -> U_H depend only on the two tables; this memo
     # lives for one call, so every scan pays for its own searches
@@ -1077,10 +1086,7 @@ def amalgam_scan(groups: Sequence[FiniteGroup]):
     for i, G in enumerate(groups):
         for j in range(i, len(groups)):
             H = groups[j]
-            if j == i:
-                H = G.copy(G.name + "'")
-                # the facts read only the table, which H shares with G
-                facts[H] = facts_of(G)
+            h_name = H.name + "'" if j == i else H.name
             tracer, _, subsH = facts_of(H)
             for SG, uG, _, tG, _ in facts_of(G)[1]:
                 # the embeddings of both sides start at the G-side copy of
@@ -1094,19 +1100,17 @@ def amalgam_scan(groups: Sequence[FiniteGroup]):
                         traced[uG] = list(zip(maps, map(frozenset, keys)))
                     for iso, tH in traced[uG]:
                         records.append(ScanRecord(
-                            G.name, H.name, SG.elems, SH.elems, iso,
+                            G.name, h_name, SG.elems, SH.elems, iso,
                             not tG.isdisjoint(tH)))
     return records
 
 
 def scan_amalgam_object(groups: Sequence[FiniteGroup], rec: ScanRecord) -> Amalgam:
-    """Rebuild the Amalgam described by a ScanRecord."""
+    """Rebuild the Amalgam described by a ScanRecord; a diagonal record
+    (h_name G.name + "'") pairs G with itself."""
     by_name = {G.name: G for G in groups}
     G = by_name[rec.g_name]
-    if rec.h_name.endswith("'"):
-        H = by_name[rec.h_name[:-1]].copy(rec.h_name)
-    else:
-        H = by_name[rec.h_name]
+    H = by_name[rec.h_name.removesuffix("'")]
     SG = Subgroup(G, rec.u_g, check=False)
     SH = Subgroup(H, rec.u_h, check=False)
     UG, toUG, _ = SG.as_group()

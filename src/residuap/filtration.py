@@ -101,13 +101,9 @@ def central_p_step(G: FiniteGroup, T: Subgroup, p: int) -> frozenset[int]:
     """The [x, t] for x in generating_sequence(G) and t in T, and the t^p: a
     normal subgroup holds [G, T] T^p exactly when it holds this set.  Kept
     with G per (T.elems, p)."""
-    key = (T.elems, p)
-    step = G._central_steps.get(key)
-    if step is None:
-        step = G._central_steps[key] = frozenset(
-            kernels.commutators(G.mult, G.inv, generating_sequence(G), T.elems)
-            + kernels.powers(G.mult, T.elems, p))
-    return step
+    return G.fact(("central_p_step", T.elems, p), lambda: frozenset(
+        kernels.commutators(G.mult, G.inv, generating_sequence(G), T.elems)
+        + kernels.powers(G.mult, T.elems, p)))
 
 
 # -- canonical series ---------------------------------------------------------
@@ -154,10 +150,7 @@ def dimension_series(G: FiniteGroup, p: int) -> Filtration:
     """
     require_prime(p)
     require_p_group(G, p)
-    key = ("dimension_series", p)
-    if key not in G._by_p:
-        G._by_p[key] = _dimension_series(G, p)
-    return G._by_p[key]
+    return G.fact(("dimension_series", p), lambda: _dimension_series(G, p))
 
 
 def _dimension_series(G: FiniteGroup, p: int) -> Filtration:
@@ -268,8 +261,10 @@ def chief_series(G: FiniteGroup) -> list[tuple[Subgroup, ...]]:
     a fresh list.  A step of the enumeration is one element of a normal
     subgroup that extends a chain.
     """
-    if G._chief_series is not None:
-        return list(G._chief_series)
+    return list(G.fact("chief_series", lambda: _chief_series(G)))
+
+
+def _chief_series(G: FiniteGroup) -> list[tuple[Subgroup, ...]]:
     out: list[tuple[Subgroup, ...]] = []
     minimal = _minimal_normal_finder(G)
     steps = Steps("chief series search")
@@ -283,8 +278,7 @@ def chief_series(G: FiniteGroup) -> list[tuple[Subgroup, ...]]:
             ascend(chain + [N])
 
     ascend([trivial_subgroup(G)])
-    G._chief_series = out
-    return list(out)
+    return out
 
 
 # -- alignment ----------------------------------------------------------------

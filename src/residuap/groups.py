@@ -47,29 +47,18 @@ class Steps:
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    The table must not be changed after construction: these facts are
-    computed once from it, when first asked for, and kept with the group:
+    The table must not be changed after construction: the facts computed
+    from it are kept with the group, in one store read and filled through
+    ``fact``, under these keys:
 
-    * whether it is abelian, the element orders, ``generating_sequence``;
-    * ``all_subgroups``, handed out as a fresh list on each call;
-    * ``chief_series`` and the chain tracer of those series
+    * "abelian", "orders" and "gens" (``generating_sequence``);
+    * "subgroups" (``all_subgroups``), "chief_series" and "chief_tracer"
       (``embed.chief_tracer``);
-    * ``central_p_step(G, T, p)`` per (T.elems, p);
-    * ``dimension_series(G, p)`` and ``augmentation_ideal_powers(G, p)``
-      per p, in ``_by_p`` under the keys ("dimension_series", p) and
-      ("augmentation_ideal_powers", p).
-
-    ``copy`` shares the other facts with the copy, whose table is equal;
-    the chief series are re-parented onto it, one Subgroup per distinct
-    term.  The facts kept per p are not passed on: their subgroups and ideal
-    bases belong to this group, and the copy builds its own.  Nor is the
-    subgroup list, whose Subgroups point at this group: the copy lists its
-    own when asked.
+    * ("central_p_step", T.elems, p) for ``central_p_step(G, T, p)``;
+    * ("dimension_series", p) and ("augmentation_ideal_powers", p).
     """
 
-    __slots__ = ("order", "mult", "inv", "name", "_abelian", "_orders",
-                 "_gens", "_subgroups", "_chief_series", "_chief_tracer",
-                 "_central_steps", "_by_p")
+    __slots__ = ("order", "mult", "inv", "name", "_facts")
 
     def __init__(self, mult, name: str = "G", validate: bool = True):
         t = np.ascontiguousarray(np.asarray(mult, dtype=np.int64))
@@ -79,14 +68,14 @@ class FiniteGroup:
         self.order = int(t.shape[0])
         self.inv = np.asarray(kernels.inverse_table(t), dtype=np.int64)
         self.name = name
-        self._abelian: Optional[bool] = None
-        self._orders: Optional[list[int]] = None
-        self._gens: Optional[list[int]] = None
-        self._subgroups: Optional[list] = None
-        self._chief_series: Optional[list] = None
-        self._chief_tracer = None
-        self._central_steps: dict[tuple, frozenset[int]] = {}
-        self._by_p: dict[tuple[str, int], object] = {}
+        self._facts: dict = {}
+
+    def fact(self, key, compute):
+        """The fact kept under key, computed by compute() when first asked
+        for; a compute that raises keeps nothing."""
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
 
     # -- basic element arithmetic ------------------------------------------
 
@@ -118,25 +107,24 @@ class FiniteGroup:
         return acc
 
     def element_orders(self) -> list[int]:
-        if self._orders is None:
-            orders = [1] * self.order
+        def orders():
+            out = [1] * self.order
             for a in range(1, self.order):
                 x, n = a, 1
                 while x != 0:
                     x = int(self.mult[x, a])
                     n += 1
-                orders[a] = n
-            self._orders = orders
-        return self._orders
+                out[a] = n
+            return out
+        return self.fact("orders", orders)
 
     def exponent(self) -> int:
         return math.lcm(*set(self.element_orders()))
 
     @property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.mult, self.mult.T))
-        return self._abelian
+        return self.fact("abelian",
+                         lambda: bool(np.array_equal(self.mult, self.mult.T)))
 
     def is_p_group(self, p: int) -> bool:
         return is_p_power(self.order, p)
@@ -157,23 +145,6 @@ class FiniteGroup:
         p = self.prime()
         return (p is not None and self.is_abelian
                 and all(o in (1, p) for o in self.element_orders()))
-
-    def copy(self, name: str) -> "FiniteGroup":
-        """An independent group on a copy of the table, sharing the facts
-        found so far except the subgroup list and those kept per p: the
-        chief series are re-parented, one Subgroup per distinct term; the
-        rest depend only on the table and are never changed, so are shared."""
-        H = FiniteGroup(self.mult.copy(), name=name, validate=False)
-        H._abelian = self._abelian
-        H._orders, H._gens = self._orders, self._gens
-        H._chief_tracer = self._chief_tracer
-        H._central_steps = self._central_steps
-        if self._chief_series is not None:
-            terms = {e: Subgroup(H, e, check=False) for e in dict.fromkeys(
-                T.elems for chain in self._chief_series for T in chain)}
-            H._chief_series = [tuple(terms[T.elems] for T in chain)
-                               for chain in self._chief_series]
-        return H
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -567,15 +538,15 @@ def semidirect_product(B: FiniteGroup, H: FiniteGroup, action: GroupAction
 def generating_sequence(G: FiniteGroup) -> list[int]:
     """A small generating sequence picked greedily by index, computed once
     per group; each call returns a fresh list."""
-    if G._gens is None:
+    def greedy():
         gens: list[int] = []
         cur = {0}
         while len(cur) < G.order:
             nxt = min(x for x in range(G.order) if x not in cur)
             gens.append(nxt)
             cur = set(kernels.closure(G.mult, G.inv, gens))
-        G._gens = gens
-    return list(G._gens)
+        return gens
+    return list(G.fact("gens", greedy))
 
 
 def _homomorphisms(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
@@ -763,8 +734,10 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     step is one element of a closure.  Computed once and kept with G; each
     call returns a fresh list.
     """
-    if G._subgroups is not None:
-        return list(G._subgroups)
+    return list(G.fact("subgroups", lambda: _all_subgroups(G)))
+
+
+def _all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     steps = Steps("subgroup search")
     seen = {(0,)}
     frontier = [(0,)]
@@ -779,8 +752,7 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
                     seen.add(bigger)
                     new.append(bigger)
         frontier = new
-    G._subgroups = [Subgroup(G, e, check=False) for e in sorted(seen)]
-    return list(G._subgroups)
+    return [Subgroup(G, e, check=False) for e in sorted(seen)]
 
 
 def abelian_invariants(G: FiniteGroup) -> list[int]:

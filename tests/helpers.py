@@ -1428,3 +1428,17 @@ def random_restricted_automorphism(G: FiniteGroup, auts,
     mapping = {x: int(a[x]) for x in U.elems}
     return embed.PartialAutomorphism(G, U, Subgroup(G, sorted(mapping.values())),
                                      mapping)
+
+
+def reference_is_partial_morphism(G: FiniteGroup, A: Sequence[int],
+                                  mapping: dict[int, int]) -> bool:
+    """The pairwise reference for PartialAutomorphism's morphism check:
+    mapping[ab] == mapping[a] mapping[b] for every pair of A, tested in
+    turn; a product outside A fails."""
+    t = G.mult
+    for a in A:
+        for b in A:
+            ab = int(t[a, b])
+            if ab not in mapping or mapping[ab] != t[mapping[a], mapping[b]]:
+                return False
+    return True

@@ -11,10 +11,11 @@ from helpers import (ELAB_SHAPES, ReferenceElabSpace, c4_amalgam, chain,
                      reference_flag_perms, reference_predicted_higman_order,
                      random_partial_automorphism,
                      random_restricted_automorphism,
+                     reference_is_partial_morphism,
                      reference_stabilizer_choice, seeded_partial_automorphisms,
                      relabel)
 
-from residuap import catalog, embed, groups
+from residuap import catalog, embed, filtration, groups
 from residuap.embed import (Amalgam, ElabSpace, PartialAutomorphism,
                             _central_p_subchains,
                             _hyperplanes,
@@ -227,6 +228,60 @@ def test_inner_extension_identity_and_general_group():
     assert dec.is_yes and dec.certificate.Hp.order == 16
     assert dec.certificate.conjugators == (1,)
     dec.certificate.verify(D8, [pa], 2)
+
+
+@pytest.mark.parametrize("name", ["C4xC2", "C2^3", "D8", "Q8", "D16",
+                                  "Heis27", "C9:C3"])
+def test_partial_automorphism_check_matches_the_loop(name):
+    """PartialAutomorphism accepts exactly the bijections A -> B that the
+    pairwise loop accepts: restricted automorphisms, bijections between
+    subgroups of equal order, and bijections on sets that are no subgroup."""
+    G = catalog.by_name(name)
+    auts = automorphisms(G)
+    subs = all_subgroups(G)
+    rng = random.Random(f"partial-morphism:{name}")
+    seen = set()
+    for k in range(150):
+        if k % 3 == 0:
+            pa = random_restricted_automorphism(G, auts, rng)
+            A, B, mapping = pa.A, pa.B, pa.mapping
+        else:
+            if k % 3 == 1:
+                A = rng.choice(subs)
+                B = rng.choice([S for S in subs if len(S) == len(A)])
+            else:
+                size = rng.randrange(1, G.order + 1)
+                A, B = (Subgroup(G, [0] + rng.sample(range(1, G.order),
+                                                     size - 1), check=False)
+                        for _ in range(2))
+            images = list(B.elems)
+            rng.shuffle(images)
+            mapping = dict(zip(A.elems, images))
+        want = reference_is_partial_morphism(G, A.elems, mapping)
+        seen.add(want)
+        if want:
+            PartialAutomorphism(G, A, B, mapping)
+        else:
+            with pytest.raises(ValueError, match="not a morphism"):
+                PartialAutomorphism(G, A, B, mapping)
+    assert seen == {True, False}
+
+
+def test_inner_extension_answers_unknown_past_the_step_cap(monkeypatch):
+    """A refusal of the chief series search (D8, r -> r^3 on <r>) and of the
+    permutation closure (C2^3, 1 -> 3) is an unknown, not an error."""
+    D8 = fresh(catalog.dihedral(4), "D8~cap")
+    R = subgroup_generated(D8, [2])
+    rot = PartialAutomorphism(D8, R, R, {0: 0, 2: 6, 4: 4, 6: 2})
+    E = catalog.elementary_abelian(2, 3)
+    pin = PartialAutomorphism(E, Subgroup(E, [0, 1]), Subgroup(E, [0, 3]),
+                              {0: 0, 1: 3})
+    for G, pa, cap, search in [(D8, rot, 3, "chief series search"),
+                               (E, pin, 9, "permutation closure")]:
+        monkeypatch.setattr(groups, "SEARCH_STEP_CAP", cap)
+        dec = inner_extension(G, [pa])
+        assert (dec.status, dec.reason) == \
+            (UNKNOWN, f"{search} passed {cap} steps")
 
 
 @pytest.mark.parametrize("name", ["C4xC2", "C4xC4", "C8xC2", "C4xC2xC2",
@@ -584,6 +639,26 @@ def test_scan_small_is_deterministic_and_sound():
     assert amalgam_embeddable(am).is_no
 
 
+@pytest.mark.parametrize("G", [catalog.dihedral(8), catalog.quaternion8(),
+                               catalog.elementary_abelian(2, 3)],
+                         ids=lambda G: G.name)
+def test_diagonal_record_pairs_the_group_with_itself(G, monkeypatch):
+    """The amalgam of a diagonal scan record has G on both sides, so
+    deciding it enumerates no chief series: the scan kept G's."""
+    G = fresh(G, G.name + "~diag")
+    recs = amalgam_scan([G])
+    enumerations = []
+    finder = filtration._minimal_normal_finder
+    monkeypatch.setattr(filtration, "_minimal_normal_finder",
+                        lambda K: enumerations.append(K) or finder(K))
+    for rec in recs:
+        assert rec.h_name == G.name + "'"
+        am = scan_amalgam_object([G], rec)
+        assert am.H is am.G is G
+        assert amalgam_embeddable(am).is_yes == rec.embeddable
+    assert recs and enumerations == []
+
+
 @pytest.mark.parametrize("G", catalog.two_group_scan_list(16)
                          + [catalog.heisenberg(3), catalog.c9_semi_c3()],
                          ids=lambda G: G.name)
@@ -850,10 +925,8 @@ def test_chief_tracer_is_built_once_per_group(monkeypatch):
     decisions = [amalgam_embeddable(am) for _ in range(4)]
     assert sorted(built, key=id) == sorted([D8, V4], key=id)
     assert all(d.status == decisions[0].status for d in decisions)
-    # the copy shares the tracer, so an amalgam over it builds none
-    D8c = D8.copy("D8~t'")
-    assert D8c._chief_tracer is D8._chief_tracer
-    twin = Amalgam(D8, D8c, C2, Homomorphism(C2, D8, [0, 4]),
-                   Homomorphism(C2, D8c, [0, 4]))
+    # D8 on both sides of an amalgam builds no tracer either
+    twin = Amalgam(D8, D8, C2, Homomorphism(C2, D8, [0, 4]),
+                   Homomorphism(C2, D8, [0, 4]))
     assert amalgam_embeddable(twin).is_yes
     assert len(built) == 2

@@ -22,7 +22,6 @@ from helpers import (forbid_tables_above_cap, fresh, reference_as_group_table,
                      reference_quotient, relabel)
 
 from residuap import groups
-from residuap.filtration import chief_series
 from residuap.smith import Presentation, smith_abelianization
 
 
@@ -476,21 +475,6 @@ def test_all_subgroups_is_kept_with_the_group(monkeypatch):
     assert all_subgroups(G) == first and len(first) == 19
 
 
-def test_copy_lists_its_own_subgroups(monkeypatch):
-    G = fresh(catalog.elementary_abelian(2, 3), "C2^3~subgroups")
-    subs = all_subgroups(G)
-    H = G.copy("C2^3~subgroups'")
-    closure, calls = groups.kernels.closure, []
-    monkeypatch.setattr(groups.kernels, "closure",
-                        lambda *args: calls.append(args) or closure(*args))
-    # the copy does not take G's list, whose subgroups point at G
-    assert H._subgroups is None
-    copied = all_subgroups(H)
-    assert calls and all(S.parent is H for S in copied)
-    assert [S.elems for S in copied] == [S.elems for S in subs]
-    assert all(S.parent is G for S in all_subgroups(G))
-
-
 def test_lagrange_for_produced_subgroups():
     for name in CATALOG_NAMES:
         G = catalog.by_name(name)
@@ -520,28 +504,3 @@ def test_as_group_and_quotient_tables_match_reference(G):
                     Q.mult.tobytes() == table.tobytes()
                 assert proj.map.dtype == pmap.dtype and \
                     proj.map.tobytes() == pmap.tobytes()
-
-
-def test_copy_builds_each_distinct_chief_term_once(monkeypatch):
-    G = fresh(catalog.elementary_abelian(2, 4), "C2^4~copy")
-    series = chief_series(G)
-    distinct = {T.elems for ser in series for T in ser}
-    assert (len(series), len(distinct)) == (315, 67)
-    built = []
-    init = groups.Subgroup.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(groups.Subgroup, "__init__", counted)
-    H = G.copy("C2^4~copy'")
-    assert len(built) == len(distinct)
-    # one Subgroup per distinct term, shared by every series that holds it
-    kept = {}
-    for ser in chief_series(H):
-        for T in ser:
-            assert T.parent is H and kept.setdefault(T.elems, T) is T
-    assert len(built) == len(distinct)
-    assert [[T.elems for T in ser] for ser in chief_series(H)] == \
-        [[T.elems for T in ser] for ser in series]

@@ -31,7 +31,7 @@ FOREIGN = set(sys.stdlib_module_names) | {"numpy"}
 
 # name -> why it stays although nothing in src or perfbench calls it yet
 KEEP = {
-    "serialize.filtration_from_obj": "read by the verify routes of ROADMAP item 2",
+    "serialize.filtration_from_obj": "read by the verify routes of ROADMAP item 6",
 }
 
 # "module.function(parameter)" -> why the parameter stays although only its
